@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physics
-from ._kernels import coincidence_histogram
+from ._kernels import MAX_BINS, coincidence_histogram
 from .emitters import EmitterParams
 from .records import CorrelationHistogram, DecayTrace, Spectrum
 
@@ -268,6 +268,19 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
     return DecayTrace(centers, counts.astype(float), meta)
 
 
+def _half_width_bins(bin_width: float, tau_max: float) -> int:
+    """m_max of the +-tau_max correlation histogram, checked before any allocation."""
+    if not (math.isfinite(bin_width) and math.isfinite(tau_max)):
+        raise ValueError("bin_width and tau_max must be finite")
+    if bin_width <= 0 or tau_max < bin_width:
+        raise ValueError("need bin_width > 0 and tau_max >= bin_width")
+    ratio = tau_max / bin_width  # overflows to inf for a subnormal bin_width
+    if ratio >= MAX_BINS / 2:
+        raise ValueError(f"tau_max / bin_width = {ratio:g} gives more than "
+                         f"{MAX_BINS} bins")
+    return int(round(ratio))
+
+
 def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
                  duration: float, *, bin_width: float, tau_max: float,
                  seed: int = 0) -> CorrelationHistogram:
@@ -291,8 +304,7 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
         raise ValueError("rate and duration must be positive")
     if lifetime <= 0:
         raise ValueError("lifetime must be positive")
-    if bin_width <= 0 or tau_max < bin_width:
-        raise ValueError("need bin_width > 0 and tau_max >= bin_width")
+    m_max = _half_width_bins(bin_width, tau_max)
     if rate * duration > _MAX_STREAM_PHOTONS:
         raise ValueError("stream too large; reduce rate or duration")
 
@@ -328,7 +340,6 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     det_a = stream[~to_b] * 1e9
     det_b = stream[to_b] * 1e9
 
-    m_max = int(round(tau_max / bin_width))
     counts = coincidence_histogram(det_a, det_b, bin_width, m_max)
     duration_ns = duration * 1e9
     normalization = (det_a.size / duration_ns) * (det_b.size / duration_ns) \
@@ -354,14 +365,12 @@ def correlate_stream(arrival_times, *, bin_width: float, tau_max: float,
         raise ValueError("arrival times must be >= 0")
     if np.any(np.diff(t) < 0):
         raise ValueError("arrival times must be sorted ascending")
-    if bin_width <= 0 or tau_max < bin_width:
-        raise ValueError("need bin_width > 0 and tau_max >= bin_width")
+    m_max = _half_width_bins(bin_width, tau_max)
     if duration is None:
         duration = float(t[-1])
     if duration <= 0:
         raise ValueError("duration must be positive")
 
-    m_max = int(round(tau_max / bin_width))
     counts = coincidence_histogram(t, t, bin_width, m_max)
     counts[m_max] -= t.size  # drop self-pairs
     rate = t.size / duration

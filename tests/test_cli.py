@@ -246,6 +246,20 @@ class TestSimulate:
         assert code == 2
         assert "grid_mhz" in err
 
+    def test_infinite_tau_max_exit_2(self, tmp_path):
+        # 1e400 parses as inf; it must end in exit 2, not a traceback
+        cfg = tmp_path / "hbt.json"
+        cfg.write_text('{"rate": 2e5, "lifetime_ns": 4.4, "purity_rho": 0.9, '
+                       '"duration_s": 1.0, "bin_width_ns": 2.0, '
+                       '"tau_max_ns": 1e400, "seed": 14}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "g4vlines", "simulate", "hbt",
+             "--config", str(cfg), "--out", str(tmp_path / "x")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "tau_max" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_outdir_from_environment(self, capsys, tmp_path, monkeypatch):
         paths = _write_configs(tmp_path)
         env_dir = tmp_path / "envout"

@@ -286,6 +286,25 @@ class TestHbt:
         with pytest.raises(ValueError, match="too high"):
             g.simulate_hbt(3e8, 4.4, 1.0, 0.1, bin_width=1.0, tau_max=50.0)
 
+    @pytest.mark.parametrize("bin_width, tau_max, error", [
+        (1.0, float("inf"), "finite"), (float("nan"), 50.0, "finite"),
+        (1.0, float("nan"), "finite"), (1.0, 1e10, "bins"),
+        (1e-320, 50.0, "bins")])
+    def test_histogram_size_checked_before_kernel(self, monkeypatch,
+                                                  bin_width, tau_max, error):
+        # the huge cases would size a histogram of many GiB; the check must
+        # come before the kernel, which therefore must not be reached
+        def kernel_reached(*args):
+            raise AssertionError("coincidence kernel called")
+
+        monkeypatch.setattr(g.simulate, "coincidence_histogram", kernel_reached)
+        with pytest.raises(ValueError, match=error):
+            g.simulate_hbt(1e5, 4.4, 0.5, 1e-3, bin_width=bin_width,
+                           tau_max=tau_max)
+        with pytest.raises(ValueError, match=error):
+            g.correlate_stream(np.array([0.0, 1.0, 2.0]), bin_width=bin_width,
+                               tau_max=tau_max)
+
 
 class TestCorrelateStream:
     def test_poisson_stream_flat(self):
