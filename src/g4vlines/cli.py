@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage or input error, 3 model-domain error
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -34,6 +35,10 @@ def _fail(message: str) -> int:
     return EXIT_INPUT
 
 
+def _message(exc: Exception) -> str:
+    return str(exc.args[0]) if exc.args else str(exc)  # str() quotes a KeyError
+
+
 def _resolve_emitter(name_or_path: str) -> EmitterParams:
     """Interpret --emitter as a file path when one exists, else a preset name."""
     if os.path.exists(name_or_path):
@@ -56,8 +61,6 @@ def _print_rows(rows, fmt: str) -> None:
 
 def _cmd_predict(args) -> int:
     emitter = _resolve_emitter(args.emitter)
-    if args.temp < 0:
-        return _fail("--temp must be >= 0")
     b = physics.linewidth_breakdown(emitter, args.temp, args.transition)
     rows = [
         ("emitter", b.emitter),
@@ -76,8 +79,6 @@ def _cmd_predict(args) -> int:
 
 def _cmd_threshold(args) -> int:
     emitter = _resolve_emitter(args.emitter)
-    if args.ratio <= 1.0:
-        return _fail("--ratio must exceed 1")
     t_star = physics.temperature_threshold(emitter, args.ratio)
     if math.isinf(t_star):
         print("criterion never violated: linewidth stays below "
@@ -160,54 +161,80 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _cfg_get(cfg: dict, key: str, caster, required=True, default=None):
-    if key not in cfg:
-        if required:
+def _emitter_from_config(spec) -> EmitterParams:
+    if isinstance(spec, dict):
+        return EmitterParams.from_dict(spec)
+    return _resolve_emitter(str(spec))
+
+
+def _grid_from_config(spec) -> simulate.FrequencyGrid:
+    return simulate.FrequencyGrid(float(spec["start"]), float(spec["stop"]),
+                                  float(spec["step"]))
+
+
+def _background_from_config(spec) -> simulate.TrplBackground | None:
+    if spec is None:
+        return None
+    return simulate.TrplBackground(float(spec["a_fast"]), float(spec["tau_fast_ns"]))
+
+
+_SCAN_KEYS = {
+    "emitter": ("emitter", _emitter_from_config),
+    "temperature_k": ("temperature", float), "grid_mhz": ("grid", _grid_from_config),
+    "dwell_s": ("dwell", float), "peak_rate": ("peak_rate", float),
+    "background_rate": ("background_rate", float), "n_scans": ("n_scans", int),
+    "center0_mhz": ("center0", float),
+    "diffusion_sigma_mhz": ("diffusion_sigma", float),
+    "jump_prob": ("jump_prob", float), "jump_sigma_mhz": ("jump_sigma", float),
+    "ionization_coeff": ("ionization_coeff", float),
+    "repump": ("repump", str), "repump_rate": ("repump_rate", float),
+    "seed": ("seed", int), "noiseless": ("noiseless", bool),
+}
+
+# simulate kind -> (name of its target in `simulate`, JSON key -> (keyword,
+# caster)). Whether a key is required, and its default, come from the
+# target's signature; the target is looked up per call, not bound here.
+CONFIG_KEYS = {
+    "ple": ("ScanSeriesConfig", _SCAN_KEYS),
+    "series": ("ScanSeriesConfig", _SCAN_KEYS),
+    "trpl": ("simulate_trpl", {
+        "lifetime_ns": ("lifetime", float), "counts_total": ("counts_total", int),
+        "bin_width_ns": ("bin_width", float), "t_max_ns": ("t_max", float),
+        "background": ("background", _background_from_config),
+        "seed": ("seed", int)}),
+    "hbt": ("simulate_hbt", {
+        "rate": ("rate", float), "lifetime_ns": ("lifetime", float),
+        "purity_rho": ("purity_rho", float), "duration_s": ("duration", float),
+        "bin_width_ns": ("bin_width", float), "tau_max_ns": ("tau_max", float),
+        "seed": ("seed", int)}),
+}
+
+
+def _load_config(what: str, cfg, seed_override):
+    """(target, keyword arguments) of a simulate kind from its JSON config."""
+    target_name, keys = CONFIG_KEYS[what]
+    if not isinstance(cfg, dict):
+        raise ValueError("config error at '<root>': expected a JSON object, "
+                         f"got {type(cfg).__name__}")
+    for key in cfg:
+        if key not in keys:
+            raise ValueError(f"config error at {key!r}: unknown key")
+    target = getattr(simulate, target_name)
+    params = inspect.signature(target).parameters
+    kwargs = {}
+    for key, (name, caster) in keys.items():
+        if key == "seed" and seed_override is not None:
+            kwargs[name] = seed_override
+        elif key in cfg:
+            try:
+                kwargs[name] = caster(cfg[key])
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise ValueError(f"config error at {key!r}: {_message(exc)}") from None
+        elif params[name].default is inspect.Parameter.empty:
             raise ValueError(f"config error at {key!r}: missing required field")
-        return default
-    try:
-        return caster(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config error at {key!r}: {exc}") from None
-
-
-def _scan_config(cfg: dict, seed_override) -> simulate.ScanSeriesConfig:
-    emitter_spec = cfg.get("emitter")
-    if emitter_spec is None:
-        raise ValueError("config error at 'emitter': missing required field")
-    if isinstance(emitter_spec, dict):
-        emitter = EmitterParams.from_dict(emitter_spec)
-    else:
-        emitter = _resolve_emitter(str(emitter_spec))
-    grid_spec = _cfg_get(cfg, "grid_mhz", dict)
-    try:
-        grid = simulate.FrequencyGrid(float(grid_spec["start"]),
-                                      float(grid_spec["stop"]),
-                                      float(grid_spec["step"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"config error at 'grid_mhz': {exc}") from None
-    seed = seed_override if seed_override is not None \
-        else _cfg_get(cfg, "seed", int, required=False, default=0)
-    return simulate.ScanSeriesConfig(
-        emitter=emitter,
-        temperature=_cfg_get(cfg, "temperature_k", float),
-        grid=grid,
-        dwell=_cfg_get(cfg, "dwell_s", float),
-        peak_rate=_cfg_get(cfg, "peak_rate", float),
-        background_rate=_cfg_get(cfg, "background_rate", float),
-        n_scans=_cfg_get(cfg, "n_scans", int, required=False, default=1),
-        center0=_cfg_get(cfg, "center0_mhz", float, required=False, default=0.0),
-        diffusion_sigma=_cfg_get(cfg, "diffusion_sigma_mhz", float,
-                                 required=False, default=0.0),
-        jump_prob=_cfg_get(cfg, "jump_prob", float, required=False, default=0.0),
-        jump_sigma=_cfg_get(cfg, "jump_sigma_mhz", float, required=False, default=0.0),
-        ionization_coeff=_cfg_get(cfg, "ionization_coeff", float,
-                                  required=False, default=0.0),
-        repump=_cfg_get(cfg, "repump", str, required=False, default="none"),
-        repump_rate=_cfg_get(cfg, "repump_rate", float, required=False, default=0.0),
-        seed=seed,
-        noiseless=bool(cfg.get("noiseless", False)),
-    )
+        else:
+            kwargs[name] = params[name].default
+    return target, kwargs
 
 
 def _write_events(events, path) -> None:
@@ -259,60 +286,34 @@ def _cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
 
+    target, kwargs = _load_config(args.what, cfg, args.seed)
     outputs: list[str] = []
     plots: list[tuple] = []
-    if args.what in ("ple", "series"):
-        scan_cfg = _scan_config(cfg, args.seed)
-        seed = scan_cfg.seed
-        if args.what == "ple":
-            spectrum = simulate.simulate_ple_scan(scan_cfg)
-            dataio.save_spectrum(spectrum, out / "scan.csv")
-            outputs.append("scan.csv")
-            plots.append(("scan.svg", spectrum.detunings, spectrum.counts,
-                          "detuning (MHz)", "counts"))
-        else:
-            spectra, events = simulate.simulate_scan_series(scan_cfg)
-            for spec in spectra:
-                name = f"scan_{spec.meta['scan_index']:03d}.csv"
-                dataio.save_spectrum(spec, out / name)
-                outputs.append(name)
-            _write_events(events, out / "events.csv")
-            outputs.append("events.csv")
-            stacked = np.mean([s.counts for s in spectra], axis=0)
-            plots.append(("scan_mean.svg", spectra[0].detunings, stacked,
-                          "detuning (MHz)", "mean counts"))
+    if args.what == "ple":
+        spectrum = simulate.simulate_ple_scan(target(**kwargs))
+        dataio.save_spectrum(spectrum, out / "scan.csv")
+        outputs.append("scan.csv")
+        plots.append(("scan.svg", spectrum.detunings, spectrum.counts,
+                      "detuning (MHz)", "counts"))
+    elif args.what == "series":
+        spectra, events = simulate.simulate_scan_series(target(**kwargs))
+        for spec in spectra:
+            name = f"scan_{spec.meta['scan_index']:03d}.csv"
+            dataio.save_spectrum(spec, out / name)
+            outputs.append(name)
+        _write_events(events, out / "events.csv")
+        outputs.append("events.csv")
+        stacked = np.mean([s.counts for s in spectra], axis=0)
+        plots.append(("scan_mean.svg", spectra[0].detunings, stacked,
+                      "detuning (MHz)", "mean counts"))
     elif args.what == "trpl":
-        seed = args.seed if args.seed is not None \
-            else _cfg_get(cfg, "seed", int, required=False, default=0)
-        bg_spec = cfg.get("background")
-        background = None
-        if bg_spec is not None:
-            try:
-                background = simulate.TrplBackground(float(bg_spec["a_fast"]),
-                                                     float(bg_spec["tau_fast_ns"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"config error at 'background': {exc}") from None
-        trace = simulate.simulate_trpl(
-            _cfg_get(cfg, "lifetime_ns", float),
-            _cfg_get(cfg, "counts_total", int),
-            bin_width=_cfg_get(cfg, "bin_width_ns", float),
-            t_max=_cfg_get(cfg, "t_max_ns", float),
-            background=background, seed=seed)
+        trace = target(**kwargs)
         dataio.save_decay_trace(trace, out / "trace.csv")
         outputs.append("trace.csv")
         plots.append(("trace.svg", trace.bin_centers, trace.counts,
                       "time (ns)", "counts"))
     else:  # hbt
-        seed = args.seed if args.seed is not None \
-            else _cfg_get(cfg, "seed", int, required=False, default=0)
-        hist = simulate.simulate_hbt(
-            _cfg_get(cfg, "rate", float),
-            _cfg_get(cfg, "lifetime_ns", float),
-            _cfg_get(cfg, "purity_rho", float),
-            _cfg_get(cfg, "duration_s", float),
-            bin_width=_cfg_get(cfg, "bin_width_ns", float),
-            tau_max=_cfg_get(cfg, "tau_max_ns", float),
-            seed=seed)
+        hist = target(**kwargs)
         dataio.save_correlation(hist, out / "g2.csv")
         outputs.append("g2.csv")
         plots.append(("g2.svg", hist.tau_bins, hist.g2, "tau (ns)", "g2"))
@@ -323,7 +324,7 @@ def _cmd_simulate(args) -> int:
             outputs.append(name)
 
     manifest = {"subcommand": f"simulate {args.what}", "config": cfg,
-                "seed": seed, "toolkit_version": __version__,
+                "seed": kwargs["seed"], "toolkit_version": __version__,
                 "outputs": outputs}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                        encoding="utf-8")
@@ -395,8 +396,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (dataio.DataFormatError, ValueError, KeyError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        return _fail(str(msg))
+        return _fail(_message(exc))
     except OSError as exc:
         return _fail(str(exc))
 

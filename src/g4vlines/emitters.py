@@ -15,18 +15,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-__all__ = ["EmitterParams", "EmitterRegistry", "REGISTRY", "transform_limit_mhz"]
+__all__ = ["EmitterParams", "EmitterRegistry", "REGISTRY",
+           "transform_limit", "lifetime_from_linewidth"]
 
 # gamma0 and lifetime must agree with gamma0 = 1e3 / (2 pi lifetime) to
 # this relative tolerance when both are given.
 LIFETIME_CONSISTENCY_RTOL = 0.01
 
 
-def transform_limit_mhz(lifetime_ns: float) -> float:
-    """FWHM transform limit (MHz) of a radiative lifetime in ns."""
+def transform_limit(lifetime_ns: float) -> float:
+    """Transform-limited FWHM (MHz) of a radiative lifetime (ns)."""
     if lifetime_ns <= 0:
         raise ValueError(f"lifetime must be positive, got {lifetime_ns}")
     return 1e3 / (2.0 * math.pi * lifetime_ns)
+
+
+def lifetime_from_linewidth(fwhm_mhz: float) -> float:
+    """Radiative lifetime (ns) implied by a transform-limited FWHM (MHz)."""
+    if fwhm_mhz <= 0:
+        raise ValueError(f"fwhm must be positive, got {fwhm_mhz}")
+    return 1e3 / (2.0 * math.pi * fwhm_mhz)
 
 
 @dataclass(frozen=True)
@@ -83,18 +91,16 @@ class EmitterParams:
 
         if self.lifetime is None and self.gamma0 is None:
             raise ValueError("one of lifetime or gamma0 is required")
-        if self.lifetime is not None and self.lifetime <= 0:
-            raise ValueError(f"lifetime must be positive, got {self.lifetime}")
         if self.gamma0 is not None and self.gamma0 <= 0:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
 
+        # transform_limit rejects a lifetime <= 0
         if self.lifetime is None:
-            # same formula inverts exactly: tau = 1e3/(2 pi gamma0)
-            object.__setattr__(self, "lifetime", 1e3 / (2.0 * math.pi * self.gamma0))
+            object.__setattr__(self, "lifetime", lifetime_from_linewidth(self.gamma0))
         elif self.gamma0 is None:
-            object.__setattr__(self, "gamma0", transform_limit_mhz(self.lifetime))
+            object.__setattr__(self, "gamma0", transform_limit(self.lifetime))
         else:
-            g0_from_tau = transform_limit_mhz(self.lifetime)
+            g0_from_tau = transform_limit(self.lifetime)
             rel = abs(self.gamma0 - g0_from_tau) / g0_from_tau
             if rel > LIFETIME_CONSISTENCY_RTOL:
                 raise ValueError(

@@ -392,10 +392,8 @@ def fit_temperature_series(points, emitter: EmitterParams,
 
     # Bose factors are fixed per point, so the model is linear in both
     # free parameters; the optimizer converges in one accepted step.
-    k_gs = emitter.f_gs ** 3 * 1e3 * np.asarray(physics.bose_occupation(emitter.f_gs, temps))
-    es_term = emitter.alpha_es * emitter.f_es ** 3 * 1e3 \
-        * np.asarray(physics.bose_occupation(emitter.f_es, temps))
-    base = emitter.gamma0 + es_term
+    k_gs = physics._phonon_mhz(emitter.f_gs, temps, 1.0)
+    base = emitter.gamma0 + physics._phonon_mhz(emitter.f_es, temps, emitter.alpha_es)
 
     if free == ("gamma_others",):
         def model(T, p):

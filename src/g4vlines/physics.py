@@ -5,8 +5,10 @@ they differ through the ground-state phonon terms: the C-line picks up
 phonon *absorption* across the ground-state splitting, the D-line phonon
 *emission*, so the D-line is broader by alpha~ * f_gs^3 at any temperature.
 
-All functions are pure and accept scalars or numpy arrays (broadcasting);
-frequencies in GHz, temperatures in K, linewidths in MHz.
+All functions are pure and accept scalars or numpy arrays (broadcasting),
+except ``transform_limit``, ``lifetime_from_linewidth`` and
+``temperature_threshold``, which take scalars only. Frequencies in GHz,
+temperatures in K, linewidths in MHz.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import H_OVER_KB_K_PER_GHZ
-from .emitters import EmitterParams, transform_limit_mhz
+from .emitters import EmitterParams, lifetime_from_linewidth, transform_limit
 
 __all__ = [
     "bose_occupation", "phonon_rates", "PhononRates",
@@ -59,14 +61,14 @@ def bose_occupation(f_ghz, temp_k):
     f_ghz : float or array
         Phonon frequency in GHz (ordinary frequency), > 0.
     temp_k : float or array
-        Temperature in K, >= 0.
+        Temperature in K, finite and >= 0.
     """
     f = np.asarray(f_ghz, dtype=float)
     T = np.asarray(temp_k, dtype=float)
     if np.any(f <= 0) or not np.all(np.isfinite(f)):
         raise ValueError("f_ghz must be positive and finite")
-    if np.any(T < 0) or np.any(np.isnan(T)):
-        raise ValueError("temp_k must be >= 0")
+    if np.any(T < 0) or not np.all(np.isfinite(T)):
+        raise ValueError("temp_k must be finite and >= 0")
 
     with np.errstate(divide="ignore", over="ignore"):
         x = H_OVER_KB_K_PER_GHZ * f / T          # T = 0 -> inf -> n = 0
@@ -88,6 +90,21 @@ class PhononRates:
     gamma_down: float
 
 
+def _phonon_mhz(f_ghz, temp_k, alpha, emission=False):
+    """alpha * f^3 * n (absorption) or alpha * f^3 * (n + 1) (emission), MHz."""
+    n = bose_occupation(f_ghz, temp_k)
+    if emission:
+        n = n + 1.0
+    return alpha * np.asarray(f_ghz, dtype=float) ** 3 * 1e3 * n
+
+
+def _terms(p: EmitterParams, temp_k, transition):
+    """(gs, es, total) in MHz: the D-line takes ground-state phonon emission."""
+    gs = _phonon_mhz(p.f_gs, temp_k, p.alpha_gs, emission=transition == "d")
+    es = _phonon_mhz(p.f_es, temp_k, p.alpha_es)
+    return gs, es, p.gamma0 + p.gamma_others + gs + es
+
+
 def phonon_rates(f_split_ghz, temp_k, alpha):
     """Rates for phonon absorption (up) and emission (down) in MHz.
 
@@ -96,17 +113,21 @@ def phonon_rates(f_split_ghz, temp_k, alpha):
     """
     if np.ndim(alpha) == 0 and alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    n = bose_occupation(f_split_ghz, temp_k)
-    scale = alpha * np.asarray(f_split_ghz, dtype=float) ** 3 * 1e3
-    up = scale * n
-    down = scale * (n + 1.0)
+    up = _phonon_mhz(f_split_ghz, temp_k, alpha)
+    down = _phonon_mhz(f_split_ghz, temp_k, alpha, emission=True)
     if np.ndim(up) == 0:
         return PhononRates(float(up), float(down))
     return PhononRates(up, down)
 
 
-def _phonon_up_mhz(f_ghz, temp_k, alpha):
-    return alpha * np.asarray(f_ghz, dtype=float) ** 3 * 1e3 * bose_occupation(f_ghz, temp_k)
+def _linewidth(p: EmitterParams, temp_k, transition):
+    total = _terms(p, temp_k, transition)[2]
+    if np.any(np.asarray(total) < 0):
+        warnings.warn(
+            f"total {transition.upper()}-linewidth negative for {p.name} "
+            f"(gamma_others = {p.gamma_others} MHz)",
+            NegativeLinewidthWarning, stacklevel=3)
+    return _scalar_like(total, temp_k)
 
 
 def linewidth_c(p: EmitterParams, temp_k):
@@ -114,44 +135,17 @@ def linewidth_c(p: EmitterParams, temp_k):
 
     gamma0 + gamma_others + phonon absorption in both manifolds.
     """
-    total = (p.gamma0 + p.gamma_others
-             + _phonon_up_mhz(p.f_gs, temp_k, p.alpha_gs)
-             + _phonon_up_mhz(p.f_es, temp_k, p.alpha_es))
-    if np.any(np.asarray(total) < 0):
-        warnings.warn(
-            f"total C-linewidth negative for {p.name} (gamma_others = "
-            f"{p.gamma_others} MHz)", NegativeLinewidthWarning, stacklevel=2)
-    return _scalar_like(total, temp_k)
+    return _linewidth(p, temp_k, "c")
 
 
 def linewidth_d(p: EmitterParams, temp_k):
     """FWHM of the D-transition (MHz): ground-state term is phonon *emission*."""
-    n_gs = bose_occupation(p.f_gs, temp_k)
-    total = (p.gamma0 + p.gamma_others
-             + p.alpha_gs * p.f_gs ** 3 * 1e3 * (n_gs + 1.0)
-             + _phonon_up_mhz(p.f_es, temp_k, p.alpha_es))
-    if np.any(np.asarray(total) < 0):
-        warnings.warn(
-            f"total D-linewidth negative for {p.name} (gamma_others = "
-            f"{p.gamma_others} MHz)", NegativeLinewidthWarning, stacklevel=2)
-    return _scalar_like(total, temp_k)
+    return _linewidth(p, temp_k, "d")
 
 
 def linewidth_difference(p: EmitterParams) -> float:
     """Temperature-independent D-C linewidth difference alpha~ * f_gs^3, MHz."""
     return p.alpha_gs * p.f_gs ** 3 * 1e3
-
-
-def transform_limit(lifetime_ns: float) -> float:
-    """Transform-limited FWHM (MHz) of a radiative lifetime (ns)."""
-    return transform_limit_mhz(lifetime_ns)
-
-
-def lifetime_from_linewidth(fwhm_mhz: float) -> float:
-    """Radiative lifetime (ns) implied by a transform-limited FWHM (MHz)."""
-    if fwhm_mhz <= 0:
-        raise ValueError(f"fwhm must be positive, got {fwhm_mhz}")
-    return 1e3 / (2.0 * math.pi * fwhm_mhz)
 
 
 def temperature_threshold(p: EmitterParams, ratio: float = 1.2) -> float:
@@ -163,7 +157,7 @@ def temperature_threshold(p: EmitterParams, ratio: float = 1.2) -> float:
     ``math.inf`` when it can never be violated (both phonon couplings zero
     and gamma_others below the margin).
     """
-    if ratio <= 1.0:
+    if not ratio > 1.0:  # also rejects NaN
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     target = ratio * p.gamma0
 
@@ -220,26 +214,26 @@ class LinewidthBreakdown:
     flags: tuple[str, ...]
 
 
-def linewidth_breakdown(p: EmitterParams, temp_k: float,
+def linewidth_breakdown(p: EmitterParams, temp_k,
                         transition: str = "c") -> LinewidthBreakdown:
     """Decompose linewidth_c / linewidth_d into its four terms.
 
     Queries above 20 K are answered but flagged beyond_single_phonon_validity.
+    For an array of temperatures the terms are arrays, and a flag is set
+    when any element qualifies.
     """
     transition = transition.lower()
     if transition not in ("c", "d"):
         raise ValueError(f"transition must be 'c' or 'd', got {transition!r}")
-    gs_rates = phonon_rates(p.f_gs, temp_k, p.alpha_gs)
-    gs = gs_rates.gamma_up if transition == "c" else gs_rates.gamma_down
-    es = phonon_rates(p.f_es, temp_k, p.alpha_es).gamma_up
-    total = p.gamma0 + p.gamma_others + gs + es
+    gs, es, total = _terms(p, temp_k, transition)
     flags = []
-    if temp_k > VALIDITY_TEMP_LIMIT_K:
+    if np.any(np.asarray(temp_k) > VALIDITY_TEMP_LIMIT_K):
         flags.append(FLAG_BEYOND_VALIDITY)
-    if total < 0:
+    if np.any(np.asarray(total) < 0):
         flags.append(FLAG_NEGATIVE_TOTAL)
     return LinewidthBreakdown(
-        emitter=p.name, transition=transition, temperature_k=float(temp_k),
+        emitter=p.name, transition=transition,
+        temperature_k=_scalar_like(np.asarray(temp_k, dtype=float), temp_k),
         gamma0_mhz=p.gamma0, gamma_others_mhz=p.gamma_others,
-        gs_phonon_mhz=gs, es_phonon_mhz=es, total_mhz=total,
-        flags=tuple(flags))
+        gs_phonon_mhz=_scalar_like(gs, temp_k), es_phonon_mhz=_scalar_like(es, temp_k),
+        total_mhz=_scalar_like(total, temp_k), flags=tuple(flags))

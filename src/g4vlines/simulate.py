@@ -145,12 +145,6 @@ class ScanEvent:
     center_mhz: float
 
 
-def _lorentz_peak_normalized(detuning, center, fwhm):
-    h2 = (fwhm / 2.0) ** 2
-    d = detuning - center
-    return h2 / (d * d + h2)
-
-
 def simulate_ple_scan(cfg: ScanSeriesConfig) -> Spectrum:
     """One Poisson-sampled PLE scan (requires n_scans == 1).
 
@@ -164,7 +158,7 @@ def simulate_ple_scan(cfg: ScanSeriesConfig) -> Spectrum:
     fwhm = cfg.fwhm()
     grid = cfg.grid.centers()
     expected = cfg.dwell * (cfg.background_rate + cfg.peak_rate
-                            * _lorentz_peak_normalized(grid, cfg.center0, fwhm))
+                            * physics.lorentzian(grid, cfg.center0, fwhm, 1.0, 0.0))
     if cfg.noiseless:
         counts = expected
     else:
@@ -204,7 +198,7 @@ def simulate_scan_series(cfg: ScanSeriesConfig):
         events.append(ScanEvent(k, -1, k * scan_time, "scan_start", center))
 
         expected_signal = cfg.dwell * cfg.peak_rate \
-            * _lorentz_peak_normalized(grid, center, fwhm)
+            * physics.lorentzian(grid, center, fwhm, 1.0, 0.0)
         bg = cfg.dwell * cfg.background_rate
         counts = np.empty(n_points)
         for i in range(n_points):
@@ -226,6 +220,19 @@ def simulate_scan_series(cfg: ScanSeriesConfig):
     return spectra, events
 
 
+def _bin_count(bin_width: float, span: float, name: str, max_ratio: float) -> int:
+    """round(span / bin_width), checked before anything is allocated."""
+    if not (math.isfinite(bin_width) and math.isfinite(span)):
+        raise ValueError(f"bin_width and {name} must be finite")
+    if bin_width <= 0 or span < bin_width:
+        raise ValueError(f"need bin_width > 0 and {name} >= bin_width")
+    ratio = span / bin_width  # overflows to inf for a subnormal bin_width
+    if ratio >= max_ratio:  # the histogram would have more than MAX_BINS bins
+        raise ValueError(f"{name} / bin_width = {ratio:g} gives more than "
+                         f"{MAX_BINS} bins")
+    return int(round(ratio))
+
+
 def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
                   t_max: float, background: TrplBackground | None = None,
                   seed: int = 0) -> DecayTrace:
@@ -239,9 +246,7 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
         raise ValueError("lifetime must be positive")
     if counts_total < 0:
         raise ValueError("counts_total must be >= 0")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    n_bins = int(round(t_max / bin_width))
+    n_bins = _bin_count(bin_width, t_max, "t_max", MAX_BINS + 0.5)
     if n_bins < 2:
         raise ValueError("t_max must cover at least two bins")
     if t_max < 10.0 * lifetime:
@@ -268,17 +273,6 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
     return DecayTrace(centers, counts.astype(float), meta)
 
 
-def _half_width_bins(bin_width: float, tau_max: float) -> int:
-    """m_max of the +-tau_max correlation histogram, checked before any allocation."""
-    if not (math.isfinite(bin_width) and math.isfinite(tau_max)):
-        raise ValueError("bin_width and tau_max must be finite")
-    if bin_width <= 0 or tau_max < bin_width:
-        raise ValueError("need bin_width > 0 and tau_max >= bin_width")
-    ratio = tau_max / bin_width  # overflows to inf for a subnormal bin_width
-    if ratio >= MAX_BINS / 2:
-        raise ValueError(f"tau_max / bin_width = {ratio:g} gives more than "
-                         f"{MAX_BINS} bins")
-    return int(round(ratio))
 
 
 def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
@@ -304,7 +298,7 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
         raise ValueError("rate and duration must be positive")
     if lifetime <= 0:
         raise ValueError("lifetime must be positive")
-    m_max = _half_width_bins(bin_width, tau_max)
+    m_max = _bin_count(bin_width, tau_max, "tau_max", MAX_BINS / 2)
     if rate * duration > _MAX_STREAM_PHOTONS:
         raise ValueError("stream too large; reduce rate or duration")
 
@@ -361,11 +355,13 @@ def correlate_stream(arrival_times, *, bin_width: float, tau_max: float,
     t = np.asarray(arrival_times, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("need at least two arrival times")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("arrival times must be finite")
     if t[0] < 0:
         raise ValueError("arrival times must be >= 0")
     if np.any(np.diff(t) < 0):
         raise ValueError("arrival times must be sorted ascending")
-    m_max = _half_width_bins(bin_width, tau_max)
+    m_max = _bin_count(bin_width, tau_max, "tau_max", MAX_BINS / 2)
     if duration is None:
         duration = float(t[-1])
     if duration <= 0:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 import g4vlines as g
 from g4vlines import dataio
+from g4vlines import cli
 from g4vlines.cli import main
 
 
@@ -67,6 +69,13 @@ class TestPredict:
         assert code == 2
         assert "unknown emitter" in err
 
+    @pytest.mark.parametrize("temp", ["inf", "nan", "-1"])
+    def test_non_finite_or_negative_temperature_exit_2(self, capsys, temp):
+        code, out, err = run(capsys, "predict", "--emitter", "PbV", "--temp", temp)
+        assert code == 2
+        assert out == ""
+        assert "temp_k must be finite and >= 0" in err
+
 
 class TestThreshold:
     def test_pbv(self, capsys):
@@ -74,6 +83,14 @@ class TestThreshold:
                            "--format", "csv")
         assert code == 0
         assert float(csv_row(out)["threshold_k"]) == pytest.approx(16.19, abs=0.05)
+
+    @pytest.mark.parametrize("ratio", ["nan", "1.0", "0.5"])
+    def test_ratio_not_above_one_exit_2(self, capsys, ratio):
+        code, out, err = run(capsys, "threshold", "--emitter", "PbV",
+                             "--ratio", ratio)
+        assert code == 2
+        assert out == ""
+        assert "ratio must exceed 1" in err
 
     def test_unbounded_exit_3(self, capsys, tmp_path):
         path = tmp_path / "flat.json"
@@ -259,6 +276,71 @@ class TestSimulate:
         assert proc.returncode == 2
         assert "tau_max" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("what, key, message", [
+        ("trpl", "t_max_ns", "t_max must be finite"),
+        ("trpl", "counts_total", "at 'counts_total': cannot convert float infinity"),
+        ("ple", "n_scans", "at 'n_scans': cannot convert float infinity"),
+        ("hbt", "seed", "at 'seed': cannot convert float infinity")])
+    def test_infinite_value_exit_2(self, capsys, tmp_path, what, key, message):
+        # 1e400 parses as inf; it must end in exit 2, not an OverflowError
+        paths = _write_configs(tmp_path)
+        text = json.dumps(dict(json.loads(paths[what].read_text()), **{key: 1}))
+        paths[what].write_text(text.replace(f'"{key}": 1', f'"{key}": 1e400'))
+        code, _, err = run(capsys, "simulate", what, "--config",
+                           str(paths[what]), "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize("what", ["ple", "series", "trpl", "hbt"])
+    @pytest.mark.parametrize("root", ["[1, 2]", "5", "null", '"PbV"'])
+    def test_config_root_not_object_exit_2(self, capsys, tmp_path, what, root):
+        cfg = tmp_path / "root.json"
+        cfg.write_text(root)
+        code, _, err = run(capsys, "simulate", what, "--config", str(cfg),
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "config error at '<root>': expected a JSON object" in err
+
+    @pytest.mark.parametrize("what, key", [
+        ("ple", "n_scan"), ("series", "seeds"), ("trpl", "t_max"), ("hbt", "rate_hz")])
+    def test_unknown_config_key_exit_2(self, capsys, tmp_path, what, key):
+        paths = _write_configs(tmp_path)
+        cfg = json.loads(paths[what].read_text())
+        cfg[key] = 3
+        paths[what].write_text(json.dumps(cfg))
+        out_dir = tmp_path / "x"
+        code, _, err = run(capsys, "simulate", what, "--config", str(paths[what]),
+                           "--out", str(out_dir))
+        assert code == 2
+        assert f"config error at '{key}': unknown key" in err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("grid_mhz", {"start": -120.0, "stop": 120.0}, "step"),
+        ("emitter", "NV", "unknown emitter 'NV'")])
+    def test_config_error_text_not_quoted(self, capsys, tmp_path, key, value,
+                                          message):
+        # a KeyError's text is reported as raised, not wrapped in quotes
+        paths = _write_configs(tmp_path)
+        cfg = dict(json.loads(paths["ple"].read_text()), **{key: value})
+        paths["ple"].write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "simulate", "ple", "--config",
+                           str(paths["ple"]), "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert f"config error at '{key}': {message}" in err
+        assert '"' not in err and f"'{message}'" not in err
+
+    def test_readme_example_configs_match_loader(self, fixtures_dir):
+        # the three example configs in README "Command line", // comments removed
+        readme = (fixtures_dir.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Example configs", 1)[1].split("```json", 1)[1]
+        block = block.split("```", 1)[0]
+        text = re.sub(r"//[^\n]*", "", block)
+        examples = [json.loads(part) for part in text.split("\n\n") if part.strip()]
+        assert [set(e) for e in examples] == [
+            set(cli.CONFIG_KEYS[what][1]) for what in ("ple", "trpl", "hbt")]
+        assert cli.CONFIG_KEYS["series"] == cli.CONFIG_KEYS["ple"]
 
     def test_outdir_from_environment(self, capsys, tmp_path, monkeypatch):
         paths = _write_configs(tmp_path)

@@ -68,6 +68,11 @@ class TestBoseOccupation:
         with pytest.raises(ValueError):
             g.bose_occupation(50.0, -0.1)
 
+    @pytest.mark.parametrize("temp", [math.inf, math.nan, np.array([4.0, math.inf])])
+    def test_non_finite_temperature_rejected(self, temp):
+        with pytest.raises(ValueError, match="finite"):
+            g.bose_occupation(50.0, temp)
+
     def test_vectorized(self):
         temps = np.array([0.0, 4.0, 10.0, 300.0])
         n = g.bose_occupation(50.0, temps)
@@ -245,6 +250,10 @@ class TestTemperatureThreshold:
         with pytest.raises(ValueError):
             g.temperature_threshold(PBV, ratio=1.0)
 
+    def test_nan_ratio_rejected(self):
+        with pytest.raises(ValueError, match="ratio must exceed 1"):
+            g.temperature_threshold(PBV, ratio=math.nan)
+
 
 class TestLorentzian:
     def test_peak_value(self):
@@ -293,3 +302,33 @@ class TestBreakdown:
     def test_bad_transition(self):
         with pytest.raises(ValueError):
             g.linewidth_breakdown(PBV, 5.0, "a")
+
+    def test_scalar_fields_are_python_floats(self):
+        b = g.linewidth_breakdown(PBV, 6)
+        for name in ("temperature_k", "gamma0_mhz", "gamma_others_mhz",
+                     "gs_phonon_mhz", "es_phonon_mhz", "total_mhz"):
+            assert type(getattr(b, name)) is float, name
+        assert repr(b).startswith(
+            "LinewidthBreakdown(emitter='PbV', transition='c', temperature_k=6.0, "
+            "gamma0_mhz=36.2, gamma_others_mhz=2.7, gs_phonon_mhz=")
+
+    @pytest.mark.parametrize("transition", ["c", "d"])
+    def test_array_equals_scalar_calls(self, transition):
+        p = g.EmitterParams("neg", f_gs=100.0, f_es=500.0, gamma0=30.0,
+                            alpha_gs=7.51e-9, gamma_others=-40.0)
+        temps = np.array([0.0, 2.0, 6.2, 19.0, 25.0, 300.0])
+        linewidth = g.linewidth_c if transition == "c" else g.linewidth_d
+        for emitter in (PBV, SNV, p):
+            b = g.linewidth_breakdown(emitter, temps, transition)
+            rows = [g.linewidth_breakdown(emitter, float(t), transition)
+                    for t in temps]
+            for name in ("temperature_k", "gs_phonon_mhz", "es_phonon_mhz",
+                         "total_mhz"):
+                assert getattr(b, name).tolist() == [getattr(r, name) for r in rows]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NegativeLinewidthWarning)
+                assert b.total_mhz.tolist() == linewidth(emitter, temps).tolist()
+            # a flag is set when any element qualifies
+            assert set(b.flags) == set().union(*(r.flags for r in rows))
+        assert set(b.flags) == {FLAG_BEYOND_VALIDITY, FLAG_NEGATIVE_TOTAL}
+        assert g.linewidth_breakdown(PBV, temps[:3], transition).flags == ()

@@ -230,6 +230,21 @@ class TestTrpl:
         with pytest.raises(ValueError):
             g.TrplBackground(a_fast=-1.0, tau_fast=0.5)
 
+    @pytest.mark.parametrize("bin_width, t_max, error", [
+        (0.2, float("inf"), "finite"), (float("nan"), 60.0, "finite"),
+        (0.2, float("nan"), "finite"), (float("inf"), 60.0, "finite"),
+        (1e-7, 60.0, "bins"), (1e-320, 60.0, "bins")])
+    def test_bin_count_checked_before_drawing(self, monkeypatch, bin_width,
+                                              t_max, error):
+        # the huge cases would size arrays of many GiB; the check must come
+        # before the random stream, which therefore must not be reached
+        def stream_reached(*args):
+            raise AssertionError("random stream drawn")
+
+        monkeypatch.setattr(g.simulate, "substream", stream_reached)
+        with pytest.raises(ValueError, match=error):
+            g.simulate_trpl(4.4, 1000, bin_width=bin_width, t_max=t_max)
+
 
 class TestHbt:
     def test_deterministic(self):
@@ -340,6 +355,17 @@ class TestCorrelateStream:
         with pytest.raises(ValueError, match=">= 0"):
             g.correlate_stream(np.array([-1.0, 5.0]), bin_width=1.0,
                                tau_max=10.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, monkeypatch, bad):
+        # NaN passes the sign and order checks; it must not reach the kernel
+        def kernel_reached(*args):
+            raise AssertionError("coincidence kernel called")
+
+        monkeypatch.setattr(g.simulate, "coincidence_histogram", kernel_reached)
+        for times in ([0.0, bad, 2.0, 3.0], [bad, 1.0, 2.0], [0.0, 1.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                g.correlate_stream(np.array(times), bin_width=1.0, tau_max=5.0)
 
     def test_matches_hbt_statistics(self):
         # autocorrelating the merged stream shows the same antibunching dip
