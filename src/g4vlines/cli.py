@@ -167,28 +167,53 @@ def _emitter_from_config(spec) -> EmitterParams:
     return _resolve_emitter(str(spec))
 
 
+def _integer(value) -> int:
+    """A JSON number with an integral value; bools and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    n = int(value)  # OverflowError / ValueError for inf / nan
+    if n != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return n
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {json.dumps(value)}")
+    return value
+
+
+def _floats(spec, keys) -> list[float]:
+    """The values of ``keys`` in a nested JSON object, which has no others."""
+    if not isinstance(spec, dict):
+        raise TypeError(f"expected a JSON object, got {type(spec).__name__}")
+    for key in spec:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}")
+    return [float(spec[key]) for key in keys]
+
+
 def _grid_from_config(spec) -> simulate.FrequencyGrid:
-    return simulate.FrequencyGrid(float(spec["start"]), float(spec["stop"]),
-                                  float(spec["step"]))
+    return simulate.FrequencyGrid(*_floats(spec, ("start", "stop", "step")))
 
 
 def _background_from_config(spec) -> simulate.TrplBackground | None:
     if spec is None:
         return None
-    return simulate.TrplBackground(float(spec["a_fast"]), float(spec["tau_fast_ns"]))
+    return simulate.TrplBackground(*_floats(spec, ("a_fast", "tau_fast_ns")))
 
 
 _SCAN_KEYS = {
     "emitter": ("emitter", _emitter_from_config),
     "temperature_k": ("temperature", float), "grid_mhz": ("grid", _grid_from_config),
     "dwell_s": ("dwell", float), "peak_rate": ("peak_rate", float),
-    "background_rate": ("background_rate", float), "n_scans": ("n_scans", int),
+    "background_rate": ("background_rate", float), "n_scans": ("n_scans", _integer),
     "center0_mhz": ("center0", float),
     "diffusion_sigma_mhz": ("diffusion_sigma", float),
     "jump_prob": ("jump_prob", float), "jump_sigma_mhz": ("jump_sigma", float),
     "ionization_coeff": ("ionization_coeff", float),
     "repump": ("repump", str), "repump_rate": ("repump_rate", float),
-    "seed": ("seed", int), "noiseless": ("noiseless", bool),
+    "seed": ("seed", _integer), "noiseless": ("noiseless", _boolean),
 }
 
 # simulate kind -> (name of its target in `simulate`, JSON key -> (keyword,
@@ -198,15 +223,15 @@ CONFIG_KEYS = {
     "ple": ("ScanSeriesConfig", _SCAN_KEYS),
     "series": ("ScanSeriesConfig", _SCAN_KEYS),
     "trpl": ("simulate_trpl", {
-        "lifetime_ns": ("lifetime", float), "counts_total": ("counts_total", int),
+        "lifetime_ns": ("lifetime", float), "counts_total": ("counts_total", _integer),
         "bin_width_ns": ("bin_width", float), "t_max_ns": ("t_max", float),
         "background": ("background", _background_from_config),
-        "seed": ("seed", int)}),
+        "seed": ("seed", _integer)}),
     "hbt": ("simulate_hbt", {
         "rate": ("rate", float), "lifetime_ns": ("lifetime", float),
         "purity_rho": ("purity_rho", float), "duration_s": ("duration", float),
         "bin_width_ns": ("bin_width", float), "tau_max_ns": ("tau_max", float),
-        "seed": ("seed", int)}),
+        "seed": ("seed", _integer)}),
 }
 
 

@@ -80,6 +80,8 @@ def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
             step = np.linalg.solve(hess + lam * np.diag(damp), -grad)
         except np.linalg.LinAlgError:
             lam *= 10.0
+            if lam > 1e12:
+                break
             continue
         trial = p + step
         if guard is not None and not guard(trial):

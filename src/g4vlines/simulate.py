@@ -48,13 +48,21 @@ class FrequencyGrid:
     step: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise ValueError("grid start, stop and step must be finite")
         if self.step <= 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
         if self.stop <= self.start:
             raise ValueError("grid stop must exceed start")
+        if self._steps() >= MAX_BINS:  # overflows to inf for a tiny step
+            raise ValueError(f"grid (stop - start) / step gives more than "
+                             f"{MAX_BINS} points")
+
+    def _steps(self) -> float:
+        return (self.stop - self.start) / self.step + 1e-9
 
     def centers(self) -> np.ndarray:
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        n = int(math.floor(self._steps())) + 1
         return self.start + self.step * np.arange(n)
 
 
@@ -244,8 +252,9 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
     """
     if lifetime <= 0:
         raise ValueError("lifetime must be positive")
-    if counts_total < 0:
-        raise ValueError("counts_total must be >= 0")
+    if not 0 <= counts_total <= _MAX_STREAM_PHOTONS:
+        raise ValueError(f"counts_total must be in [0, {_MAX_STREAM_PHOTONS:g}], "
+                         f"got {counts_total}")
     n_bins = _bin_count(bin_width, t_max, "t_max", MAX_BINS + 0.5)
     if n_bins < 2:
         raise ValueError("t_max must cover at least two bins")

@@ -292,6 +292,59 @@ class TestSimulate:
         assert code == 2
         assert message in err
 
+    def test_tiny_grid_step_exit_2(self, tmp_path):
+        # (stop - start) / step overflows; it must end in exit 2, not a
+        # traceback or a huge grid
+        cfg = tmp_path / "ple.json"
+        cfg.write_text(json.dumps(
+            {"emitter": "PbV", "temperature_k": 6.2, "dwell_s": 0.1,
+             "grid_mhz": {"start": -150, "stop": 150, "step": 1e-320},
+             "peak_rate": 5000.0, "background_rate": 100.0}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "g4vlines", "simulate", "ple",
+             "--config", str(cfg), "--out", str(tmp_path / "x")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "config error at 'grid_mhz'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("what, key, value, message", [
+        ("ple", "noiseless", "false", "expected true or false"),
+        ("ple", "noiseless", 0, "expected true or false"),
+        ("series", "n_scans", 2.7, "expected an integer, got 2.7"),
+        ("series", "n_scans", "4", "expected an integer"),
+        ("trpl", "counts_total", 1000.5, "expected an integer"),
+        ("hbt", "seed", True, "expected an integer"),
+        ("ple", "grid_mhz", {"start": -120.0, "stop": 120.0, "step": 4.0,
+                             "stpe": 1.0}, "unknown key 'stpe'"),
+        ("ple", "grid_mhz", [-120.0, 120.0, 4.0], "expected a JSON object"),
+        ("trpl", "background", {"a_fast": 6.0, "tau_fast_ns": 0.5,
+                                "tau_fast": 0.5}, "unknown key 'tau_fast'")])
+    def test_strict_config_values_exit_2(self, capsys, tmp_path, what, key,
+                                         value, message):
+        paths = _write_configs(tmp_path)
+        cfg = dict(json.loads(paths[what].read_text()), **{key: value})
+        paths[what].write_text(json.dumps(cfg))
+        out_dir = tmp_path / "x"
+        code, _, err = run(capsys, "simulate", what, "--config",
+                           str(paths[what]), "--out", str(out_dir))
+        assert code == 2
+        assert f"config error at '{key}': {message}" in err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("what, key, value", [
+        ("ple", "noiseless", True), ("series", "n_scans", 2.0),
+        ("trpl", "counts_total", 2e5),
+        ("trpl", "background", {"a_fast": 6.0, "tau_fast_ns": 0.5})])
+    def test_strict_config_values_accepted(self, capsys, tmp_path, what, key,
+                                           value):
+        paths = _write_configs(tmp_path)
+        cfg = dict(json.loads(paths[what].read_text()), **{key: value})
+        paths[what].write_text(json.dumps(cfg))
+        code, _, _ = run(capsys, "simulate", what, "--config",
+                         str(paths[what]), "--out", str(tmp_path / "x"))
+        assert code == 0
+
     @pytest.mark.parametrize("what", ["ple", "series", "trpl", "hbt"])
     @pytest.mark.parametrize("root", ["[1, 2]", "5", "null", '"PbV"'])
     def test_config_root_not_object_exit_2(self, capsys, tmp_path, what, root):

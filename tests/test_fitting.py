@@ -91,6 +91,17 @@ class TestLorentzianFit:
         report = g.fit_lorentzian(g.simulate_ple_scan(cfg), max_iter=1)
         assert report.converged is False
 
+    def test_singular_steps_bail_out(self, monkeypatch):
+        # every damped step fails to solve: the damping passes 1e12 after
+        # 16 tries and the fit stops there instead of at max_iter
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        report = g.fit_lorentzian(_noiseless_spectrum())
+        assert report.converged is False
+        assert report.n_iterations < 20
+
     def test_gradient_zero_and_objective_rises_at_5_sigma(self):
         cfg = g.ScanSeriesConfig(
             emitter=PBV, temperature=6.2, grid=g.FrequencyGrid(-150, 150, 3),

@@ -57,6 +57,35 @@ def branches(monkeypatch):
     return ran
 
 
+@pytest.fixture
+def edge_counts(monkeypatch):
+    """(path, number of keys) of every per-edge count, in call order.
+
+    "bucket" is a count through the block's cell table, "search" a binary
+    search: of a whole block's keys where the block has no table, or of the
+    keys still advancing after the last pass.
+    """
+    ran = []
+    for owner, name, path in ((_kernels._CellTable, "below", "bucket"),
+                              (_kernels, "_search_below", "search")):
+        count = getattr(owner, name)
+
+        def spy(*args, _count=count, _path=path):
+            ran.append((_path, args[-1].size))
+            return _count(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    return ran
+
+
+def assert_cell_tables_used(edge_counts):
+    """Every block counted through its cell table: each binary search is of
+    the few keys left after the passes, fewer than a block's keys."""
+    assert any(path == "bucket" for path, _ in edge_counts)
+    keys = max(n for path, n in edge_counts if path == "bucket")
+    assert all(n < keys for path, n in edge_counts if path == "search")
+
+
 def assert_matches_reference(a, b, bin_width, m_max):
     got = coincidence_histogram(a, b, bin_width, m_max)
     expected = per_edge_reference(a, b, bin_width, m_max)
@@ -194,6 +223,23 @@ class TestImplementationAgreement:
         assert hist.sum() > 5_000_000
         assert peak < 16e6, f"kernel peak {peak / 1e6:.1f} MB"
 
+    def test_peak_memory_bounded_edges(self, edge_counts):
+        # an hbt_wide-size stream (5e5 + 5e5 photons, ~100 partners each):
+        # the cell table covers one block's partners, 16 B each, so the
+        # traced peak (5.0 MB) stays below a table over all of b (8 MB)
+        rng = np.random.default_rng(23)
+        a = poisson_stream(rng, 500_000, 5e-4, start=1e9)
+        b = poisson_stream(rng, 500_000, 5e-4, start=1e9)
+        tracemalloc.start()
+        try:
+            hist = coincidence_histogram(a, b, 1e4, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_cell_tables_used(edge_counts)
+        assert hist.sum() > 50_000_000
+        assert peak < 6e6, f"kernel peak {peak / 1e6:.1f} MB"
+
     def test_validation(self):
         one = np.array([0.0])
         for bad in (-1.0, 0.0, math.nan, math.inf):
@@ -203,3 +249,59 @@ class TestImplementationAgreement:
             coincidence_histogram(one, one, 1.0, -1)
         with pytest.raises(ValueError, match="limit"):
             coincidence_histogram(one, one, 1.0, MAX_BINS // 2 + 1)
+
+
+class TestBucketedEdgeCount:
+    """The per-edge branch's cell table and its two binary-search fallbacks."""
+
+    def test_zero_span_searches(self, edge_counts):
+        # all partners of the block at one time tag: no cell scale
+        a = np.linspace(-3.0, 3.0, 40)
+        b = np.full(500, 0.25)
+        assert_matches_reference(a, b, 1.0, 4)
+        assert edge_counts and all(path == "search" for path, _ in edge_counts)
+        assert {n for _, n in edge_counts} == {a.size}
+
+    def test_cell_scale_overflow_searches(self, edge_counts):
+        # partners 2 ulps of 0 apart: 2 cells per partner over that span
+        # overflow the scale to inf
+        b = np.repeat([0.0, 5e-324, 1e-323], 300)
+        a = np.linspace(-2.0, 2.0, 30)
+        assert_matches_reference(a, b, 1.0, 3)
+        assert edge_counts and all(path == "search" for path, _ in edge_counts)
+
+    def test_overflowing_products_clip(self, edge_counts):
+        # a finite but huge scale: (key - bs[0]) * inv overflows to +-inf
+        # for keys far off the partners, and the clip keeps cells monotone
+        b = np.sort(np.random.default_rng(29).uniform(0.0, 1e-305, 300))
+        a = np.linspace(-2.0, 2.0, 30)
+        inv = _kernels._CELLS_PER_PARTNER * b.size / (b[-1] - b[0])
+        with np.errstate(over="ignore"):
+            assert math.isfinite(inv) and np.isinf((a + 3.5 - b[0]) * inv).any()
+        assert_matches_reference(a, b, 1.0, 3)
+        assert_cell_tables_used(edge_counts)
+
+    def test_crowded_cell_falls_back_after_passes(self, edge_counts):
+        # a burst of 200 identical time tags fills one cell: the keys just
+        # above it advance past the pass limit and finish by binary search
+        rng = np.random.default_rng(31)
+        b = np.sort(np.concatenate([rng.uniform(0.0, 1000.0, 400),
+                                    np.full(200, 500.0)]))
+        a = np.sort(rng.uniform(0.0, 1000.0, 300))
+        assert_matches_reference(a, b, 1.0, 40)
+        assert_matches_reference(b, b, 1.0, 40)
+        assert_cell_tables_used(edge_counts)
+        assert any(path == "search" for path, _ in edge_counts)
+
+    def test_negative_tags_and_keys_outside_partners(self, edge_counts):
+        # negative time tags; the first rows' low edges lie below bs[0] and
+        # the last rows' high edges above bs[-1]
+        rng = np.random.default_rng(37)
+        a = np.sort(rng.uniform(-2.4e4, -6e3, 2000))
+        b = np.sort(rng.uniform(-2e4, -1e4, 3000))
+        w, m_max = 400.0, 12
+        keys = a + (np.arange(-m_max + 1, m_max + 1)[:, None] - 0.5) * w
+        assert keys.min() < b[0] and keys.max() > b[-1]
+        assert_matches_reference(a, b, w, m_max)
+        assert_matches_reference(b, a, w, m_max)
+        assert_cell_tables_used(edge_counts)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import g4vlines as g
+from g4vlines._kernels import MAX_BINS
 
 PBV = g.REGISTRY.get("PbV")
 
@@ -24,6 +25,20 @@ class TestConfigValidation:
             g.FrequencyGrid(10.0, 0.0, 1.0)
         assert g.FrequencyGrid(-10.0, 10.0, 5.0).centers().tolist() == \
             [-10.0, -5.0, 0.0, 5.0, 10.0]
+
+    @pytest.mark.parametrize("start, stop, step, error", [
+        (-150.0, 150.0, 1e-320, "points"), (0.0, 1e6, 0.5, "points"),
+        (-1e308, 1e308, 1.0, "points"), (float("-inf"), 0.0, 1.0, "finite"),
+        (0.0, float("inf"), 1.0, "finite"), (0.0, 1.0, float("nan"), "finite")])
+    def test_grid_size_checked_at_construction(self, start, stop, step, error):
+        # centers() of the first three would size many GiB, or overflow
+        with pytest.raises(ValueError, match=error):
+            g.FrequencyGrid(start, stop, step)
+
+    def test_grid_at_point_limit(self):
+        assert g.FrequencyGrid(0.0, MAX_BINS - 1.0, 1.0).centers().size == MAX_BINS
+        with pytest.raises(ValueError, match="points"):
+            g.FrequencyGrid(0.0, float(MAX_BINS), 1.0)
 
     @pytest.mark.parametrize("bad", [
         dict(dwell=0.0), dict(peak_rate=-1.0), dict(temperature=-1.0),
@@ -244,6 +259,17 @@ class TestTrpl:
         monkeypatch.setattr(g.simulate, "substream", stream_reached)
         with pytest.raises(ValueError, match=error):
             g.simulate_trpl(4.4, 1000, bin_width=bin_width, t_max=t_max)
+
+
+    @pytest.mark.parametrize("counts_total", [2e8 + 1, 1e12, float("nan")])
+    def test_counts_total_checked_before_drawing(self, monkeypatch, counts_total):
+        # 1e12 arrivals would need 8 TB; the cap is the HBT stream's
+        def stream_reached(*args):
+            raise AssertionError("random stream drawn")
+
+        monkeypatch.setattr(g.simulate, "substream", stream_reached)
+        with pytest.raises(ValueError, match="counts_total"):
+            g.simulate_trpl(4.4, counts_total, bin_width=0.2, t_max=60.0)
 
 
 class TestHbt:
