@@ -177,6 +177,13 @@ def _integer(value) -> int:
     return n
 
 
+def _real(value) -> float:
+    """A JSON number; bools and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)  # OverflowError for an int beyond float range
+
+
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {json.dumps(value)}")
@@ -190,7 +197,7 @@ def _floats(spec, keys) -> list[float]:
     for key in spec:
         if key not in keys:
             raise ValueError(f"unknown key {key!r}")
-    return [float(spec[key]) for key in keys]
+    return [_real(spec[key]) for key in keys]
 
 
 def _grid_from_config(spec) -> simulate.FrequencyGrid:
@@ -205,14 +212,14 @@ def _background_from_config(spec) -> simulate.TrplBackground | None:
 
 _SCAN_KEYS = {
     "emitter": ("emitter", _emitter_from_config),
-    "temperature_k": ("temperature", float), "grid_mhz": ("grid", _grid_from_config),
-    "dwell_s": ("dwell", float), "peak_rate": ("peak_rate", float),
-    "background_rate": ("background_rate", float), "n_scans": ("n_scans", _integer),
-    "center0_mhz": ("center0", float),
-    "diffusion_sigma_mhz": ("diffusion_sigma", float),
-    "jump_prob": ("jump_prob", float), "jump_sigma_mhz": ("jump_sigma", float),
-    "ionization_coeff": ("ionization_coeff", float),
-    "repump": ("repump", str), "repump_rate": ("repump_rate", float),
+    "temperature_k": ("temperature", _real), "grid_mhz": ("grid", _grid_from_config),
+    "dwell_s": ("dwell", _real), "peak_rate": ("peak_rate", _real),
+    "background_rate": ("background_rate", _real), "n_scans": ("n_scans", _integer),
+    "center0_mhz": ("center0", _real),
+    "diffusion_sigma_mhz": ("diffusion_sigma", _real),
+    "jump_prob": ("jump_prob", _real), "jump_sigma_mhz": ("jump_sigma", _real),
+    "ionization_coeff": ("ionization_coeff", _real),
+    "repump": ("repump", str), "repump_rate": ("repump_rate", _real),
     "seed": ("seed", _integer), "noiseless": ("noiseless", _boolean),
 }
 
@@ -223,14 +230,14 @@ CONFIG_KEYS = {
     "ple": ("ScanSeriesConfig", _SCAN_KEYS),
     "series": ("ScanSeriesConfig", _SCAN_KEYS),
     "trpl": ("simulate_trpl", {
-        "lifetime_ns": ("lifetime", float), "counts_total": ("counts_total", _integer),
-        "bin_width_ns": ("bin_width", float), "t_max_ns": ("t_max", float),
+        "lifetime_ns": ("lifetime", _real), "counts_total": ("counts_total", _integer),
+        "bin_width_ns": ("bin_width", _real), "t_max_ns": ("t_max", _real),
         "background": ("background", _background_from_config),
         "seed": ("seed", _integer)}),
     "hbt": ("simulate_hbt", {
-        "rate": ("rate", float), "lifetime_ns": ("lifetime", float),
-        "purity_rho": ("purity_rho", float), "duration_s": ("duration", float),
-        "bin_width_ns": ("bin_width", float), "tau_max_ns": ("tau_max", float),
+        "rate": ("rate", _real), "lifetime_ns": ("lifetime", _real),
+        "purity_rho": ("purity_rho", _real), "duration_s": ("duration", _real),
+        "bin_width_ns": ("bin_width", _real), "tau_max_ns": ("tau_max", _real),
         "seed": ("seed", _integer)}),
 }
 
@@ -255,6 +262,9 @@ def _load_config(what: str, cfg, seed_override):
                 kwargs[name] = caster(cfg[key])
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ValueError(f"config error at {key!r}: {_message(exc)}") from None
+            if caster is _real and not math.isfinite(kwargs[name]):  # 1e400, NaN
+                raise ValueError(f"config error at {key!r}: {name} must be "
+                                 f"finite, got {cfg[key]}")
         elif params[name].default is inspect.Parameter.empty:
             raise ValueError(f"config error at {key!r}: missing required field")
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,9 +28,22 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_MAX_STREAM_PHOTONS = 2e8
+
+# Memory budget of one simulated photon stream, and the largest streams
+# that fit it at the traced peak bytes per photon (measured at 1e6 photons;
+# see simulate_hbt and simulate_trpl).
+_STREAM_BUDGET = 2**30
+_MAX_STREAM_PHOTONS = _STREAM_BUDGET // 17  # simulate_hbt: ~6.3e7 photons
+_MAX_TRPL_COUNTS = _STREAM_BUDGET // 16     # simulate_trpl: ~6.7e7 counts
 
 REPUMP_POLICIES = ("none", "between_scans", "resonant")
+
+
+def _require_finite(**values) -> None:
+    """ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -61,9 +74,11 @@ class FrequencyGrid:
     def _steps(self) -> float:
         return (self.stop - self.start) / self.step + 1e-9
 
+    def size(self) -> int:
+        return int(math.floor(self._steps())) + 1
+
     def centers(self) -> np.ndarray:
-        n = int(math.floor(self._steps())) + 1
-        return self.start + self.step * np.arange(n)
+        return self.start + self.step * np.arange(self.size())
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,7 @@ class TrplBackground:
     tau_fast: float
 
     def __post_init__(self):
+        _require_finite(a_fast=self.a_fast, tau_fast=self.tau_fast)
         if self.a_fast <= 0 or self.tau_fast <= 0:
             raise ValueError("background a_fast and tau_fast must be positive")
 
@@ -112,6 +128,8 @@ class ScanSeriesConfig:
     noiseless: bool = False
 
     def __post_init__(self):
+        _require_finite(**{f.name: getattr(self, f.name) for f in fields(self)
+                           if f.type == "float"})
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.dwell <= 0:
@@ -120,6 +138,9 @@ class ScanSeriesConfig:
             raise ValueError("rates must be >= 0")
         if self.n_scans < 1:
             raise ValueError("n_scans must be >= 1")
+        if self.n_scans * self.grid.size() > MAX_BINS:
+            raise ValueError(f"n_scans x grid points = {self.n_scans} x "
+                             f"{self.grid.size()} exceeds {MAX_BINS} points")
         if not 0.0 <= self.jump_prob <= 1.0:
             raise ValueError("jump_prob must be in [0, 1]")
         if self.diffusion_sigma < 0 or self.jump_sigma < 0:
@@ -248,12 +269,16 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
 
     Arrivals are drawn from exp(-t/lifetime), optionally mixed with a fast
     background component; arrivals beyond t_max fall outside the histogram.
-    All times in ns.
+    All times in ns. The traced peak is about 9 B per count (16 B with a
+    background, whose two components are concatenated), so counts_total
+    is capped at _MAX_TRPL_COUNTS, the counts that fit _STREAM_BUDGET at
+    16 B each.
     """
+    _require_finite(lifetime=lifetime)
     if lifetime <= 0:
         raise ValueError("lifetime must be positive")
-    if not 0 <= counts_total <= _MAX_STREAM_PHOTONS:
-        raise ValueError(f"counts_total must be in [0, {_MAX_STREAM_PHOTONS:g}], "
+    if not 0 <= counts_total <= _MAX_TRPL_COUNTS:
+        raise ValueError(f"counts_total must be in [0, {_MAX_TRPL_COUNTS:g}], "
                          f"got {counts_total}")
     n_bins = _bin_count(bin_width, t_max, "t_max", MAX_BINS + 0.5)
     if n_bins < 2:
@@ -300,7 +325,16 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     The merged stream is split 50:50 and all pairs within +-tau_max are
     histogrammed (full correlation); ``bin_width``/``tau_max``/``lifetime``
     in ns, others in s.
+
+    Memory: the stream is built in place, one emitter batch and the
+    background at a time, and dropped once split, so the traced peak is
+    about 17 B per photon (the sorted stream, one uniform draw per photon
+    and its 1-byte detector choice) and 8 B per photon stay live while the
+    kernel runs. ``rate * duration`` is capped at _MAX_STREAM_PHOTONS, the
+    photons that fit _STREAM_BUDGET at that peak.
     """
+    _require_finite(rate=rate, lifetime=lifetime, purity_rho=purity_rho,
+                    duration=duration)
     if not 0.0 <= purity_rho <= 1.0:
         raise ValueError("purity_rho must be in [0, 1]")
     if rate <= 0 or duration <= 0:
@@ -309,7 +343,9 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
         raise ValueError("lifetime must be positive")
     m_max = _bin_count(bin_width, tau_max, "tau_max", MAX_BINS / 2)
     if rate * duration > _MAX_STREAM_PHOTONS:
-        raise ValueError("stream too large; reduce rate or duration")
+        raise ValueError(f"stream too large: rate * duration = {rate * duration:g} "
+                         f"photons exceeds {_MAX_STREAM_PHOTONS:g}; reduce rate "
+                         "or duration")
 
     lifetime_s = lifetime * 1e-9
     emitter_rate = purity_rho * rate
@@ -326,22 +362,34 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
         mean_wait = 1.0 / excitation_rate + lifetime_s
         while t < duration:
             n = int((duration - t) / mean_wait * 1.05) + 16
-            waits = rng.exponential(1.0 / excitation_rate, n) \
-                + rng.exponential(lifetime_s, n)
-            ts = t + np.cumsum(waits)
-            parts.append(ts[ts < duration])
+            ts = rng.exponential(1.0 / excitation_rate, n)
+            ts += rng.exponential(lifetime_s, n)
+            np.cumsum(ts, out=ts)
+            ts += t
+            parts.append(ts[:np.searchsorted(ts, duration)])  # ts is sorted
             t = ts[-1]
+        del ts  # parts holds the only references to the batches
     if bg_rate > 0:
         n_bg = rng.poisson(bg_rate * duration)
-        parts.append(np.sort(rng.uniform(0.0, duration, n_bg)))
+        parts.append(rng.uniform(0.0, duration, n_bg))
+        parts[-1].sort()
 
-    stream = np.sort(np.concatenate(parts)) if parts else np.empty(0)
+    if len(parts) == 1:  # sorted already
+        stream = parts.pop()
+    else:
+        stream = np.concatenate(parts) if parts else np.empty(0)
+        parts.clear()
+        stream.sort()
     if stream.size < 2:
         raise ValueError("stream contains fewer than 2 photons; "
                          "increase rate or duration")
     to_b = rng.random(stream.size) < 0.5
-    det_a = stream[~to_b] * 1e9
-    det_b = stream[to_b] * 1e9
+    det_b = stream[to_b]
+    np.logical_not(to_b, out=to_b)
+    det_a = stream[to_b]
+    del stream, to_b
+    det_a *= 1e9
+    det_b *= 1e9
 
     counts = coincidence_histogram(det_a, det_b, bin_width, m_max)
     duration_ns = duration * 1e9

@@ -345,6 +345,42 @@ class TestSimulate:
                          str(paths[what]), "--out", str(tmp_path / "x"))
         assert code == 0
 
+    @pytest.mark.parametrize("what, key, text, message", [
+        ("ple", "temperature_k", "true", "expected a number, got true"),
+        ("series", "dwell_s", '"0.1"', 'expected a number, got "0.1"'),
+        ("ple", "peak_rate", "1e400", "peak_rate must be finite, got inf"),
+        ("series", "center0_mhz", "-1e400", "center0 must be finite, got -inf"),
+        ("trpl", "lifetime_ns", "NaN", "lifetime must be finite, got nan"),
+        ("trpl", "background", '{"a_fast": false, "tau_fast_ns": 0.5}',
+         "expected a number, got false"),
+        ("hbt", "rate", "[2e5]", "expected a number, got [200000.0]"),
+        ("hbt", "duration_s", "1e400", "duration must be finite, got inf")])
+    def test_strict_float_values_exit_2(self, tmp_path, what, key, text,
+                                        message):
+        # float fields take only JSON numbers other than bools, and finite
+        # ones; `"temperature_k": true` used to run as 1.0 K
+        paths = _write_configs(tmp_path)
+        cfg = json.dumps(dict(json.loads(paths[what].read_text()), **{key: 1}))
+        paths[what].write_text(cfg.replace(f'"{key}": 1', f'"{key}": {text}'))
+        out_dir = tmp_path / "x"
+        proc = subprocess.run(
+            [sys.executable, "-m", "g4vlines", "simulate", what,
+             "--config", str(paths[what]), "--out", str(out_dir)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert f"config error at '{key}': {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(out_dir.iterdir()) == []
+
+    def test_integral_float_values_accepted(self, capsys, tmp_path):
+        paths = _write_configs(tmp_path)
+        cfg = dict(json.loads(paths["ple"].read_text()), temperature_k=6,
+                   grid_mhz={"start": -120, "stop": 120, "step": 4})
+        paths["ple"].write_text(json.dumps(cfg))
+        code, _, _ = run(capsys, "simulate", "ple", "--config",
+                         str(paths["ple"]), "--out", str(tmp_path / "x"))
+        assert code == 0
+
     @pytest.mark.parametrize("what", ["ple", "series", "trpl", "hbt"])
     @pytest.mark.parametrize("root", ["[1, 2]", "5", "null", '"PbV"'])
     def test_config_root_not_object_exit_2(self, capsys, tmp_path, what, root):

@@ -1,12 +1,72 @@
-"""Simulation engines: determinism, statistics, and fit-closure checks."""
+"""Simulation engines: determinism, statistics, and fit-closure checks.
+
+``hbt_reference`` is the earlier stream builder of ``simulate_hbt``, which
+kept every stage of the photon stream as its own array: ``simulate_hbt``
+builds the stream in place and must agree with it bit for bit.
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import g4vlines as g
-from g4vlines._kernels import MAX_BINS
+from g4vlines._kernels import MAX_BINS, coincidence_histogram
 
 PBV = g.REGISTRY.get("PbV")
+
+
+def hbt_reference(rate, lifetime, purity_rho, duration, *, bin_width,
+                  tau_max, seed):
+    """(counts, g2, normalization) of simulate_hbt's earlier stream builder."""
+    m_max = int(round(tau_max / bin_width))
+    lifetime_s = lifetime * 1e-9
+    emitter_rate = purity_rho * rate
+    bg_rate = (1.0 - purity_rho) * rate
+    rng = g.substream(seed, 0)
+    parts = []
+    if emitter_rate > 0:
+        excitation_rate = 1.0 / (1.0 / emitter_rate - lifetime_s)
+        t = 0.0
+        mean_wait = 1.0 / excitation_rate + lifetime_s
+        while t < duration:
+            n = int((duration - t) / mean_wait * 1.05) + 16
+            waits = rng.exponential(1.0 / excitation_rate, n) \
+                + rng.exponential(lifetime_s, n)
+            ts = t + np.cumsum(waits)
+            parts.append(ts[ts < duration])
+            t = ts[-1]
+    if bg_rate > 0:
+        n_bg = rng.poisson(bg_rate * duration)
+        parts.append(np.sort(rng.uniform(0.0, duration, n_bg)))
+    stream = np.sort(np.concatenate(parts))
+    to_b = rng.random(stream.size) < 0.5
+    det_a = stream[~to_b] * 1e9
+    det_b = stream[to_b] * 1e9
+    counts = coincidence_histogram(det_a, det_b, bin_width, m_max)
+    duration_ns = duration * 1e9
+    normalization = (det_a.size / duration_ns) * (det_b.size / duration_ns) \
+        * duration_ns * bin_width
+    return counts, counts / normalization, normalization
+
+
+class _CountingGenerator:
+    """A Generator that counts its exponential draws (two per emitter batch)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.exponential_calls = 0
+
+    def exponential(self, *args):
+        self.exponential_calls += 1
+        return self.rng.exponential(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _stream_reached(*args):
+    raise AssertionError("random stream drawn")
 
 
 def _cfg(**overrides):
@@ -48,6 +108,29 @@ class TestConfigValidation:
     def test_bad_fields(self, bad):
         with pytest.raises(ValueError):
             _cfg(**bad)
+
+    @pytest.mark.parametrize("field", [
+        "temperature", "dwell", "peak_rate", "background_rate", "center0",
+        "diffusion_sigma", "jump_prob", "jump_sigma", "ionization_coeff",
+        "repump_rate"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_fields(self, field, bad):
+        # each `< 0` test lets NaN through, and center0=inf would write a
+        # background-only series
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            _cfg(**{field: bad})
+
+    def test_scan_points_capped(self):
+        # 101 points per scan: the series may hold at most MAX_BINS points
+        limit = MAX_BINS // 101
+        assert _cfg(n_scans=limit).n_scans == limit
+        for n_scans in (limit + 1, 10**12):
+            with pytest.raises(ValueError, match="n_scans x grid points"):
+                _cfg(n_scans=n_scans)
+        wide = g.FrequencyGrid(0.0, MAX_BINS - 1.0, 1.0)
+        assert _cfg(grid=wide).grid.size() == MAX_BINS
+        with pytest.raises(ValueError, match="n_scans x grid points"):
+            _cfg(grid=wide, n_scans=2)
 
     def test_fails_before_sampling_on_bad_linewidth(self):
         p = g.EmitterParams("bad", f_gs=100.0, f_es=500.0, gamma0=30.0,
@@ -261,6 +344,32 @@ class TestTrpl:
             g.simulate_trpl(4.4, 1000, bin_width=bin_width, t_max=t_max)
 
 
+    @pytest.mark.parametrize("lifetime", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("background", [None, g.TrplBackground(6.0, 0.5)])
+    def test_non_finite_lifetime_before_drawing(self, monkeypatch, lifetime,
+                                                background):
+        # an infinite or NaN lifetime used to give an all-zero histogram
+        monkeypatch.setattr(g.simulate, "substream", _stream_reached)
+        with pytest.raises(ValueError, match="^lifetime must be finite"):
+            g.simulate_trpl(lifetime, 1000, bin_width=0.2, t_max=60.0,
+                            background=background)
+
+    @pytest.mark.parametrize("field", ["a_fast", "tau_fast"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_background(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            g.TrplBackground(**{"a_fast": 6.0, "tau_fast": 0.5, field: bad})
+
+    def test_counts_cap_from_memory_budget(self, monkeypatch):
+        # counts_total fits the stream budget at 16 B per count
+        cap = g.simulate._MAX_TRPL_COUNTS
+        assert cap * 16 <= g.simulate._STREAM_BUDGET < (cap + 1) * 16
+        monkeypatch.setattr(g.simulate, "substream", _stream_reached)
+        with pytest.raises(AssertionError, match="random stream drawn"):
+            g.simulate_trpl(4.4, cap, bin_width=0.2, t_max=60.0)
+        with pytest.raises(ValueError, match="counts_total"):
+            g.simulate_trpl(4.4, cap + 1, bin_width=0.2, t_max=60.0)
+
     @pytest.mark.parametrize("counts_total", [2e8 + 1, 1e12, float("nan")])
     def test_counts_total_checked_before_drawing(self, monkeypatch, counts_total):
         # 1e12 arrivals would need 8 TB; the cap is the HBT stream's
@@ -345,6 +454,79 @@ class TestHbt:
         with pytest.raises(ValueError, match=error):
             g.correlate_stream(np.array([0.0, 1.0, 2.0]), bin_width=bin_width,
                                tau_max=tau_max)
+
+
+    @pytest.mark.parametrize("field", ["rate", "lifetime", "purity_rho",
+                                       "duration"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_before_drawing(self, monkeypatch, field, bad):
+        # NaN used to fail by accident ("cannot convert float NaN to
+        # integer", "fewer than 2 photons", "lam < 0 or lam is NaN")
+        monkeypatch.setattr(g.simulate, "substream", _stream_reached)
+        kw = dict(rate=1e5, lifetime=4.4, purity_rho=0.5, duration=1e-3)
+        kw[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            g.simulate_hbt(**kw, bin_width=1.0, tau_max=50.0)
+
+    @pytest.mark.parametrize("rate, duration, accepted", [
+        (4e6, 7.5, True),      # criterion 7: 3e7 photons
+        (1e6, 63.0, True), (1e6, 64.0, False), (1e8, 2.0, False)])
+    def test_stream_cap_from_memory_budget(self, monkeypatch, rate,
+                                           duration, accepted):
+        # rate * duration fits the stream budget at 17 B per photon; the
+        # cap is checked before anything is drawn or allocated
+        cap = g.simulate._MAX_STREAM_PHOTONS
+        assert cap * 17 <= g.simulate._STREAM_BUDGET < (cap + 1) * 17
+        monkeypatch.setattr(g.simulate, "substream", _stream_reached)
+        expected = (AssertionError, "random stream drawn") if accepted \
+            else (ValueError, "stream too large")
+        with pytest.raises(expected[0], match=expected[1]):
+            g.simulate_hbt(rate, 4.4, 0.959, duration, bin_width=0.2,
+                           tau_max=50.0)
+
+    @pytest.mark.parametrize(
+        "rate, rho, duration, bin_width, tau_max, seed, batches", [
+            (4e6, 0.0, 0.025, 0.2, 50.0, 1, 0),   # fine bins: pair branch
+            (4e6, 0.5, 0.025, 0.2, 50.0, 2, 1),
+            (4e6, 1.0, 0.025, 0.2, 50.0, 3, 1),
+            (1e6, 0.0, 0.1, 1e4, 1e5, 4, 0),      # wide bins: per-edge branch
+            (1e6, 0.5, 0.1, 1e4, 1e5, 5, 1),
+            (1e6, 1.0, 0.1, 1e4, 1e5, 6, 1),
+            (1e4, 1.0, 0.01, 1e5, 1e6, 29, 2),    # the first batch falls short
+            (1e4, 1.0, 0.01, 1e5, 1e6, 37, 2),
+            (1e4, 0.5, 0.02, 1e5, 1e6, 81, 2)])
+    def test_stream_matches_reference(self, monkeypatch, rate, rho, duration,
+                                      bin_width, tau_max, seed, batches):
+        generators = []
+
+        def counting_substream(*args):
+            generators.append(_CountingGenerator(g.substream(*args)))
+            return generators[-1]
+
+        monkeypatch.setattr(g.simulate, "substream", counting_substream)
+        hist = g.simulate_hbt(rate, 4.4, rho, duration, bin_width=bin_width,
+                              tau_max=tau_max, seed=seed)
+        counts, g2, normalization = hbt_reference(
+            rate, 4.4, rho, duration, bin_width=bin_width, tau_max=tau_max,
+            seed=seed)
+        assert np.array_equal(hist.coincidence_counts, counts)
+        assert np.array_equal(hist.g2, g2)
+        assert hist.normalization == normalization
+        assert counts.sum() > 0
+        assert generators[0].exponential_calls == 2 * batches
+
+    def test_peak_memory_per_photon(self):
+        # hbt_wide-like stream of 1e6 photons: built in place and dropped
+        # before the kernel runs, so the traced peak (~17 B per photon) is
+        # the sorted stream plus the split's uniform draw and its mask
+        g.simulate_hbt(1e5, 4.4, 0.9, 1e-2, bin_width=1e4, tau_max=1e5)  # warm-up
+        tracemalloc.start()
+        try:
+            g.simulate_hbt(1e6, 4.4, 0.9, 1.0, bin_width=1e4, tau_max=1e5, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 1e6, f"peak {peak / 1e6:.1f} B per photon"
 
 
 class TestCorrelateStream:
