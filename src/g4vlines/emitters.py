@@ -23,23 +23,35 @@ __all__ = ["EmitterParams", "EmitterRegistry", "REGISTRY",
 LIFETIME_CONSISTENCY_RTOL = 0.01
 
 
+def _require_finite(**values) -> None:
+    """ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def transform_limit(lifetime_ns: float) -> float:
-    """Transform-limited FWHM (MHz) of a radiative lifetime (ns)."""
-    if lifetime_ns <= 0:
+    """Transform-limited FWHM (MHz) of a finite radiative lifetime (ns)."""
+    if not lifetime_ns > 0:
         raise ValueError(f"lifetime must be positive, got {lifetime_ns}")
+    _require_finite(lifetime=lifetime_ns)
     return 1e3 / (2.0 * math.pi * lifetime_ns)
 
 
 def lifetime_from_linewidth(fwhm_mhz: float) -> float:
-    """Radiative lifetime (ns) implied by a transform-limited FWHM (MHz)."""
-    if fwhm_mhz <= 0:
+    """Radiative lifetime (ns) implied by a finite transform-limited FWHM (MHz)."""
+    if not fwhm_mhz > 0:
         raise ValueError(f"fwhm must be positive, got {fwhm_mhz}")
+    _require_finite(fwhm=fwhm_mhz)
     return 1e3 / (2.0 * math.pi * fwhm_mhz)
 
 
 @dataclass(frozen=True)
 class EmitterParams:
     """Physical constants of one color center.
+
+    Every numeric field must be finite; a ValueError names the first that
+    is not.
 
     Parameters
     ----------
@@ -78,6 +90,8 @@ class EmitterParams:
     def __post_init__(self):
         if not self.name:
             raise ValueError("emitter name must be non-empty")
+        _require_finite(**{k: v for k, v in asdict(self).items()
+                           if k != "name" and v is not None})
         if self.f_gs <= 0:
             raise ValueError(f"f_gs must be positive, got {self.f_gs}")
         if self.f_es <= 0:

@@ -2,7 +2,10 @@
 
 All fits run on a small damped Gauss-Newton optimizer (Levenberg-Marquardt
 damping schedule: start 1e-3, x10 on a rejected step, /10 on an accepted
-one). Count data is weighted with Poisson errors sigma^2 = max(count, 1);
+one). The derivatives are taken once per accepted point and reused by the
+attempts from it; every attempt, accepted or not, counts as an iteration,
+and a run of rejections that drives the damping above 1e12 ends the fit.
+Count data is weighted with Poisson errors sigma^2 = max(count, 1);
 parameter uncertainties come from the Gauss-Newton covariance (J^T J)^-1 of
 the weighted Jacobian at the optimum, reported only when that matrix is
 positive-definite.
@@ -43,7 +46,6 @@ class _LMResult:
     cov: np.ndarray | None
     n_iterations: int
     converged: bool
-    grad_norm: float
     cost: float
 
 
@@ -57,7 +59,7 @@ def _gn_covariance(jac: np.ndarray) -> np.ndarray | None:
 
 
 def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
-            max_iter=MAX_ITERATIONS, rel_tol=REL_STEP_TOL) -> _LMResult:
+            max_iter=MAX_ITERATIONS) -> _LMResult:
     """Minimize sum(((y - model(x, p)) / sigma)^2) over p."""
     p = np.array(p0, dtype=float)
     w = 1.0 / np.asarray(sigma, dtype=float)
@@ -70,43 +72,41 @@ def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
     lam = LAMBDA0
     converged = False
     n_iter = 0
+    jr = None  # derivatives of the current point, once taken
     for n_iter in range(1, max_iter + 1):
-        jr = -jac(x, p) * w[:, None]     # d residual / d p
-        grad = jr.T @ r
-        hess = jr.T @ jr
-        damp = np.diag(hess).copy()
-        damp[damp <= 0] = 1.0
+        if jr is None:
+            jr = -jac(x, p) * w[:, None]     # d residual / d p
+            grad = jr.T @ r
+            hess = jr.T @ jr
+            damp = hess.diagonal().copy()
+            damp[damp <= 0] = 1.0
+        damped = hess.copy()
+        damped.flat[::p.size + 1] += lam * damp
         try:
-            step = np.linalg.solve(hess + lam * np.diag(damp), -grad)
+            step = np.linalg.solve(damped, -grad)
         except np.linalg.LinAlgError:
-            lam *= 10.0
-            if lam > 1e12:
-                break
-            continue
-        trial = p + step
-        if guard is not None and not guard(trial):
-            lam *= 10.0
-            if lam > 1e12:
-                break
-            continue
-        r_trial = residual(trial)
-        cost_trial = float(r_trial @ r_trial)
-        if cost_trial <= cost:
-            rel_change = np.max(np.abs(step) / (np.abs(p) + 1e-300))
-            p, r, cost = trial, r_trial, cost_trial
-            lam = max(lam / 10.0, 1e-14)
-            if rel_change < rel_tol:
-                converged = True
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e12:
-                break
+            step = None
+        trial = None if step is None else p + step
+        if trial is not None and (guard is None or guard(trial)):
+            r_trial = residual(trial)
+            cost_trial = float(r_trial @ r_trial)
+            if cost_trial <= cost:
+                rel_change = np.max(np.abs(step) / (np.abs(p) + 1e-300))
+                p, r, cost, jr = trial, r_trial, cost_trial, None
+                lam = max(lam / 10.0, 1e-14)
+                if rel_change < REL_STEP_TOL:
+                    converged = True
+                    break
+                continue
+        # the one rejection: singular solve, refused by guard, or higher cost
+        lam *= 10.0
+        if lam > 1e12:
+            break
 
-    jr = -jac(x, p) * w[:, None]
-    grad_norm = float(np.max(np.abs(jr.T @ r)))
+    if jr is None:
+        jr = -jac(x, p) * w[:, None]
     return _LMResult(params=p, cov=_gn_covariance(jr), n_iterations=n_iter,
-                     converged=converged, grad_norm=grad_norm, cost=cost)
+                     converged=converged, cost=cost)
 
 
 def _poisson_sigma(counts: np.ndarray) -> np.ndarray:
@@ -350,8 +350,7 @@ def fit_cubic_alpha(points, weights="delta") -> FitReport:
 
     res = _LMResult(params=np.array([alpha]),
                     cov=np.array([[1.0 / denom]]),
-                    n_iterations=1, converged=True,
-                    grad_norm=0.0, cost=cost)
+                    n_iterations=1, converged=True, cost=cost)
     derived = {
         "pred_delta_gamma_siv_mhz": alpha * 50.0 ** 3 * 1e3,
         "pred_delta_gamma_snv_mhz": alpha * 821.0 ** 3 * 1e3,
@@ -397,27 +396,17 @@ def fit_temperature_series(points, emitter: EmitterParams,
     k_gs = physics._phonon_mhz(emitter.f_gs, temps, 1.0)
     base = emitter.gamma0 + physics._phonon_mhz(emitter.f_es, temps, emitter.alpha_es)
 
-    if free == ("gamma_others",):
-        def model(T, p):
-            return base + p[0] + emitter.alpha_gs * k_gs
+    jac_full = np.column_stack([np.ones_like(k_gs), k_gs])
 
-        def jacobian(T, p):
-            return np.ones((T.size, 1))
+    def model(T, p):
+        alpha = p[1] if len(p) > 1 else emitter.alpha_gs
+        return base + p[0] + alpha * k_gs
 
-        p0 = [emitter.gamma_others]
-        guard = None
-    else:
-        def model(T, p):
-            return base + p[0] + p[1] * k_gs
+    def jacobian(T, p):
+        return jac_full[:, :len(p)]
 
-        def jacobian(T, p):
-            out = np.empty((T.size, 2))
-            out[:, 0] = 1.0
-            out[:, 1] = k_gs
-            return out
-
-        p0 = [emitter.gamma_others, emitter.alpha_gs]
-        guard = lambda p: p[1] >= 0
+    p0 = [emitter.gamma_others, emitter.alpha_gs][:len(free)]
+    guard = (lambda p: p[1] >= 0) if len(free) > 1 else None
 
     sigma = np.ones_like(gammas)
     res = _lm_fit(model, jacobian, temps, gammas, sigma, p0, guard=guard)

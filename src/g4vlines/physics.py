@@ -111,8 +111,9 @@ def phonon_rates(f_split_ghz, temp_k, alpha):
     ``alpha`` is the reduced coupling (GHz^-2): the rates are
     alpha * f^3 * n and alpha * f^3 * (n + 1), converted GHz -> MHz.
     """
-    if np.ndim(alpha) == 0 and alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    a = np.asarray(alpha, dtype=float)
+    if np.any(a < 0) or not np.all(np.isfinite(a)):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     up = _phonon_mhz(f_split_ghz, temp_k, alpha)
     down = _phonon_mhz(f_split_ghz, temp_k, alpha, emission=True)
     if np.ndim(up) == 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import physics
 from ._kernels import MAX_BINS, coincidence_histogram
-from .emitters import EmitterParams
+from .emitters import EmitterParams, _require_finite
 from .records import CorrelationHistogram, DecayTrace, Spectrum
 
 __all__ = [
@@ -37,13 +37,6 @@ _MAX_STREAM_PHOTONS = _STREAM_BUDGET // 17  # simulate_hbt: ~6.3e7 photons
 _MAX_TRPL_COUNTS = _STREAM_BUDGET // 16     # simulate_trpl: ~6.7e7 counts
 
 REPUMP_POLICIES = ("none", "between_scans", "resonant")
-
-
-def _require_finite(**values) -> None:
-    """ValueError naming the first of ``values`` that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def substream(seed: int, index: int) -> np.random.Generator:

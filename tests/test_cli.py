@@ -76,6 +76,23 @@ class TestPredict:
         assert out == ""
         assert "temp_k must be finite and >= 0" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma0", float("nan")), ("alpha_gs", float("inf")),
+        ("gamma_others", float("nan"))])
+    def test_non_finite_emitter_file_exit_2(self, tmp_path, field, value):
+        # json.dumps writes these as the NaN / Infinity tokens json.loads reads
+        path = tmp_path / "bad.json"
+        fields = {"name": "bad", "f_gs": 3870.0, "f_es": 6920.0, "gamma0": 36.2}
+        fields[field] = value
+        path.write_text(json.dumps(fields))
+        proc = subprocess.run(
+            [sys.executable, "-m", "g4vlines", "predict", "--emitter", str(path),
+             "--temp", "6.2"], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"{field} must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestThreshold:
     def test_pbv(self, capsys):

@@ -78,6 +78,21 @@ class TestEmitterParams:
         with pytest.raises(ValueError):
             g.EmitterParams("x", **kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [
+        "f_gs", "f_es", "lifetime", "gamma0", "alpha_gs", "alpha_es",
+        "gamma_others", "dw_fraction"])
+    def test_non_finite_field_named(self, field, value):
+        kwargs = dict(f_gs=100.0, f_es=300.0, gamma0=30.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            g.EmitterParams("x", **kwargs)
+
+    def test_infinite_lifetime_alone_rejected(self):
+        # would otherwise derive gamma0 = 0.0
+        with pytest.raises(ValueError, match="lifetime must be finite"):
+            g.EmitterParams("x", f_gs=100.0, f_es=300.0, lifetime=math.inf)
+
     def test_immutable(self):
         p = g.REGISTRY.get("PbV")
         with pytest.raises(dataclasses.FrozenInstanceError):

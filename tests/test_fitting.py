@@ -1,16 +1,81 @@
-"""Fit models, optimizer behavior, and recovery against generating oracles."""
+"""Fit models, optimizer behavior, and recovery against generating oracles.
+
+``lm_reference`` is the earlier damping loop of ``fitting._lm_fit``, which
+took the derivatives anew on every attempt: ``_lm_fit`` takes them once per
+accepted point and must give the same report, byte for byte, on every exit.
+"""
+
+import functools
+import json
 
 import numpy as np
 import pytest
 
 import g4vlines as g
+from g4vlines import fitting
 from g4vlines.fitting import (
+    LAMBDA0, MAX_ITERATIONS, REL_STEP_TOL, _lm_fit,
     exp1_jacobian, exp1_model, exp2_jacobian, exp2_model,
     lorentzian_jacobian, lorentzian_model,
 )
 
 PBV = g.REGISTRY.get("PbV")
 SNV = g.REGISTRY.get("SnV")
+
+
+def lm_reference(model, jac, x, y, sigma, p0, *, guard=None,
+                 max_iter=MAX_ITERATIONS, accepted=None):
+    """The earlier _lm_fit; appends each accepted point to ``accepted``."""
+    p = np.array(p0, dtype=float)
+    w = 1.0 / np.asarray(sigma, dtype=float)
+
+    def residual(params):
+        return (y - model(x, params)) * w
+
+    r = residual(p)
+    cost = float(r @ r)
+    lam = LAMBDA0
+    converged = False
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        jr = -jac(x, p) * w[:, None]     # d residual / d p
+        grad = jr.T @ r
+        hess = jr.T @ jr
+        damp = np.diag(hess).copy()
+        damp[damp <= 0] = 1.0
+        try:
+            step = np.linalg.solve(hess + lam * np.diag(damp), -grad)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            if lam > 1e12:
+                break
+            continue
+        trial = p + step
+        if guard is not None and not guard(trial):
+            lam *= 10.0
+            if lam > 1e12:
+                break
+            continue
+        r_trial = residual(trial)
+        cost_trial = float(r_trial @ r_trial)
+        if cost_trial <= cost:
+            rel_change = np.max(np.abs(step) / (np.abs(p) + 1e-300))
+            p, r, cost = trial, r_trial, cost_trial
+            if accepted is not None:
+                accepted.append(p)
+            lam = max(lam / 10.0, 1e-14)
+            if rel_change < REL_STEP_TOL:
+                converged = True
+                break
+        else:
+            lam *= 10.0
+            if lam > 1e12:
+                break
+
+    jr = -jac(x, p) * w[:, None]
+    return fitting._LMResult(params=p, cov=fitting._gn_covariance(jr),
+                             n_iterations=n_iter, converged=converged,
+                             cost=cost)
 
 
 def _noiseless_spectrum(center=0.0, fwhm=38.8, amp=1000.0, offset=10.0,
@@ -312,3 +377,120 @@ class TestJacobians:
             scale = np.maximum(np.abs(analytic), np.abs(numeric)).max(axis=0)
             err = np.abs(analytic - numeric).max(axis=0)
             assert np.all(err <= 1e-4 * np.maximum(scale, 1e-12))
+
+
+def _scan(peak_rate, seed):
+    cfg = g.ScanSeriesConfig(
+        emitter=PBV, temperature=6.2, grid=g.FrequencyGrid(-150, 150, 3),
+        dwell=0.1, peak_rate=peak_rate, background_rate=100.0, seed=seed)
+    return g.simulate_ple_scan(cfg)
+
+
+def _trace(counts, seed):
+    return g.simulate_trpl(4.4, counts, bin_width=0.5, t_max=60.0, seed=seed)
+
+
+def _temp_series(free):
+    truth = g.EmitterParams("t", f_gs=821.0, f_es=3000.0, gamma0=30.6,
+                            alpha_gs=9.0e-9, alpha_es=7.51e-9, gamma_others=1.1)
+    temps = np.array([4.0, 6.0, 8.0, 10.0, 12.0, 14.0])
+    return g.fit_temperature_series(
+        np.column_stack([temps, g.linewidth_c(truth, temps)]), SNV, free=free)
+
+
+def _run_counted(monkeypatch, lm, fit):
+    """(report JSON, report, counts) of fit() run on lm; counts holds the
+    Jacobian calls and guard refusals."""
+    counts = {"jac": 0, "refused": 0}
+
+    def counted_lm(model, jac, x, y, sigma, p0, *, guard=None, **kwargs):
+        def counted_jac(x, p):
+            counts["jac"] += 1
+            return jac(x, p)
+
+        def counted_guard(p):
+            ok = guard(p)
+            counts["refused"] += not ok
+            return ok
+
+        return lm(model, counted_jac, x, y, sigma, p0,
+                  guard=None if guard is None else counted_guard, **kwargs)
+
+    monkeypatch.setattr(fitting, "_lm_fit", counted_lm)
+    report = fit()
+    return json.dumps(report.to_dict()), report, counts
+
+
+class TestDampingLoop:
+    """_lm_fit against lm_reference on every exit of the loop."""
+
+    def _compare(self, monkeypatch, fit):
+        """Same report under both loops, with the Jacobian taken
+        n_iterations + 1 times by the reference and 1 + accepted steps
+        times by _lm_fit."""
+        accepted = []
+        ref_json, ref, ref_counts = _run_counted(
+            monkeypatch, functools.partial(lm_reference, accepted=accepted), fit)
+        new_json, new, new_counts = _run_counted(monkeypatch, _lm_fit, fit)
+        assert new_json == ref_json
+        assert ref_counts["jac"] == ref.n_iterations + 1
+        assert new_counts["jac"] == len(accepted) + 1
+        assert new_counts["refused"] == ref_counts["refused"]
+        return new, new_counts
+
+    @pytest.mark.parametrize("fit", [
+        lambda: g.fit_lorentzian(_noiseless_spectrum()),
+        lambda: g.fit_lorentzian(_scan(5000.0, seed=99)),
+        lambda: _temp_series(("gamma_others",)),
+        lambda: _temp_series(("gamma_others", "alpha_gs")),
+    ], ids=["noiseless", "poisson", "tempseries-1", "tempseries-2"])
+    def test_step_tolerance(self, monkeypatch, fit):
+        report, _ = self._compare(monkeypatch, fit)
+        assert report.converged
+
+    @pytest.mark.parametrize("fit,max_iter", [
+        (lambda: g.fit_lorentzian(_scan(0.0, seed=2)), MAX_ITERATIONS),
+        (lambda: g.fit_lorentzian(_scan(5000.0, seed=5), max_iter=1), 1),
+    ], ids=["dark", "max-iter-1"])
+    def test_max_iter(self, monkeypatch, fit, max_iter):
+        report, _ = self._compare(monkeypatch, fit)
+        assert not report.converged
+        assert report.n_iterations == max_iter
+
+    @pytest.mark.parametrize("fit,converged", [
+        (lambda: g.fit_decay(_trace(50, seed=17), "exp1"), False),
+        (lambda: g.fit_decay(_trace(2000, seed=4), "exp2"), True),
+    ], ids=["exp1", "exp2"])
+    def test_guard_rejections(self, monkeypatch, fit, converged):
+        report, counts = self._compare(monkeypatch, fit)
+        assert counts["refused"] > 0
+        assert report.converged is converged
+
+    def test_damping_bail_out_after_refusals(self, monkeypatch):
+        report, counts = self._compare(
+            monkeypatch, lambda: g.fit_decay(_trace(200, seed=9), "exp2"))
+        assert counts["refused"] > 0
+        assert not report.converged
+        assert report.n_iterations < MAX_ITERATIONS
+
+    def test_damping_bail_out_on_singular_steps(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        report, counts = self._compare(
+            monkeypatch, lambda: g.fit_lorentzian(_noiseless_spectrum()))
+        assert not report.converged
+        assert report.n_iterations == 16
+        assert counts["jac"] == 1
+
+    def test_series_scans(self, monkeypatch):
+        """One Jacobian per accepted point over a drifting, blinking series."""
+        cfg = g.ScanSeriesConfig(
+            emitter=PBV, temperature=6.2, grid=g.FrequencyGrid(-300, 300, 4),
+            dwell=0.2, peak_rate=25000.0, background_rate=50.0, n_scans=12,
+            diffusion_sigma=1.0, jump_prob=0.005, jump_sigma=15.0,
+            ionization_coeff=2.2e-6, repump="resonant", repump_rate=3e-5, seed=7)
+        spectra, _ = g.simulate_scan_series(cfg)
+        for spectrum in spectra:
+            self._compare(monkeypatch, lambda: g.fit_lorentzian(spectrum))

@@ -128,6 +128,11 @@ class TestPhononRates:
         with pytest.raises(ValueError):
             g.phonon_rates(100.0, 5.0, -1e-9)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, np.array([1e-9, math.nan])])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            g.phonon_rates(100.0, 6.0, alpha)
+
 
 class TestLinewidths:
     def test_pbv_at_measurement_temperature(self):
@@ -208,6 +213,12 @@ class TestTransformLimit:
             g.transform_limit(0.0)
         with pytest.raises(ValueError):
             g.lifetime_from_linewidth(-3.0)
+
+    @pytest.mark.parametrize("func", [g.transform_limit, g.lifetime_from_linewidth])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, func, value):
+        with pytest.raises(ValueError):
+            func(value)
 
 
 class TestTemperatureThreshold:
