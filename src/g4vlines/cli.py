@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage or input error, 3 model-domain error
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio, fitting, physics, simulate
+from .dataio import _boolean, _integer, _nested, _real, _text
 from .emitters import PRESET_NOTES, REGISTRY, EmitterParams
 from .records import FitReport
 
@@ -35,15 +35,13 @@ def _fail(message: str) -> int:
     return EXIT_INPUT
 
 
-def _message(exc: Exception) -> str:
-    return str(exc.args[0]) if exc.args else str(exc)  # str() quotes a KeyError
-
-
-def _resolve_emitter(name_or_path: str) -> EmitterParams:
-    """Interpret --emitter as a file path when one exists, else a preset name."""
-    if os.path.exists(name_or_path):
-        return dataio.load_emitter_file(name_or_path)
-    return REGISTRY.get(name_or_path)
+def _resolve_emitter(spec) -> EmitterParams:
+    """An inline JSON object, else a file path when one exists, else a preset."""
+    if isinstance(spec, dict):
+        return dataio._emitter(spec)
+    if os.path.exists(_text(spec)):
+        return dataio.load_emitter_file(spec)
+    return REGISTRY.get(spec)
 
 
 def _print_rows(rows, fmt: str) -> None:
@@ -92,8 +90,6 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_emitters(args) -> int:
     if args.action == "list":
-        cols = ("name", "f_gs_ghz", "f_es_ghz", "lifetime_ns", "gamma0_mhz",
-                "alpha_gs", "alpha_es", "gamma_others_mhz")
         print(f"{'name':<6} {'f_gs_ghz':>9} {'f_es_ghz':>9} {'lifetime_ns':>12} "
               f"{'gamma0_mhz':>11} {'alpha_gs':>10} {'alpha_es':>10} "
               f"{'gamma_others_mhz':>17}")
@@ -161,78 +157,32 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _emitter_from_config(spec) -> EmitterParams:
-    if isinstance(spec, dict):
-        return EmitterParams.from_dict(spec)
-    return _resolve_emitter(str(spec))
-
-
-def _integer(value) -> int:
-    """A JSON number with an integral value; bools and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {json.dumps(value)}")
-    n = int(value)  # OverflowError / ValueError for inf / nan
-    if n != value:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return n
-
-
-def _real(value) -> float:
-    """A JSON number; bools and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {json.dumps(value)}")
-    return float(value)  # OverflowError for an int beyond float range
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {json.dumps(value)}")
-    return value
-
-
-def _floats(spec, keys) -> list[float]:
-    """The values of ``keys`` in a nested JSON object, which has no others."""
-    if not isinstance(spec, dict):
-        raise TypeError(f"expected a JSON object, got {type(spec).__name__}")
-    for key in spec:
-        if key not in keys:
-            raise ValueError(f"unknown key {key!r}")
-    return [_real(spec[key]) for key in keys]
-
-
-def _grid_from_config(spec) -> simulate.FrequencyGrid:
-    return simulate.FrequencyGrid(*_floats(spec, ("start", "stop", "step")))
-
-
-def _background_from_config(spec) -> simulate.TrplBackground | None:
-    if spec is None:
-        return None
-    return simulate.TrplBackground(*_floats(spec, ("a_fast", "tau_fast_ns")))
-
-
 _SCAN_KEYS = {
-    "emitter": ("emitter", _emitter_from_config),
-    "temperature_k": ("temperature", _real), "grid_mhz": ("grid", _grid_from_config),
+    "emitter": ("emitter", _resolve_emitter),
+    "temperature_k": ("temperature", _real),
+    "grid_mhz": ("grid", _nested(simulate.FrequencyGrid, {
+        "start": ("start", _real), "stop": ("stop", _real), "step": ("step", _real)})),
     "dwell_s": ("dwell", _real), "peak_rate": ("peak_rate", _real),
     "background_rate": ("background_rate", _real), "n_scans": ("n_scans", _integer),
     "center0_mhz": ("center0", _real),
     "diffusion_sigma_mhz": ("diffusion_sigma", _real),
     "jump_prob": ("jump_prob", _real), "jump_sigma_mhz": ("jump_sigma", _real),
     "ionization_coeff": ("ionization_coeff", _real),
-    "repump": ("repump", str), "repump_rate": ("repump_rate", _real),
+    "repump": ("repump", _text), "repump_rate": ("repump_rate", _real),
     "seed": ("seed", _integer), "noiseless": ("noiseless", _boolean),
 }
 
 # simulate kind -> (name of its target in `simulate`, JSON key -> (keyword,
-# caster)). Whether a key is required, and its default, come from the
-# target's signature; the target is looked up per call, not bound here.
+# caster)), read by dataio._object_kwargs. The target is looked up per
+# call, not bound here, so that a wrapper put on it is the one called.
 CONFIG_KEYS = {
     "ple": ("ScanSeriesConfig", _SCAN_KEYS),
     "series": ("ScanSeriesConfig", _SCAN_KEYS),
     "trpl": ("simulate_trpl", {
         "lifetime_ns": ("lifetime", _real), "counts_total": ("counts_total", _integer),
         "bin_width_ns": ("bin_width", _real), "t_max_ns": ("t_max", _real),
-        "background": ("background", _background_from_config),
+        "background": ("background", _nested(simulate.TrplBackground, {
+            "a_fast": ("a_fast", _real), "tau_fast_ns": ("tau_fast", _real)})),
         "seed": ("seed", _integer)}),
     "hbt": ("simulate_hbt", {
         "rate": ("rate", _real), "lifetime_ns": ("lifetime", _real),
@@ -240,36 +190,6 @@ CONFIG_KEYS = {
         "bin_width_ns": ("bin_width", _real), "tau_max_ns": ("tau_max", _real),
         "seed": ("seed", _integer)}),
 }
-
-
-def _load_config(what: str, cfg, seed_override):
-    """(target, keyword arguments) of a simulate kind from its JSON config."""
-    target_name, keys = CONFIG_KEYS[what]
-    if not isinstance(cfg, dict):
-        raise ValueError("config error at '<root>': expected a JSON object, "
-                         f"got {type(cfg).__name__}")
-    for key in cfg:
-        if key not in keys:
-            raise ValueError(f"config error at {key!r}: unknown key")
-    target = getattr(simulate, target_name)
-    params = inspect.signature(target).parameters
-    kwargs = {}
-    for key, (name, caster) in keys.items():
-        if key == "seed" and seed_override is not None:
-            kwargs[name] = seed_override
-        elif key in cfg:
-            try:
-                kwargs[name] = caster(cfg[key])
-            except (KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise ValueError(f"config error at {key!r}: {_message(exc)}") from None
-            if caster is _real and not math.isfinite(kwargs[name]):  # 1e400, NaN
-                raise ValueError(f"config error at {key!r}: {name} must be "
-                                 f"finite, got {cfg[key]}")
-        elif params[name].default is inspect.Parameter.empty:
-            raise ValueError(f"config error at {key!r}: missing required field")
-        else:
-            kwargs[name] = params[name].default
-    return target, kwargs
 
 
 def _write_events(events, path) -> None:
@@ -318,10 +238,12 @@ def _cmd_simulate(args) -> int:
         return _fail(f"no output directory: pass --out or set {OUTDIR_ENV}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-
-    target, kwargs = _load_config(args.what, cfg, args.seed)
+    target_name, keys = CONFIG_KEYS[args.what]
+    target = getattr(simulate, target_name)
+    cfg, kwargs = dataio._read_object(
+        args.config, lambda obj: (obj, dataio._object_kwargs(obj, keys, target)))
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
     outputs: list[str] = []
     plots: list[tuple] = []
     if args.what == "ple":
@@ -431,7 +353,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (dataio.DataFormatError, ValueError, KeyError) as exc:
-        return _fail(_message(exc))
+        return _fail(dataio._message(exc))
     except OSError as exc:
         return _fail(str(exc))
 

@@ -8,7 +8,10 @@ their natural types on load, everything else stays a string.
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -167,13 +170,106 @@ def emit_fit_report(report: FitReport, path) -> None:
 
 
 def load_fit_report(path) -> FitReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return FitReport.from_dict(payload)
+    return _read_object(path, FitReport.from_dict)
 
 
 # ---------------------------------------------------------------------------
-# Emitter parameter files
+# JSON objects: configs, their nested objects and emitters
+
+class _FieldError(ValueError):
+    """A bad ``key`` of a JSON object; ``nested`` tells it from the key above."""
+
+    def __init__(self, key: str, text: str, nested: str | None = None):
+        super().__init__(f"config error at {key!r}: {text}")
+        self.nested = f"{text} at {key!r}" if nested is None else nested
+
+
+def _message(exc: Exception) -> str:
+    return str(exc.args[0]) if exc.args else str(exc)  # str() quotes a KeyError
+
+
+def _real(value) -> float:
+    """A JSON number; bools and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)  # OverflowError for an int beyond float range
+
+
+def _integer(value) -> int:
+    """A JSON number with an integral value; bools and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or int(value) != value:  # OverflowError / ValueError for inf / nan
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _kind(kind: type, text: str):
+    """Caster taking only JSON values of ``kind``, named ``text`` in errors."""
+    def cast(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {text}, got {json.dumps(value)}")
+        return value
+    return cast
+
+
+_boolean, _text = _kind(bool, "true or false"), _kind(str, "a string")
+
+
+def _object_kwargs(obj, keys: dict, target) -> dict:
+    """Keyword arguments of ``target`` from the JSON object ``obj``.
+
+    ``keys`` maps each JSON key to (keyword, caster). Whether a key is
+    required, and its default, come from the signature of ``target``; JSON
+    null is taken as None only where that default is None. Every float a
+    caster returns must be finite. Errors are ValueErrors naming the key.
+    """
+    if not isinstance(obj, dict):
+        text = f"expected a JSON object, got {type(obj).__name__}"
+        raise _FieldError("<root>", text, text)
+    for key in obj:
+        if key not in keys:
+            raise _FieldError(key, "unknown key", f"unknown key {key!r}")
+    params = inspect.signature(target).parameters
+    kwargs = {}
+    for key, (name, caster) in keys.items():
+        default = params[name].default
+        if key not in obj or (obj[key] is None and default is None):
+            if default is inspect.Parameter.empty:
+                raise _FieldError(key, "missing required field",
+                                  f"{key}: missing required field")
+            kwargs[name] = default
+        else:
+            try:
+                value = caster(obj[key])
+            except _FieldError as exc:  # from a nested object
+                raise _FieldError(key, exc.nested) from None
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise _FieldError(key, _message(exc)) from None
+            if isinstance(value, float) and not math.isfinite(value):  # 1e400, NaN
+                raise _FieldError(key, f"{name} must be finite, got {value}")
+            kwargs[name] = value
+    return kwargs
+
+
+def _nested(target, keys: dict):
+    """Caster of a nested JSON object into ``target(**kwargs)``."""
+    return lambda obj: target(**_object_kwargs(obj, keys, target))
+
+
+_EMITTER_KEYS = {f.name: (f.name, _text if f.name == "name" else _real)
+                 for f in fields(EmitterParams)}
+_emitter = _nested(EmitterParams, _EMITTER_KEYS)
+
+
+def _read_object(path, caster):
+    """``caster`` of the JSON in the file at ``path``; errors name the path."""
+    try:
+        return caster(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
 
 def save_emitter_file(params: EmitterParams, path) -> None:
     Path(path).write_text(json.dumps(params.to_dict(), indent=2) + "\n",
@@ -181,22 +277,12 @@ def save_emitter_file(params: EmitterParams, path) -> None:
 
 
 def load_emitter_file(path) -> EmitterParams:
-    """Load and validate an emitter parameter JSON file.
+    """Load and validate an emitter parameter JSON file, one key per field.
 
     All EmitterParams invariants are enforced here, including the 1%
     gamma0/lifetime consistency requirement.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
-    try:
-        return EmitterParams.from_dict(payload)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return _read_object(path, _emitter)
 
 
 # ---------------------------------------------------------------------------

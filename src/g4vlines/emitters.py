@@ -126,17 +126,6 @@ class EmitterParams:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmitterParams":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown emitter fields: {sorted(unknown)}")
-        missing = {"name", "f_gs", "f_es"} - set(d)
-        if missing:
-            raise ValueError(f"missing required emitter fields: {sorted(missing)}")
-        return cls(**d)
-
 
 # Reduced ground-state coupling fitted to the GeV/PbV linewidth differences;
 # the excited-state coupling of SiV is roughly double its ground-state value.

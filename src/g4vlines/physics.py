@@ -152,11 +152,12 @@ def linewidth_difference(p: EmitterParams) -> float:
 def temperature_threshold(p: EmitterParams, ratio: float = 1.2) -> float:
     """Temperature at which the C-linewidth reaches ratio * gamma0.
 
-    Solved by bisection to 1 mK absolute; the upper bracket starts at 400 K
-    and doubles until it encloses the root. Returns 0.0 when the criterion
-    is already violated at T = 0 (gamma_others >= (ratio-1) * gamma0) and
-    ``math.inf`` when it can never be violated (both phonon couplings zero
-    and gamma_others below the margin).
+    Solved by bisection to 1 mK absolute, or to adjacent floats above
+    about 8.8e12 K; the upper bracket starts at 400 K and doubles until it
+    encloses the root. Returns 0.0 when the criterion is already violated
+    at T = 0 (gamma_others >= (ratio-1) * gamma0) and ``math.inf`` when it
+    can never be violated (both phonon couplings zero and gamma_others
+    below the margin).
     """
     if not ratio > 1.0:  # also rejects NaN
         raise ValueError(f"ratio must exceed 1, got {ratio}")
@@ -176,7 +177,7 @@ def temperature_threshold(p: EmitterParams, ratio: float = 1.2) -> float:
         if not math.isfinite(hi):
             return math.inf
     lo = 0.0
-    while hi - lo > 1e-3:
+    while hi - lo > 1e-3 and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         if excess(mid) < 0.0:
             lo = mid

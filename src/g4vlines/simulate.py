@@ -34,7 +34,7 @@ _MASK64 = (1 << 64) - 1
 # see simulate_hbt and simulate_trpl).
 _STREAM_BUDGET = 2**30
 _MAX_STREAM_PHOTONS = _STREAM_BUDGET // 17  # simulate_hbt: ~6.3e7 photons
-_MAX_TRPL_COUNTS = _STREAM_BUDGET // 16     # simulate_trpl: ~6.7e7 counts
+_MAX_TRPL_COUNTS = _STREAM_BUDGET // 9      # simulate_trpl: ~1.2e8 counts
 
 REPUMP_POLICIES = ("none", "between_scans", "resonant")
 
@@ -262,10 +262,10 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
 
     Arrivals are drawn from exp(-t/lifetime), optionally mixed with a fast
     background component; arrivals beyond t_max fall outside the histogram.
-    All times in ns. The traced peak is about 9 B per count (16 B with a
-    background, whose two components are concatenated), so counts_total
-    is capped at _MAX_TRPL_COUNTS, the counts that fit _STREAM_BUDGET at
-    16 B each.
+    All times in ns. Both components are drawn into one array, so the
+    traced peak is about 9 B per count with or without a background, and
+    counts_total is capped at _MAX_TRPL_COUNTS, the counts that fit
+    _STREAM_BUDGET at 9 B each.
     """
     _require_finite(lifetime=lifetime)
     if lifetime <= 0:
@@ -282,17 +282,17 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
 
     rng = substream(seed, 0)
     n = int(counts_total)
-    if background is None:
-        times = rng.exponential(lifetime, n)
-    else:
+    n_fast = 0
+    if background is not None:
         # amplitude ratio -> count fraction of the fast component
         frac_fast = background.a_fast * background.tau_fast \
             / (background.a_fast * background.tau_fast + lifetime)
         n_fast = rng.binomial(n, frac_fast) if n else 0
-        times = np.concatenate([
-            rng.exponential(background.tau_fast, n_fast),
-            rng.exponential(lifetime, n - n_fast),
-        ])
+    # same draws as exponential(tau_fast, n_fast), then exponential(lifetime, n - n_fast)
+    times = rng.standard_exponential(n)
+    if n_fast:
+        times[:n_fast] *= background.tau_fast
+    times[n_fast:] *= lifetime
     edges = bin_width * np.arange(n_bins + 1)
     counts, _ = np.histogram(times, edges)
     centers = edges[:-1] + bin_width / 2.0

@@ -1,11 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import g4vlines as g
 from g4vlines import dataio
@@ -108,6 +111,28 @@ class TestThreshold:
         assert code == 2
         assert out == ""
         assert "ratio must exceed 1" in err
+
+    @pytest.mark.parametrize("emitter, ratio", [
+        ("PbV", 1e16), ({"name": "weak", "f_gs": 3870.0, "f_es": 6920.0,
+                          "gamma0": 36.2, "alpha_gs": 1e-25, "alpha_es": 1e-25}, 1.2)])
+    def test_threshold_above_float_resolution_terminates(self, tmp_path,
+                                                         emitter, ratio):
+        # above ~8.8e12 K the float spacing exceeds the 1 mK tolerance, so
+        # the bisection must also stop once the midpoint equals a bracket
+        if isinstance(emitter, dict):
+            path = tmp_path / "weak.json"
+            path.write_text(json.dumps(emitter))
+            p, emitter = g.EmitterParams(**emitter), str(path)
+        else:
+            p = g.REGISTRY.get(emitter)
+        proc = subprocess.run(
+            [sys.executable, "-m", "g4vlines", "threshold", "--emitter", emitter,
+             "--ratio", repr(ratio), "--format", "csv"],
+            capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        t_star = float(csv_row(proc.stdout)["threshold_k"])
+        assert t_star > 8.8e12
+        assert g.linewidth_c(p, t_star) == pytest.approx(ratio * p.gamma0, rel=1e-9)
 
     def test_unbounded_exit_3(self, capsys, tmp_path):
         path = tmp_path / "flat.json"
@@ -466,6 +491,84 @@ class TestSimulate:
         assert "output directory" in err
 
 
+PBV_FIELDS = {"name": "x", "f_gs": 3870.0, "f_es": 6920.0, "lifetime": 4.4,
+              "gamma0": 36.2, "alpha_gs": 7.51e-9, "alpha_es": 7.51e-9,
+              "gamma_others": 2.7, "dw_fraction": 0.3}
+
+
+class TestEmitterObjects:
+    """Emitter files and inline emitters go through the simulate loader."""
+
+    BAD_FIELDS = [
+        ("alpha_gs", True, "expected a number, got true"),
+        ("name", 5, "expected a string, got 5"),
+        ("gamma0", "36.2", 'expected a number, got "36.2"'),
+        ("f_gs", None, "expected a number, got null")]
+
+    @pytest.mark.parametrize("field, value, message", BAD_FIELDS)
+    def test_bad_field_in_file_exit_2(self, capsys, tmp_path, field, value,
+                                      message):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(dict(PBV_FIELDS, **{field: value})))
+        code, out, err = run(capsys, "predict", "--emitter", str(path),
+                             "--temp", "6.2")
+        assert code == 2
+        assert out == ""
+        assert f"{path}: config error at '{field}': {message}" in err
+
+    @pytest.mark.parametrize("field, value, message", BAD_FIELDS)
+    def test_bad_field_inline_exit_2(self, capsys, tmp_path, field, value,
+                                     message):
+        paths = _write_configs(tmp_path)
+        cfg = dict(json.loads(paths["ple"].read_text()),
+                   emitter=dict(PBV_FIELDS, **{field: value}))
+        paths["ple"].write_text(json.dumps(cfg))
+        out_dir = tmp_path / "x"
+        code, _, err = run(capsys, "simulate", "ple", "--config",
+                           str(paths["ple"]), "--out", str(out_dir))
+        assert code == 2
+        assert f"config error at 'emitter': {message} at '{field}'" in err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("nulls", [["lifetime"], ["dw_fraction"],
+                                       ["lifetime", "dw_fraction"]])
+    def test_null_where_default_is_none(self, capsys, tmp_path, nulls):
+        fields = dict(PBV_FIELDS, **{key: None for key in nulls})
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(fields))
+        code, out, _ = run(capsys, "predict", "--emitter", str(path),
+                           "--temp", "6.2", "--format", "csv")
+        assert code == 0
+        assert float(csv_row(out)["total_mhz"]) == pytest.approx(38.9, abs=0.01)
+        paths = _write_configs(tmp_path)
+        cfg = dict(json.loads(paths["ple"].read_text()), emitter=fields)
+        paths["ple"].write_text(json.dumps(cfg))
+        code, _, _ = run(capsys, "simulate", "ple", "--config",
+                         str(paths["ple"]), "--out", str(tmp_path / "x"))
+        assert code == 0
+
+    @pytest.mark.parametrize("option", ["--config", "--emitter"])
+    def test_invalid_json_names_path(self, capsys, tmp_path, option):
+        path = tmp_path / "bad.json"
+        path.write_text('{"emitter": "PbV", x}')
+        argv = (["simulate", "ple", "--config", str(path), "--out",
+                 str(tmp_path / "x")] if option == "--config"
+                else ["predict", "--emitter", str(path), "--temp", "6.2"])
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {path}: not valid JSON: Expecting property name" in err
+
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "predict", "--emitter", str(path),
+                             "--temp", "6.2")
+        assert code == 2
+        assert out == ""
+        assert f"error: {path}: not valid JSON: maximum recursion depth" in err
+
+
 class TestEmitters:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "emitters", "list")
@@ -503,3 +606,42 @@ class TestEntryPoints:
         proc = subprocess.run([sys.executable, "-m", "g4vlines", "predict"],
                               capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+# any JSON value: the kinds a hand-written emitter file can hold by mistake
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6)
+    | st.integers(-10**20, 10**20) | st.just(10**400)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"), 0.0, -1.0])
+    | st.sampled_from(sorted({v for name in g.REGISTRY.names()
+                              for v in g.REGISTRY.get(name).to_dict().values()
+                              if isinstance(v, float)})),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+class TestFuzz:
+    @given(changed=st.dictionaries(st.sampled_from(sorted(PBV_FIELDS) + ["bogus"]),
+                                   _JSON_VALUES, max_size=4),
+           dropped=st.sets(st.sampled_from(sorted(PBV_FIELDS)), max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_emitter_file_exit_0_or_2(self, tmp_path_factory, changed, dropped):
+        # json.dumps writes inf and nan as the Infinity and NaN tokens, which
+        # json.loads reads back as 1e400 would be read
+        fields = {k: v for k, v in PBV_FIELDS.items() if k not in dropped}
+        path = tmp_path_factory.getbasetemp() / "fuzz_emitter.json"
+        path.write_text(json.dumps(dict(fields, **changed)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["predict", "--emitter", str(path), "--temp", "6.2"])
+        assert code in (0, 2)
+        assert (code == 0) == (out.getvalue() != "")
+        assert code == 0 or err.getvalue().startswith(f"error: {path}: ")
+        if code == 0:  # only values of the field's own JSON kind get through
+            for key, value in changed.items():
+                if key == "name":
+                    assert isinstance(value, str)
+                elif value is not None or key not in ("lifetime", "gamma0",
+                                                      "dw_fraction"):
+                    assert type(value) in (int, float), (key, value)

@@ -194,6 +194,21 @@ class TestEmitterFiles:
         with pytest.raises(DataFormatError, match="JSON"):
             dataio.load_emitter_file(path)
 
+    def test_dict_round_trip(self, tmp_path):
+        # every preset, its None fields written as null, loads back unchanged
+        for name in g.REGISTRY.names():
+            p = g.REGISTRY.get(name)
+            assert dataio._emitter(p.to_dict()) == p
+            dataio.save_emitter_file(p, tmp_path / "p.json")
+            assert dataio.load_emitter_file(tmp_path / "p.json") == p
+
+    def test_loader_rejects_unknown_and_missing(self):
+        with pytest.raises(ValueError, match="unknown"):
+            dataio._emitter({"name": "x", "f_gs": 1.0, "f_es": 2.0,
+                             "gamma0": 30.0, "bogus": 1})
+        with pytest.raises(ValueError, match="missing"):
+            dataio._emitter({"name": "x", "gamma0": 30.0})
+
 
 class TestAuxLoaders:
     def test_alpha_points(self, tmp_path):

@@ -98,16 +98,6 @@ class TestEmitterParams:
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.gamma0 = 50.0
 
-    def test_dict_round_trip(self):
-        p = g.REGISTRY.get("SnV")
-        assert g.EmitterParams.from_dict(p.to_dict()) == p
-
-    def test_from_dict_rejects_unknown_and_missing(self):
-        with pytest.raises(ValueError, match="unknown"):
-            g.EmitterParams.from_dict({"name": "x", "f_gs": 1.0, "f_es": 2.0,
-                                       "gamma0": 30.0, "bogus": 1})
-        with pytest.raises(ValueError, match="missing"):
-            g.EmitterParams.from_dict({"name": "x", "gamma0": 30.0})
 
 
 class TestRegistry:

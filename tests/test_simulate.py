@@ -361,14 +361,29 @@ class TestTrpl:
             g.TrplBackground(**{"a_fast": 6.0, "tau_fast": 0.5, field: bad})
 
     def test_counts_cap_from_memory_budget(self, monkeypatch):
-        # counts_total fits the stream budget at 16 B per count
+        # counts_total fits the stream budget at 9 B per count
         cap = g.simulate._MAX_TRPL_COUNTS
-        assert cap * 16 <= g.simulate._STREAM_BUDGET < (cap + 1) * 16
+        assert cap * 9 <= g.simulate._STREAM_BUDGET < (cap + 1) * 9
         monkeypatch.setattr(g.simulate, "substream", _stream_reached)
         with pytest.raises(AssertionError, match="random stream drawn"):
             g.simulate_trpl(4.4, cap, bin_width=0.2, t_max=60.0)
         with pytest.raises(ValueError, match="counts_total"):
             g.simulate_trpl(4.4, cap + 1, bin_width=0.2, t_max=60.0)
+
+    def test_peak_memory_per_count_with_background(self):
+        # both components are drawn into one array and scaled in place, so
+        # a background adds nothing to the ~9 B per count of the plain decay
+        background = g.TrplBackground(6.0, 0.5)
+        g.simulate_trpl(4.4, 1000, bin_width=0.2, t_max=60.0,
+                        background=background)  # warm-up
+        tracemalloc.start()
+        try:
+            g.simulate_trpl(4.4, 1_000_000, bin_width=0.2, t_max=60.0,
+                            background=background, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 1e6, f"peak {peak / 1e6:.1f} B per count"
 
     @pytest.mark.parametrize("counts_total", [2e8 + 1, 1e12, float("nan")])
     def test_counts_total_checked_before_drawing(self, monkeypatch, counts_total):
