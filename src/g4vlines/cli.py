@@ -7,7 +7,7 @@ Exit codes: 0 success, 2 usage or input error, 3 model-domain error
 from __future__ import annotations
 
 import argparse
-import json
+import inspect
 import math
 import os
 import sys
@@ -244,6 +244,7 @@ def _cmd_simulate(args) -> int:
         args.config, lambda obj: (obj, dataio._object_kwargs(obj, keys, target)))
     if args.seed is not None:
         kwargs["seed"] = args.seed
+    seed = kwargs.get("seed", inspect.signature(target).parameters["seed"].default)
     outputs: list[str] = []
     plots: list[tuple] = []
     if args.what == "ple":
@@ -281,10 +282,8 @@ def _cmd_simulate(args) -> int:
             outputs.append(name)
 
     manifest = {"subcommand": f"simulate {args.what}", "config": cfg,
-                "seed": kwargs["seed"], "toolkit_version": __version__,
-                "outputs": outputs}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
-                                       encoding="utf-8")
+                "seed": seed, "toolkit_version": __version__, "outputs": outputs}
+    dataio._write_json(manifest, out / "manifest.json")
     print(f"wrote {', '.join(outputs)} and manifest.json to {out}")
     return EXIT_OK
 

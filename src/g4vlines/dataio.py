@@ -110,6 +110,14 @@ def _write_csv(path, header: str, columns, meta: dict | None) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _record(path, record, *args):
+    """``record(*args)``; its ValueError becomes a DataFormatError naming path."""
+    try:
+        return record(*args)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Spectra and decay traces
 
@@ -124,10 +132,7 @@ def load_spectrum(path) -> Spectrum:
         bad = int(np.nonzero(np.diff(detunings) <= 0)[0][0])
         raise DataFormatError(
             f"{path}:{linenos[bad + 1]}: non-monotonic detunings")
-    try:
-        return Spectrum(detunings, counts, meta)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return _record(path, Spectrum, detunings, counts, meta)
 
 
 def save_decay_trace(trace: DecayTrace, path) -> None:
@@ -136,10 +141,7 @@ def save_decay_trace(trace: DecayTrace, path) -> None:
 
 def load_decay_trace(path) -> DecayTrace:
     meta, (times, counts), _ = _parse_csv(path, DECAY_HEADER, 2)
-    try:
-        return DecayTrace(times, counts, meta)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return _record(path, DecayTrace, times, counts, meta)
 
 
 def save_correlation(hist: CorrelationHistogram, path) -> None:
@@ -152,29 +154,17 @@ def load_correlation(path) -> CorrelationHistogram:
     meta, (tau, g2, counts), _ = _parse_csv(path, CORRELATION_HEADER, 3)
     if "normalization" not in meta:
         raise DataFormatError(f"{path}: missing '# normalization=' line")
-    try:
-        return CorrelationHistogram(tau, g2, counts.astype(np.int64),
-                                    meta["normalization"])
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return _record(path, CorrelationHistogram, tau, g2, counts.astype(np.int64),
+                   meta["normalization"])
 
 
 # ---------------------------------------------------------------------------
-# Fit reports
+# JSON objects: configs, their nested objects, emitters and fit reports
 
-def emit_fit_report(report: FitReport, path) -> None:
-    """Write a fit report as JSON (floats keep full precision)."""
-    payload = report.to_dict()
-    payload["toolkit_version"] = __version__
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _write_json(obj, path) -> None:
+    """Write ``obj`` as indented JSON plus a newline, UTF-8."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
-
-def load_fit_report(path) -> FitReport:
-    return _read_object(path, FitReport.from_dict)
-
-
-# ---------------------------------------------------------------------------
-# JSON objects: configs, their nested objects and emitters
 
 class _FieldError(ValueError):
     """A bad ``key`` of a JSON object; ``nested`` tells it from the key above."""
@@ -215,13 +205,21 @@ def _kind(kind: type, text: str):
 _boolean, _text = _kind(bool, "true or false"), _kind(str, "a string")
 
 
+def _strings(value) -> list:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise TypeError(f"expected an array of strings, got {json.dumps(value)}")
+    return value
+
+
 def _object_kwargs(obj, keys: dict, target) -> dict:
     """Keyword arguments of ``target`` from the JSON object ``obj``.
 
-    ``keys`` maps each JSON key to (keyword, caster). Whether a key is
-    required, and its default, come from the signature of ``target``; JSON
-    null is taken as None only where that default is None. Every float a
-    caster returns must be finite. Errors are ValueErrors naming the key.
+    ``keys`` maps each JSON key to (keyword, caster). A key left out takes
+    the default in the signature of ``target`` and is an error where there
+    is none; JSON null is taken as None only where that default is None. A
+    keyword ``target`` does not take (``target`` None takes none) is optional
+    and not null; keyword None drops the value. Every float a caster returns
+    must be finite. Errors are ValueErrors naming the key.
     """
     if not isinstance(obj, dict):
         text = f"expected a JSON object, got {type(obj).__name__}"
@@ -229,15 +227,16 @@ def _object_kwargs(obj, keys: dict, target) -> dict:
     for key in obj:
         if key not in keys:
             raise _FieldError(key, "unknown key", f"unknown key {key!r}")
-    params = inspect.signature(target).parameters
+    params = inspect.signature(target).parameters if target else {}
     kwargs = {}
     for key, (name, caster) in keys.items():
-        default = params[name].default
-        if key not in obj or (obj[key] is None and default is None):
+        default = params[name].default if name in params else ""  # optional, not null
+        if key not in obj:
             if default is inspect.Parameter.empty:
                 raise _FieldError(key, "missing required field",
                                   f"{key}: missing required field")
-            kwargs[name] = default
+        elif obj[key] is None and default is None:
+            kwargs[name] = None
         else:
             try:
                 value = caster(obj[key])
@@ -248,7 +247,15 @@ def _object_kwargs(obj, keys: dict, target) -> dict:
             if isinstance(value, float) and not math.isfinite(value):  # 1e400, NaN
                 raise _FieldError(key, f"{name} must be finite, got {value}")
             kwargs[name] = value
+    kwargs.pop(None, None)
     return kwargs
+
+
+def _mapping(caster):
+    """Caster of a JSON object with any keys into a dict of ``caster`` values."""
+    return lambda obj: _object_kwargs(
+        obj, {key: (key, caster) for key in obj} if isinstance(obj, dict) else {},
+        None)
 
 
 def _nested(target, keys: dict):
@@ -256,9 +263,24 @@ def _nested(target, keys: dict):
     return lambda obj: target(**_object_kwargs(obj, keys, target))
 
 
-_EMITTER_KEYS = {f.name: (f.name, _text if f.name == "name" else _real)
-                 for f in fields(EmitterParams)}
-_emitter = _nested(EmitterParams, _EMITTER_KEYS)
+_numbers = _mapping(_real)
+
+# field annotation (as written in records.py and emitters.py) -> caster
+_FIELD_CASTERS = {
+    "str": _text, "float": _real, "float | None": _real, "int": _integer,
+    "bool": _boolean, "list[str]": _strings, "dict[str, str]": _mapping(_text),
+    "dict[str, float]": _numbers,
+    "dict[str, float] | None": lambda obj: None if obj is None else _numbers(obj)}
+
+
+def _fields(cls, **extra):
+    """Caster into the dataclass ``cls``: a key per field, cast by its type."""
+    return _nested(cls, dict({f.name: (f.name, _FIELD_CASTERS[f.type])
+                              for f in fields(cls)}, **extra))
+
+
+_emitter = _fields(EmitterParams)
+_fit_report = _fields(FitReport, toolkit_version=(None, _text))
 
 
 def _read_object(path, caster):
@@ -272,8 +294,7 @@ def _read_object(path, caster):
 
 
 def save_emitter_file(params: EmitterParams, path) -> None:
-    Path(path).write_text(json.dumps(params.to_dict(), indent=2) + "\n",
-                          encoding="utf-8")
+    _write_json(params.to_dict(), path)
 
 
 def load_emitter_file(path) -> EmitterParams:
@@ -283,6 +304,17 @@ def load_emitter_file(path) -> EmitterParams:
     gamma0/lifetime consistency requirement.
     """
     return _read_object(path, _emitter)
+
+
+def emit_fit_report(report: FitReport, path) -> None:
+    """Write a fit report as JSON (floats keep full precision)."""
+    _write_json(dict(report.to_dict(), toolkit_version=__version__), path)
+
+
+def load_fit_report(path) -> FitReport:
+    """Load a fit report, one key per field of FitReport plus the optional
+    ``toolkit_version``, by the rules of every JSON input."""
+    return _read_object(path, _fit_report)
 
 
 # ---------------------------------------------------------------------------

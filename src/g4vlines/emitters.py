@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
+import numpy as np
+
 __all__ = ["EmitterParams", "EmitterRegistry", "REGISTRY",
            "transform_limit", "lifetime_from_linewidth"]
 
@@ -24,26 +26,31 @@ LIFETIME_CONSISTENCY_RTOL = 0.01
 
 
 def _require_finite(**values) -> None:
-    """ValueError naming the first of ``values`` that is not finite."""
+    """ValueError naming the first of ``values`` (scalar or array) not finite."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _inverse(value: float, name: str) -> float:
+    """1e3 / (2 pi value): a lifetime (ns) from a FWHM (MHz) and back."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    _require_finite(**{name: value})
+    out = 1e3 / (2.0 * math.pi * value)
+    if not 0.0 < out < math.inf:  # value subnormal, or 2 pi value overflows
+        raise ValueError(f"{name} {value} is out of range: its inverse is {out}")
+    return out
 
 
 def transform_limit(lifetime_ns: float) -> float:
     """Transform-limited FWHM (MHz) of a finite radiative lifetime (ns)."""
-    if not lifetime_ns > 0:
-        raise ValueError(f"lifetime must be positive, got {lifetime_ns}")
-    _require_finite(lifetime=lifetime_ns)
-    return 1e3 / (2.0 * math.pi * lifetime_ns)
+    return _inverse(lifetime_ns, "lifetime")
 
 
 def lifetime_from_linewidth(fwhm_mhz: float) -> float:
     """Radiative lifetime (ns) implied by a finite transform-limited FWHM (MHz)."""
-    if not fwhm_mhz > 0:
-        raise ValueError(f"fwhm must be positive, got {fwhm_mhz}")
-    _require_finite(fwhm=fwhm_mhz)
-    return 1e3 / (2.0 * math.pi * fwhm_mhz)
+    return _inverse(fwhm_mhz, "fwhm")
 
 
 @dataclass(frozen=True)
@@ -108,13 +115,13 @@ class EmitterParams:
         if self.gamma0 is not None and self.gamma0 <= 0:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
 
-        # transform_limit rejects a lifetime <= 0
+        # _inverse rejects a lifetime <= 0 and one whose inverse is inf or 0
         if self.lifetime is None:
-            object.__setattr__(self, "lifetime", lifetime_from_linewidth(self.gamma0))
+            object.__setattr__(self, "lifetime", _inverse(self.gamma0, "gamma0"))
         elif self.gamma0 is None:
-            object.__setattr__(self, "gamma0", transform_limit(self.lifetime))
+            object.__setattr__(self, "gamma0", _inverse(self.lifetime, "lifetime"))
         else:
-            g0_from_tau = transform_limit(self.lifetime)
+            g0_from_tau = _inverse(self.lifetime, "lifetime")
             rel = abs(self.gamma0 - g0_from_tau) / g0_from_tau
             if rel > LIFETIME_CONSISTENCY_RTOL:
                 raise ValueError(

@@ -116,9 +116,8 @@ def _poisson_sigma(counts: np.ndarray) -> np.ndarray:
 def _report(model_name, names, units, res: _LMResult, n_points, *,
             warnings=(), derived=None, digest="") -> FitReport:
     params = {k: float(v) for k, v in zip(names, res.params)}
-    std_errors = None
-    if res.cov is not None:
-        std_errors = {k: float(np.sqrt(res.cov[i, i])) for i, k in enumerate(names)}
+    std_errors = None if res.cov is None else {
+        k: float(np.sqrt(res.cov[i, i])) for i, k in enumerate(names)}
     dof = max(n_points - len(names), 1)
     return FitReport(
         model=model_name, params=params, units=dict(units),
@@ -203,36 +202,25 @@ def fit_lorentzian(spectrum: Spectrum, *, max_iter=MAX_ITERATIONS) -> FitReport:
 # ---------------------------------------------------------------------------
 # Exponential decay fits
 
-def exp1_model(t, p):
-    a, tau, b = p
-    return a * np.exp(-t / tau) + b
+def exp_model(t, p):
+    """Sum of exponentials plus offset; p = (a_1, tau_1, ..., a_n, tau_n, b).
+
+    a_1 exp(-t/tau_1) + ... + a_n exp(-t/tau_n) + b, summed in that order.
+    """
+    out = p[0] * np.exp(-t / p[1])
+    for k in range(2, len(p) - 1, 2):
+        out += p[k] * np.exp(-t / p[k + 1])
+    return out + p[-1]
 
 
-def exp1_jacobian(t, p):
-    a, tau, b = p
-    e = np.exp(-t / tau)
-    out = np.empty((t.size, 3))
-    out[:, 0] = e
-    out[:, 1] = a * t / tau ** 2 * e
-    out[:, 2] = 1.0
-    return out
-
-
-def exp2_model(t, p):
-    a1, t1, a2, t2, b = p
-    return a1 * np.exp(-t / t1) + a2 * np.exp(-t / t2) + b
-
-
-def exp2_jacobian(t, p):
-    a1, t1, a2, t2, b = p
-    e1 = np.exp(-t / t1)
-    e2 = np.exp(-t / t2)
-    out = np.empty((t.size, 5))
-    out[:, 0] = e1
-    out[:, 1] = a1 * t / t1 ** 2 * e1
-    out[:, 2] = e2
-    out[:, 3] = a2 * t / t2 ** 2 * e2
-    out[:, 4] = 1.0
+def exp_jacobian(t, p):
+    out = np.empty((t.size, len(p)))
+    for k in range(0, len(p) - 1, 2):
+        a, tau = p[k], p[k + 1]
+        e = np.exp(-t / tau)
+        out[:, k] = e
+        out[:, k + 1] = a * t / tau ** 2 * e
+    out[:, -1] = 1.0
     return out
 
 
@@ -275,34 +263,27 @@ def fit_decay(trace: DecayTrace, model: str = "exp1", *,
 
     a0, tau0, b0 = _decay_inits(t, y)
     # amplitudes are referenced to t = 0, so undo the window offset
-    sigma = _poisson_sigma(y)
-    warn: list[str] = []
     if model == "exp1":
         p0 = [a0 * np.exp(min(t[0] / tau0, 50.0)), tau0, b0]
-        res = _lm_fit(exp1_model, exp1_jacobian, t, y, sigma, p0,
-                      guard=lambda p: p[1] > 0, max_iter=max_iter)
         names = ("amplitude", "tau", "offset")
-        units = {"amplitude": "counts", "tau": "ns", "offset": "counts"}
-        tau_radiative = float(res.params[1])
     else:
         tau_f0 = tau0 / 5.0
         p0 = [0.5 * a0 * np.exp(min(t[0] / tau_f0, 50.0)), tau_f0,
               0.5 * a0 * np.exp(min(t[0] / tau0, 50.0)), tau0, b0]
-        res = _lm_fit(exp2_model, exp2_jacobian, t, y, sigma, p0,
-                      guard=lambda p: p[1] > 0 and p[3] > 0, max_iter=max_iter)
-        if res.params[1] > res.params[3]:
-            res.params = res.params[[2, 3, 0, 1, 4]]
-            if res.cov is not None:
-                order = [2, 3, 0, 1, 4]
-                res.cov = res.cov[np.ix_(order, order)]
         names = ("amp_fast", "tau_fast", "amp_slow", "tau_slow", "offset")
-        units = {"amp_fast": "counts", "tau_fast": "ns", "amp_slow": "counts",
-                 "tau_slow": "ns", "offset": "counts"}
-        tau_radiative = float(res.params[3])
+    res = _lm_fit(exp_model, exp_jacobian, t, y, _poisson_sigma(y), p0,
+                  guard=lambda p: np.all(p[1:-1:2] > 0), max_iter=max_iter)
+    warn: list[str] = []
+    if model == "exp2":
+        if res.params[1] > res.params[3]:
+            order = [2, 3, 0, 1, 4]
+            res.params = res.params[order]
+            if res.cov is not None:
+                res.cov = res.cov[np.ix_(order, order)]
         if res.params[3] / res.params[1] < DEGENERACY_RATIO:
             warn.append("components degenerate (tau_slow/tau_fast < 1.5)")
-
-    derived = {"transform_limit_mhz": physics.transform_limit(tau_radiative)}
+    units = {k: "ns" if k.startswith("tau") else "counts" for k in names}
+    derived = {"transform_limit_mhz": physics.transform_limit(float(res.params[-2]))}
     return _report(model, names, units, res, t.size, warnings=warn,
                    derived=derived, digest=data_digest(trace.bin_centers, trace.counts))
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import H_OVER_KB_K_PER_GHZ
-from .emitters import EmitterParams, lifetime_from_linewidth, transform_limit
+from .emitters import (EmitterParams, _require_finite, lifetime_from_linewidth,
+                       transform_limit)
 
 __all__ = [
     "bose_occupation", "phonon_rates", "PhononRates",
@@ -99,10 +100,16 @@ def _phonon_mhz(f_ghz, temp_k, alpha, emission=False):
 
 
 def _terms(p: EmitterParams, temp_k, transition):
-    """(gs, es, total) in MHz: the D-line takes ground-state phonon emission."""
-    gs = _phonon_mhz(p.f_gs, temp_k, p.alpha_gs, emission=transition == "d")
-    es = _phonon_mhz(p.f_es, temp_k, p.alpha_es)
-    return gs, es, p.gamma0 + p.gamma_others + gs + es
+    """(gs, es, total) in MHz: the D-line takes ground-state phonon emission.
+
+    A ValueError names a term that an input at the edge of the float range
+    made infinite or NaN (f^3 or n(f, T) overflowing, or inf * 0)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gs = _phonon_mhz(p.f_gs, temp_k, p.alpha_gs, emission=transition == "d")
+        es = _phonon_mhz(p.f_es, temp_k, p.alpha_es)
+        total = p.gamma0 + p.gamma_others + gs + es
+    _require_finite(gs_phonon_mhz=gs, es_phonon_mhz=es, total_mhz=total)
+    return gs, es, total
 
 
 def phonon_rates(f_split_ghz, temp_k, alpha):
@@ -168,7 +175,7 @@ def temperature_threshold(p: EmitterParams, ratio: float = 1.2) -> float:
 
     if excess(0.0) >= 0.0:
         return 0.0
-    if p.alpha_gs * p.f_gs ** 3 + p.alpha_es * p.f_es ** 3 == 0.0:
+    if p.alpha_gs == p.alpha_es == 0.0:
         return math.inf  # linewidth is temperature-independent
 
     hi = 400.0

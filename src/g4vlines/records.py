@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,12 +79,6 @@ class DecayTrace:
     def __len__(self) -> int:
         return self.bin_centers.size
 
-    @property
-    def bin_width(self) -> float:
-        if self.bin_centers.size < 2:
-            raise ValueError("bin width undefined for a single bin")
-        return float(self.bin_centers[1] - self.bin_centers[0])
-
 
 @dataclass
 class CorrelationHistogram:
@@ -125,40 +119,21 @@ class FitReport:
     same names to unit strings. ``std_errors`` is None when the covariance
     estimate was not positive-definite. ``derived`` holds quantities computed
     from the fitted parameters (e.g. a transform limit).
+
+    The fields, in order, are the JSON report format: ``to_dict`` writes
+    them and ``dataio.load_fit_report`` reads them back by their types.
     """
 
     model: str
-    params: dict
-    units: dict
-    std_errors: dict | None
+    params: dict[str, float]
+    units: dict[str, str]
+    std_errors: dict[str, float] | None
     reduced_chi2: float
     n_iterations: int
     converged: bool
-    warnings: list = field(default_factory=list)
-    derived: dict = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
+    derived: dict[str, float] = field(default_factory=dict)
     input_digest: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": dict(self.params),
-            "units": dict(self.units),
-            "std_errors": None if self.std_errors is None else dict(self.std_errors),
-            "reduced_chi2": self.reduced_chi2,
-            "n_iterations": self.n_iterations,
-            "converged": self.converged,
-            "warnings": list(self.warnings),
-            "derived": dict(self.derived),
-            "input_digest": self.input_digest,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitReport":
-        return cls(
-            model=d["model"], params=dict(d["params"]), units=dict(d["units"]),
-            std_errors=None if d["std_errors"] is None else dict(d["std_errors"]),
-            reduced_chi2=d["reduced_chi2"], n_iterations=d["n_iterations"],
-            converged=d["converged"], warnings=list(d["warnings"]),
-            derived=dict(d.get("derived", {})),
-            input_digest=d.get("input_digest", ""),
-        )
+        return asdict(self)

@@ -54,8 +54,7 @@ class FrequencyGrid:
     step: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
-            raise ValueError("grid start, stop and step must be finite")
+        _require_finite(start=self.start, stop=self.stop, step=self.step)
         if self.step <= 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
         if self.stop <= self.start:
@@ -244,8 +243,7 @@ def simulate_scan_series(cfg: ScanSeriesConfig):
 
 def _bin_count(bin_width: float, span: float, name: str, max_ratio: float) -> int:
     """round(span / bin_width), checked before anything is allocated."""
-    if not (math.isfinite(bin_width) and math.isfinite(span)):
-        raise ValueError(f"bin_width and {name} must be finite")
+    _require_finite(bin_width=bin_width, **{name: span})
     if bin_width <= 0 or span < bin_width:
         raise ValueError(f"need bin_width > 0 and {name} >= bin_width")
     ratio = span / bin_width  # overflows to inf for a subnormal bin_width
@@ -298,8 +296,6 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
     centers = edges[:-1] + bin_width / 2.0
     meta = {"bin_width_ns": bin_width, "seed": seed}
     return DecayTrace(centers, counts.astype(float), meta)
-
-
 
 
 def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
@@ -385,12 +381,18 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     det_b *= 1e9
 
     counts = coincidence_histogram(det_a, det_b, bin_width, m_max)
-    duration_ns = duration * 1e9
-    normalization = (det_a.size / duration_ns) * (det_b.size / duration_ns) \
-        * duration_ns * bin_width
+    return _histogram(counts, det_a.size, det_b.size, duration * 1e9, bin_width)
+
+
+def _histogram(counts, n_a: int, n_b: int, duration: float,
+               bin_width: float) -> CorrelationHistogram:
+    """g2 of the counts of 2 m_max + 1 bins between streams of n_a and n_b
+    photons: each bin over the pairs two uncorrelated streams would give."""
+    normalization = (n_a / duration) * (n_b / duration) * duration * bin_width
+    m_max = counts.size // 2
     tau_bins = bin_width * np.arange(-m_max, m_max + 1)
-    g2 = counts / normalization
-    return CorrelationHistogram(tau_bins, g2, counts, normalization)
+    return CorrelationHistogram(tau_bins, counts / normalization, counts,
+                                normalization)
 
 
 def correlate_stream(arrival_times, *, bin_width: float, tau_max: float,
@@ -419,8 +421,4 @@ def correlate_stream(arrival_times, *, bin_width: float, tau_max: float,
 
     counts = coincidence_histogram(t, t, bin_width, m_max)
     counts[m_max] -= t.size  # drop self-pairs
-    rate = t.size / duration
-    normalization = rate * rate * duration * bin_width
-    tau_bins = bin_width * np.arange(-m_max, m_max + 1)
-    g2 = counts / normalization
-    return CorrelationHistogram(tau_bins, g2, counts, normalization)
+    return _histogram(counts, t.size, t.size, duration, bin_width)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -206,6 +207,33 @@ class TestFit:
                          "--out", str(tmp_path / "r.json"),
                          "--max-iter", "1")
         assert code == 4
+
+    @pytest.mark.parametrize("argv, fit", [
+        (["ple", "ple_pbv.csv"],
+         lambda f: g.fit_lorentzian(dataio.load_spectrum(f / "ple_pbv.csv"))),
+        (["lifetime", "trpl_gev.csv", "--model", "exp1"],
+         lambda f: g.fit_decay(dataio.load_decay_trace(f / "trpl_gev.csv"), "exp1")),
+        (["lifetime", "trpl_gev.csv", "--model", "exp2"],
+         lambda f: g.fit_decay(dataio.load_decay_trace(f / "trpl_gev.csv"), "exp2")),
+        (["alpha", "alpha_points.csv"],
+         lambda f: g.fit_cubic_alpha(dataio.load_alpha_points(f / "alpha_points.csv"))),
+        (["tempseries", "tempseries_pbv.csv", "--emitter", "PbV"],
+         lambda f: g.fit_temperature_series(
+             dataio.load_temperature_series(f / "tempseries_pbv.csv"),
+             g.REGISTRY.get("PbV"))),
+    ], ids=["ple", "exp1", "exp2", "alpha", "tempseries"])
+    def test_report_round_trip(self, capsys, fixtures_dir, tmp_path, argv, fit):
+        # the report file holds the fit's fields and the toolkit version,
+        # and reads back into the same report
+        out_path = tmp_path / "rep.json"
+        what, infile, *rest = argv
+        code, _, _ = run(capsys, "fit", what, "--in", str(fixtures_dir / infile),
+                         *rest, "--out", str(out_path))
+        assert code == 0
+        original = fit(fixtures_dir).to_dict()
+        assert json.loads(out_path.read_text()) == dict(
+            original, toolkit_version=g.__version__)
+        assert dataio.load_fit_report(out_path).to_dict() == original
 
     def test_missing_input_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", "ple", "--in",
@@ -569,6 +597,33 @@ class TestEmitterObjects:
         assert f"error: {path}: not valid JSON: maximum recursion depth" in err
 
 
+# emitter fields at the edge of the float range: f_gs^3 overflows, n(f, T)
+# meets inf * 0, or a derived or summed linewidth overflows
+_EXTREME_EMITTERS = [
+    ({"f_gs": 1e200}, "gs_phonon_mhz"),
+    ({"f_gs": 5e-324}, "gs_phonon_mhz"),
+    ({"f_es": 1e200}, "es_phonon_mhz"),
+    ({"lifetime": 1e-320, "gamma0": None}, "lifetime"),
+    ({"gamma0": 5e-324, "lifetime": None}, "gamma0"),
+    ({"gamma0": 1e307, "lifetime": None, "gamma_others": 1.79e308}, "total_mhz"),
+]
+
+
+class TestExtremeEmitters:
+    @pytest.mark.parametrize("command", [["predict", "--temp", "6.2"],
+                                         ["threshold"]])
+    @pytest.mark.parametrize("fields, name", _EXTREME_EMITTERS)
+    def test_exit_2_names_term_or_field(self, capsys, tmp_path, command,
+                                        fields, name):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(dict(PBV_FIELDS, **fields)))
+        code, out, err = run(capsys, command[0], "--emitter", str(path),
+                             *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and name in err
+
+
 class TestEmitters:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "emitters", "list")
@@ -645,3 +700,32 @@ class TestFuzz:
                 elif value is not None or key not in ("lifetime", "gamma0",
                                                       "dw_fraction"):
                     assert type(value) in (int, float), (key, value)
+
+    @given(changed=st.dictionaries(
+               st.sampled_from(sorted(set(PBV_FIELDS) - {"name"})),
+               st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+           derive=st.sampled_from(["lifetime", "gamma0", None]),
+           temp=st.floats(min_value=0.0, allow_infinity=False))
+    @settings(max_examples=150, deadline=None)
+    def test_finite_floats_exit_0_2_or_3(self, tmp_path_factory, changed,
+                                         derive, temp):
+        # any finite float in any numeric field: an answer with every number
+        # finite, an input error or "never violated", and no numpy warning
+        fields = dict(PBV_FIELDS, **changed)
+        if derive is not None:
+            fields[derive] = None  # derived from the other one
+        path = tmp_path_factory.getbasetemp() / "fuzz_floats.json"
+        path.write_text(json.dumps(fields))
+        for argv in (["predict", "--temp", repr(temp)], ["threshold"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([argv[0], "--emitter", str(path), "--format", "csv",
+                             *argv[1:]])
+            assert code in (0, 2, 3), err.getvalue()
+            if code == 0:
+                for value in csv_row(out.getvalue()).values():
+                    try:
+                        number = float(value)
+                    except ValueError:
+                        continue  # a name or a flag
+                    assert math.isfinite(number), (argv[0], value)

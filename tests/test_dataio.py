@@ -154,6 +154,64 @@ class TestFitReports:
         # full float precision survives the JSON round trip
         assert payload["params"]["fwhm"] == report.params["fwhm"]
 
+    def _payload(self, tmp_path):
+        path = tmp_path / "r.json"
+        dataio.emit_fit_report(self._report(), path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("converged", "yes", 'expected true or false, got "yes"'),
+        ("reduced_chi2", "x", 'expected a number, got "x"'),
+        ("n_iterations", 2.5, "expected an integer, got 2.5"),
+        ("params", {"center": True}, "expected a number, got true at 'center'"),
+        ("params", {"center": float("nan")}, "center must be finite, got nan"),
+        ("units", {"center": 1}, "expected a string, got 1 at 'center'"),
+        ("std_errors", [], "expected a JSON object, got list"),
+        ("warnings", ["a", 2], 'expected an array of strings, got ["a", 2]'),
+        ("input_digest", None, "expected a string, got null"),
+        ("toolkit_version", 1, "expected a string, got 1"),
+        ("bogus", 1, "unknown key"),
+    ], ids=["converged", "reduced_chi2", "n_iterations", "params-bool",
+            "params-nan", "units", "std_errors", "warnings", "input_digest",
+            "toolkit_version", "unknown"])
+    def test_strict_values_rejected(self, tmp_path, key, value, message):
+        path, payload = self._payload(tmp_path)
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError) as exc:
+            dataio.load_fit_report(path)
+        assert str(exc.value).startswith(f"{path}: config error at '{key}': ")
+        assert message in str(exc.value)
+
+    def test_missing_params_rejected(self, tmp_path):
+        path, payload = self._payload(tmp_path)
+        del payload["params"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError,
+                           match="config error at 'params': missing required"):
+            dataio.load_fit_report(path)
+
+    def test_root_not_object_rejected(self, tmp_path):
+        path, payload = self._payload(tmp_path)
+        path.write_text(json.dumps([payload]))
+        with pytest.raises(DataFormatError) as exc:
+            dataio.load_fit_report(path)
+        assert str(exc.value) == (f"{path}: config error at '<root>': "
+                                  "expected a JSON object, got list")
+
+    def test_optional_fields(self, tmp_path):
+        # std_errors may be null; a report without warnings, derived,
+        # input_digest or toolkit_version takes the FitReport defaults
+        path, payload = self._payload(tmp_path)
+        for key in ("warnings", "derived", "input_digest", "toolkit_version"):
+            del payload[key]
+        payload["std_errors"] = None
+        path.write_text(json.dumps(payload))
+        first, second = dataio.load_fit_report(path), dataio.load_fit_report(path)
+        assert first.std_errors is None
+        assert (first.warnings, first.derived, first.input_digest) == ([], {}, "")
+        assert first.warnings is not second.warnings
+
     def test_digest_stable_and_sensitive(self):
         x = np.linspace(-50, 50, 20)
         y = np.arange(20.0)

@@ -93,6 +93,18 @@ class TestEmitterParams:
         with pytest.raises(ValueError, match="lifetime must be finite"):
             g.EmitterParams("x", f_gs=100.0, f_es=300.0, lifetime=math.inf)
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"lifetime": 1e-320}, "lifetime"), ({"gamma0": 5e-324}, "gamma0"),
+        ({"lifetime": 1e-320, "gamma0": 36.2}, "lifetime"),
+        ({"lifetime": 3e307}, "lifetime"), ({"gamma0": 3e307}, "gamma0"),
+        ({"lifetime": 3e307, "gamma0": 36.2}, "lifetime")])
+    def test_derived_value_out_of_range_named(self, fields, name):
+        # 1e3 / (2 pi x) is inf for a subnormal x and 0.0 once 2 pi x
+        # overflows; with both given the consistency check would compare
+        # against inf, or divide by zero
+        with pytest.raises(ValueError, match=f"^{name} .* is out of range"):
+            g.EmitterParams("x", f_gs=100.0, f_es=300.0, **fields)
+
     def test_immutable(self):
         p = g.REGISTRY.get("PbV")
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -15,8 +15,7 @@ import g4vlines as g
 from g4vlines import fitting
 from g4vlines.fitting import (
     LAMBDA0, MAX_ITERATIONS, REL_STEP_TOL, _lm_fit,
-    exp1_jacobian, exp1_model, exp2_jacobian, exp2_model,
-    lorentzian_jacobian, lorentzian_model,
+    exp_jacobian, exp_model, lorentzian_jacobian, lorentzian_model,
 )
 
 PBV = g.REGISTRY.get("PbV")
@@ -364,8 +363,8 @@ class TestTemperatureSeries:
 class TestJacobians:
     @pytest.mark.parametrize("model,jac,p", [
         (lorentzian_model, lorentzian_jacobian, [3.0, 40.0, 900.0, 25.0]),
-        (exp1_model, exp1_jacobian, [1200.0, 4.4, 30.0]),
-        (exp2_model, exp2_jacobian, [800.0, 0.6, 1500.0, 5.2, 12.0]),
+        (exp_model, exp_jacobian, [1200.0, 4.4, 30.0]),
+        (exp_model, exp_jacobian, [800.0, 0.6, 1500.0, 5.2, 12.0]),
     ])
     def test_against_central_differences(self, model, jac, p):
         rng = np.random.default_rng(11)

@@ -186,6 +186,21 @@ class TestLinewidths:
             val = g.linewidth_c(p, 4.0)
         assert val == pytest.approx(-70.0, rel=1e-12)
 
+    @pytest.mark.parametrize("fields, temp, name", [
+        ({"f_gs": 1e200}, 6.2, "gs_phonon_mhz"),   # f^3 overflows, n = 0
+        ({"f_gs": 5e-324}, 6.2, "gs_phonon_mhz"),  # f^3 = 0, n = inf
+        ({"f_es": 1e200}, 0.0, "es_phonon_mhz"),
+        ({}, np.array([6.2, 1e308]), "gs_phonon_mhz"),  # n overflows
+        ({"gamma0": 1e307, "gamma_others": 1.79e308}, 6.2, "total_mhz"),
+    ])
+    def test_term_beyond_float_range_named(self, fields, temp, name):
+        p = g.EmitterParams("x", **dict(dict(f_gs=3870.0, f_es=6920.0,
+                                             gamma0=36.2, alpha_gs=7.51e-9,
+                                             alpha_es=7.51e-9), **fields))
+        for func in (g.linewidth_c, g.linewidth_d, g.linewidth_breakdown):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                func(p, temp)
+
     def test_excited_state_share_small_at_low_temperature(self):
         # the ES absorption term stays below 1% of the phonon broadening
         # over the temperature range where each center is actually operated
@@ -213,6 +228,14 @@ class TestTransformLimit:
             g.transform_limit(0.0)
         with pytest.raises(ValueError):
             g.lifetime_from_linewidth(-3.0)
+
+    @pytest.mark.parametrize("func, name", [(g.transform_limit, "lifetime"),
+                                            (g.lifetime_from_linewidth, "fwhm")])
+    @pytest.mark.parametrize("value", [1e-320, 3e307])
+    def test_out_of_range_inverse_rejected(self, func, name, value):
+        # 1e3 / (2 pi value) overflows, or 2 pi value does and it is 0.0
+        with pytest.raises(ValueError, match=f"^{name} .* is out of range"):
+            func(value)
 
     @pytest.mark.parametrize("func", [g.transform_limit, g.lifetime_from_linewidth])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
