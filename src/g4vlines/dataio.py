@@ -2,7 +2,9 @@
 
 CSV files carry optional ``# key=value`` comment lines before the header;
 floats are written with repr() (shortest exact representation), so
-save -> load round-trips are lossless. Known metadata keys are coerced to
+save -> load round-trips are lossless. Every data value must be finite:
+``nan``, ``inf`` and values beyond the float range are rejected with the
+file and line. Known metadata keys are coerced to
 their natural types on load, everything else stays a string.
 """
 
@@ -87,9 +89,14 @@ def _parse_csv(path, header: str, n_cols: int):
                     f"{path}:{lineno}: expected {n_cols} comma-separated "
                     f"values, got {len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            for text, value in zip(parts, row):
+                if not math.isfinite(value):  # nan, inf, 1e400
+                    raise DataFormatError(
+                        f"{path}:{lineno}: value {text.strip()!r} is not finite")
+            rows.append(row)
             linenos.append(lineno)
     if not header_seen:
         raise DataFormatError(f"{path}: missing header line {header!r}")

@@ -8,7 +8,8 @@ and a run of rejections that drives the damping above 1e12 ends the fit.
 Count data is weighted with Poisson errors sigma^2 = max(count, 1);
 parameter uncertainties come from the Gauss-Newton covariance (J^T J)^-1 of
 the weighted Jacobian at the optimum, reported only when that matrix is
-positive-definite.
+positive-definite and its variances are positive. Every report is built
+by ``_report``, which rejects a value that is infinite or NaN.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physics
-from .emitters import EmitterParams
+from .emitters import REGISTRY, EmitterParams, _require_finite
 from .records import DecayTrace, FitReport, Spectrum
 
 __all__ = [
@@ -50,17 +51,26 @@ class _LMResult:
 
 
 def _gn_covariance(jac: np.ndarray) -> np.ndarray | None:
+    """(J^T J)^-1, or None where J^T J is not positive-definite. A matrix
+    singular up to rounding can pass the Cholesky test and still invert to
+    a variance <= 0 or NaN; that gives None too."""
     hess = jac.T @ jac
     try:
         np.linalg.cholesky(hess)  # positive-definite check
-        return np.linalg.inv(hess)
+        cov = np.linalg.inv(hess)
     except np.linalg.LinAlgError:
         return None
+    return cov if (cov.diagonal() > 0).all() else None
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
             max_iter=MAX_ITERATIONS) -> _LMResult:
-    """Minimize sum(((y - model(x, p)) / sigma)^2) over p."""
+    """Minimize sum(((y - model(x, p)) / sigma)^2) over p.
+
+    Data at the edge of the float range can make the cost or a parameter
+    infinite or NaN; the result keeps it, and ``_report`` rejects it.
+    """
     p = np.array(p0, dtype=float)
     w = 1.0 / np.asarray(sigma, dtype=float)
 
@@ -115,15 +125,25 @@ def _poisson_sigma(counts: np.ndarray) -> np.ndarray:
 
 def _report(model_name, names, units, res: _LMResult, n_points, *,
             warnings=(), derived=None, digest="") -> FitReport:
+    """The one constructor of a FitReport; a ValueError names a value of
+    ``params``, ``std_errors``, ``reduced_chi2`` or ``derived`` that is
+    infinite or NaN, so no report holds one."""
     params = {k: float(v) for k, v in zip(names, res.params)}
     std_errors = None if res.cov is None else {
         k: float(np.sqrt(res.cov[i, i])) for i, k in enumerate(names)}
-    dof = max(n_points - len(names), 1)
+    reduced_chi2 = res.cost / max(n_points - len(names), 1)
+    derived = derived or {}
+    values = {**{f"params.{k}": v for k, v in params.items()},
+              **{f"std_errors.{k}": v for k, v in (std_errors or {}).items()},
+              "reduced_chi2": reduced_chi2,
+              **{f"derived.{k}": v for k, v in derived.items()}}
+    if not np.isfinite(list(values.values())).all():  # one test, then the name
+        _require_finite(**values)
     return FitReport(
         model=model_name, params=params, units=dict(units),
-        std_errors=std_errors, reduced_chi2=res.cost / dof,
+        std_errors=std_errors, reduced_chi2=reduced_chi2,
         n_iterations=res.n_iterations, converged=res.converged,
-        warnings=list(warnings), derived=derived or {}, input_digest=digest)
+        warnings=list(warnings), derived=derived, input_digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +316,9 @@ def fit_cubic_alpha(points, weights="delta") -> FitReport:
 
     ``points`` is a sequence of (f_gs_ghz, delta_gamma_mhz) pairs.
     weights: "delta" (1/delta_gamma^2, the default), "equal", or an explicit
-    array of weights. The report predicts the differences for the SiV and
-    SnV splittings from the fitted coupling.
+    array of finite positive weights. The report predicts the differences
+    for the SiV and SnV splittings from the fitted coupling. A ValueError
+    names a weight, sum or result that leaves the float range.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -313,29 +334,39 @@ def fit_cubic_alpha(points, weights="delta") -> FitReport:
 
     if isinstance(weights, str):
         if weights == "delta":
-            w = 1.0 / dg ** 2
+            with np.errstate(over="ignore", divide="ignore"):
+                w = 1.0 / dg ** 2
+            _require_finite(**{"weights 1/delta_mhz^2": w})
         elif weights == "equal":
             w = np.ones_like(dg)
         else:
             raise ValueError(f"unknown weights mode {weights!r}")
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != dg.shape or np.any(w <= 0):
-            raise ValueError("explicit weights must be positive, one per point")
+        if w.shape != dg.shape or np.any(w <= 0) or not np.all(np.isfinite(w)):
+            raise ValueError(
+                "explicit weights must be finite and positive, one per point")
 
-    regressor = f ** 3 * 1e3  # MHz per unit alpha
-    denom = float(np.sum(w * regressor ** 2))
-    alpha = float(np.sum(w * dg * regressor)) / denom
-    resid = (dg - alpha * regressor) * np.sqrt(w)
-    cost = float(resid @ resid)
+    # the D-C difference per unit alpha, MHz
+    regressor = physics._phonon_mhz(f, 0.0, 1.0, emission=True,
+                                    name="delta_mhz per unit alpha")
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(np.sum(w * regressor ** 2))
+        if not 0.0 < denom < np.inf:
+            raise ValueError("sum of weight * (delta_mhz per unit alpha)^2 "
+                             f"must be positive and finite, got {denom}")
+        alpha = float(np.sum(w * dg * regressor)) / denom
+        resid = (dg - alpha * regressor) * np.sqrt(w)
+        cost = float(resid @ resid)
 
     res = _LMResult(params=np.array([alpha]),
                     cov=np.array([[1.0 / denom]]),
                     n_iterations=1, converged=True, cost=cost)
-    derived = {
-        "pred_delta_gamma_siv_mhz": alpha * 50.0 ** 3 * 1e3,
-        "pred_delta_gamma_snv_mhz": alpha * 821.0 ** 3 * 1e3,
-    }
+    derived = {}
+    for preset in ("SiV", "SnV"):
+        key = f"pred_delta_gamma_{preset.lower()}_mhz"
+        derived[key] = float(physics._phonon_mhz(
+            REGISTRY.get(preset).f_gs, 0.0, alpha, emission=True, name=key))
     return _report("cubic_alpha", ("alpha",), {"alpha": "GHz^-2"},
                    res, len(dg), derived=derived, digest=data_digest(f, dg))
 
@@ -374,8 +405,9 @@ def fit_temperature_series(points, emitter: EmitterParams,
 
     # Bose factors are fixed per point, so the model is linear in both
     # free parameters; the optimizer converges in one accepted step.
-    k_gs = physics._phonon_mhz(emitter.f_gs, temps, 1.0)
-    base = emitter.gamma0 + physics._phonon_mhz(emitter.f_es, temps, emitter.alpha_es)
+    k_gs = physics._phonon_mhz(emitter.f_gs, temps, 1.0, name="gs_phonon_mhz")
+    base = emitter.gamma0 + physics._phonon_mhz(emitter.f_es, temps, emitter.alpha_es,
+                                                name="es_phonon_mhz")
 
     jac_full = np.column_stack([np.ones_like(k_gs), k_gs])
 

@@ -5,6 +5,10 @@ they differ through the ground-state phonon terms: the C-line picks up
 phonon *absorption* across the ground-state splitting, the D-line phonon
 *emission*, so the D-line is broader by alpha~ * f_gs^3 at any temperature.
 
+Every single-phonon term alpha~ * f^3 * n(f, T), here and in the fits,
+comes from ``_phonon_mhz``, which raises a ValueError naming a term that
+an input at the edge of the float range makes infinite or NaN.
+
 All functions are pure and accept scalars or numpy arrays (broadcasting),
 except ``transform_limit``, ``lifetime_from_linewidth`` and
 ``temperature_threshold``, which take scalars only. Frequencies in GHz,
@@ -91,24 +95,34 @@ class PhononRates:
     gamma_down: float
 
 
-def _phonon_mhz(f_ghz, temp_k, alpha, emission=False):
-    """alpha * f^3 * n (absorption) or alpha * f^3 * (n + 1) (emission), MHz."""
-    n = bose_occupation(f_ghz, temp_k)
-    if emission:
-        n = n + 1.0
-    return alpha * np.asarray(f_ghz, dtype=float) ** 3 * 1e3 * n
+def _phonon_mhz(f_ghz, temp_k, alpha, emission=False, *, name):
+    """alpha * f^3 * n (absorption) or alpha * f^3 * (n + 1) (emission), MHz.
+
+    ``alpha`` must be finite and >= 0. A ValueError names the term ``name``
+    when it is infinite or NaN (f^3 or n(f, T) overflowing, or inf * 0).
+    """
+    a = np.asarray(alpha, dtype=float)
+    if np.any(a < 0) or not np.all(np.isfinite(a)):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        n = bose_occupation(f_ghz, temp_k)  # 0/0 where h f underflows at T = 0
+        if emission:
+            n = n + 1.0
+        term = alpha * np.asarray(f_ghz, dtype=float) ** 3 * 1e3 * n
+    _require_finite(**{name: term})
+    return term
 
 
 def _terms(p: EmitterParams, temp_k, transition):
     """(gs, es, total) in MHz: the D-line takes ground-state phonon emission.
 
-    A ValueError names a term that an input at the edge of the float range
-    made infinite or NaN (f^3 or n(f, T) overflowing, or inf * 0)."""
+    A ValueError names a term, or the total, that is infinite or NaN."""
+    gs = _phonon_mhz(p.f_gs, temp_k, p.alpha_gs, emission=transition == "d",
+                     name="gs_phonon_mhz")
+    es = _phonon_mhz(p.f_es, temp_k, p.alpha_es, name="es_phonon_mhz")
     with np.errstate(over="ignore", invalid="ignore"):
-        gs = _phonon_mhz(p.f_gs, temp_k, p.alpha_gs, emission=transition == "d")
-        es = _phonon_mhz(p.f_es, temp_k, p.alpha_es)
         total = p.gamma0 + p.gamma_others + gs + es
-    _require_finite(gs_phonon_mhz=gs, es_phonon_mhz=es, total_mhz=total)
+    _require_finite(total_mhz=total)
     return gs, es, total
 
 
@@ -118,11 +132,9 @@ def phonon_rates(f_split_ghz, temp_k, alpha):
     ``alpha`` is the reduced coupling (GHz^-2): the rates are
     alpha * f^3 * n and alpha * f^3 * (n + 1), converted GHz -> MHz.
     """
-    a = np.asarray(alpha, dtype=float)
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    up = _phonon_mhz(f_split_ghz, temp_k, alpha)
-    down = _phonon_mhz(f_split_ghz, temp_k, alpha, emission=True)
+    up = _phonon_mhz(f_split_ghz, temp_k, alpha, name="gamma_up")
+    down = _phonon_mhz(f_split_ghz, temp_k, alpha, emission=True,
+                       name="gamma_down")
     if np.ndim(up) == 0:
         return PhononRates(float(up), float(down))
     return PhononRates(up, down)
@@ -153,7 +165,8 @@ def linewidth_d(p: EmitterParams, temp_k):
 
 def linewidth_difference(p: EmitterParams) -> float:
     """Temperature-independent D-C linewidth difference alpha~ * f_gs^3, MHz."""
-    return p.alpha_gs * p.f_gs ** 3 * 1e3
+    return float(_phonon_mhz(p.f_gs, 0.0, p.alpha_gs, emission=True,
+                             name="linewidth_difference"))
 
 
 def temperature_threshold(p: EmitterParams, ratio: float = 1.2) -> float:

@@ -32,7 +32,7 @@ _MASK64 = (1 << 64) - 1
 # Memory budget of one simulated photon stream, and the largest streams
 # that fit it at the traced peak bytes per photon (measured at 1e6 photons;
 # see simulate_hbt and simulate_trpl).
-_STREAM_BUDGET = 2**30
+_STREAM_BUDGET = 1 << 30
 _MAX_STREAM_PHOTONS = _STREAM_BUDGET // 17  # simulate_hbt: ~6.3e7 photons
 _MAX_TRPL_COUNTS = _STREAM_BUDGET // 9      # simulate_trpl: ~1.2e8 counts
 

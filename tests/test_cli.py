@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ import g4vlines as g
 from g4vlines import dataio
 from g4vlines import cli
 from g4vlines.cli import main
+from g4vlines.dataio import ALPHA_HEADER, TEMPSERIES_HEADER
 
 
 def run(capsys, *argv):
@@ -234,6 +236,25 @@ class TestFit:
         assert json.loads(out_path.read_text()) == dict(
             original, toolkit_version=g.__version__)
         assert dataio.load_fit_report(out_path).to_dict() == original
+
+    @pytest.mark.parametrize("rows, weights, name", [
+        (["1e200,5.0"], "delta", "delta_mhz per unit alpha"),  # f^3 overflows
+        (["1e-120,5.0"], "delta", "sum of weight"),             # f^6 underflows
+        (["1e-200,5.0"], "equal", "sum of weight"),
+        (["200.0,1e300"], "delta", "sum of weight"),            # weight 0
+        (["200.0,1e-200", "3870.0,435300.0"], "delta", "weights 1/delta_mhz^2"),
+        (["200.0,1e-170", "3870.0,435300.0"], "delta", "weights 1/delta_mhz^2"),
+        (["200.0,nan", "3870.0,435300.0"], "delta", "a.csv:2: value 'nan'"),
+    ])
+    def test_alpha_out_of_float_range_exit_2(self, capsys, tmp_path, rows,
+                                             weights, name):
+        path, report = tmp_path / "a.csv", tmp_path / "r.json"
+        path.write_text("\n".join([ALPHA_HEADER, *rows]) + "\n")
+        code, out, err = run(capsys, "fit", "alpha", "--in", str(path),
+                             "--weights", weights, "--out", str(report))
+        assert code == 2
+        assert out == "" and not report.exists()
+        assert err.startswith("error: ") and name in err
 
     def test_missing_input_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", "ple", "--in",
@@ -623,6 +644,25 @@ class TestExtremeEmitters:
         assert out == ""
         assert err.startswith("error: ") and name in err
 
+    @pytest.mark.parametrize("fields, row, name", [
+        *[(fields, None, name) for fields, name in _EXTREME_EMITTERS[:5]],
+        ({}, "1e308,40.0", "gs_phonon_mhz"),  # n(f, T) overflows
+        # the start value overflows the model, and the fit leaves the float range
+        (_EXTREME_EMITTERS[5][0], None, "params.gamma_others"),
+    ])
+    def test_fit_tempseries_exit_2_names_term(self, capsys, tmp_path,
+                                              fixtures_dir, fields, row, name):
+        emitter, series = tmp_path / "extreme.json", tmp_path / "series.csv"
+        emitter.write_text(json.dumps(dict(PBV_FIELDS, **fields)))
+        lines = (fixtures_dir / "tempseries_pbv.csv").read_text().splitlines()
+        series.write_text("\n".join(lines + ([row] if row else [])) + "\n")
+        report = tmp_path / "r.json"
+        code, out, err = run(capsys, "fit", "tempseries", "--in", str(series),
+                             "--emitter", str(emitter), "--out", str(report))
+        assert code == 2
+        assert out == "" and not report.exists()
+        assert err.startswith("error: ") and name in err
+
 
 class TestEmitters:
     def test_list(self, capsys):
@@ -729,3 +769,39 @@ class TestFuzz:
                     except ValueError:
                         continue  # a name or a flag
                     assert math.isfinite(number), (argv[0], value)
+
+    @given(rows=st.lists(st.tuples(st.floats().map(repr), st.floats().map(repr)),
+                         min_size=1, max_size=8),
+           token=st.none() | st.sampled_from(["nan", "NaN", "-inf", "Infinity",
+                                              "1e400"]),
+           what=st.sampled_from([("alpha", ALPHA_HEADER, "--weights", "delta"),
+                                 ("alpha", ALPHA_HEADER, "--weights", "equal"),
+                                 ("tempseries", TEMPSERIES_HEADER, "--free",
+                                  "gamma_others"),
+                                 ("tempseries", TEMPSERIES_HEADER, "--free",
+                                  "gamma_others,alpha_gs")]))
+    @settings(max_examples=150, deadline=None)
+    def test_fit_data_exit_0_2_or_4(self, tmp_path_factory, rows, token, what):
+        # any float, and maybe a non-finite token, in an alpha or
+        # temperature-series file: a report that reads back, an input error
+        # or "not converged", and no warning
+        kind, header, option, value = what
+        if token is not None:
+            rows[-1] = (rows[-1][0], token)  # a delta or a linewidth
+        base = tmp_path_factory.getbasetemp()
+        path, report = base / "fuzz_fit.csv", base / "fuzz_report.json"
+        path.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+        report.unlink(missing_ok=True)
+        argv = ["fit", kind, "--in", str(path), "--out", str(report), option, value]
+        if kind == "tempseries":
+            argv += ["--emitter", "PbV"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 4), err.getvalue()
+        assert (code == 2) == err.getvalue().startswith("error: ")
+        assert report.exists() == (code != 2)
+        if code != 2:
+            dataio.load_fit_report(report)

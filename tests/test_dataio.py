@@ -95,6 +95,23 @@ class TestSpectrumFiles:
         with pytest.raises(DataFormatError, match=">= 0"):
             dataio.load_spectrum(path)
 
+    @pytest.mark.parametrize("load, header", [
+        (dataio.load_spectrum, dataio.SPECTRUM_HEADER),
+        (dataio.load_decay_trace, dataio.DECAY_HEADER),
+        (dataio.load_correlation, dataio.CORRELATION_HEADER),
+        (dataio.load_alpha_points, dataio.ALPHA_HEADER),
+        (dataio.load_temperature_series, dataio.TEMPSERIES_HEADER),
+    ], ids=["spectrum", "decay", "correlation", "alpha", "tempseries"])
+    @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e400"])
+    def test_non_finite_value_reports_line(self, tmp_path, load, header, token):
+        path = tmp_path / "bad.csv"
+        values = ["1.0"] * (header.count(",") + 1)
+        path.write_text("\n".join(["# normalization=1.0", header, ",".join(values),
+                                   ",".join([token, *values[1:]])]) + "\n")
+        with pytest.raises(DataFormatError,
+                           match=f"bad.csv:4: value '{token}' is not finite"):
+            load(path)
+
 
 class TestDecayFiles:
     def test_round_trip(self, tmp_path):

@@ -305,6 +305,20 @@ class TestCubicAlpha:
             g.fit_cubic_alpha([(200.0, 0.0)])
         with pytest.raises(ValueError):
             g.fit_cubic_alpha([(200.0, 44.7)], weights="bogus")
+        # inputs at the edge of the float range: f^3 overflows, the sum of
+        # weight * f^6 underflows to 0, 1/delta^2 overflows
+        with pytest.raises(ValueError, match="^delta_mhz per unit alpha must be finite"):
+            g.fit_cubic_alpha([(1e200, 5.0)])
+        for pts in ([(1e-120, 5.0)], [(1e-200, 5.0)], [(200.0, 1e300)]):
+            with pytest.raises(ValueError, match="^sum of weight"):
+                g.fit_cubic_alpha(pts)
+        for delta in (1e-200, 1e-170):
+            with pytest.raises(ValueError, match=r"^weights 1/delta_mhz\^2 must be finite"):
+                g.fit_cubic_alpha([(200.0, delta), (3870.0, 435300.0)])
+        for w in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                g.fit_cubic_alpha([(200.0, 44.7), (3870.0, 435300.0)],
+                                  weights=np.array([w, 1.0]))
 
 
 class TestTemperatureSeries:
@@ -493,3 +507,26 @@ class TestDampingLoop:
         spectra, _ = g.simulate_scan_series(cfg)
         for spectrum in spectra:
             self._compare(monkeypatch, lambda: g.fit_lorentzian(spectrum))
+
+
+class TestReport:
+    def test_singular_covariance_dropped(self):
+        # dependent columns: J^T J may pass the Cholesky test by rounding,
+        # and its inverse then holds negative variances
+        x = np.linspace(-1.0, 1.0, 11)
+        jac = np.column_stack([x, 3.0 * x, np.ones_like(x)])
+        assert fitting._gn_covariance(jac) is None
+
+    @pytest.mark.parametrize("params, cov, cost, derived, name", [
+        ([np.nan], None, 1.0, {}, "params.a"),
+        ([1.0], [[np.inf]], 1.0, {}, "std_errors.a"),
+        ([1.0], None, np.inf, {}, "reduced_chi2"),
+        ([1.0], None, 1.0, {"d": np.nan}, "derived.d"),
+    ], ids=["params", "std_errors", "reduced_chi2", "derived"])
+    def test_non_finite_value_named(self, params, cov, cost, derived, name):
+        # no report holds a value that load_fit_report would refuse
+        res = fitting._LMResult(params=np.array(params),
+                                cov=None if cov is None else np.array(cov),
+                                n_iterations=1, converged=True, cost=cost)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            fitting._report("m", ("a",), {"a": ""}, res, 3, derived=derived)

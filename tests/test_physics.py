@@ -128,10 +128,15 @@ class TestPhononRates:
         with pytest.raises(ValueError):
             g.phonon_rates(100.0, 5.0, -1e-9)
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, np.array([1e-9, math.nan])])
-    def test_non_finite_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be finite"):
-            g.phonon_rates(100.0, 6.0, alpha)
+    @pytest.mark.parametrize("f, alpha, message", [
+        (100.0, math.nan, "alpha must be finite"),
+        (100.0, math.inf, "alpha must be finite"),
+        (100.0, np.array([1e-9, math.nan]), "alpha must be finite"),
+        (1e200, 1.0, "gamma_up must be finite"),  # f^3 overflows, n = 0
+    ], ids=["nan", "inf", "alpha2", "rate"])
+    def test_non_finite_alpha_rejected(self, f, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            g.phonon_rates(f, 6.0, alpha)
 
 
 class TestLinewidths:
@@ -200,6 +205,9 @@ class TestLinewidths:
         for func in (g.linewidth_c, g.linewidth_d, g.linewidth_breakdown):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 func(p, temp)
+        if "f_gs" in fields:  # the same ground-state term, at T = 0
+            with pytest.raises(ValueError, match="^linewidth_difference must be finite"):
+                g.linewidth_difference(p)
 
     def test_excited_state_share_small_at_low_temperature(self):
         # the ES absorption term stays below 1% of the phonon broadening
