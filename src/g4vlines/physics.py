@@ -54,12 +54,30 @@ def _scalar_like(value, *inputs):
     return value
 
 
+def _occupation(f_ghz, temp_k):
+    """n(f, T) as an array, not checked for finiteness: inf where it
+    overflows, and NaN at T = 0 where h f / kB underflows to 0 (0/0)."""
+    f = np.asarray(f_ghz, dtype=float)
+    T = np.asarray(temp_k, dtype=float)
+    if np.any(f <= 0) or not np.all(np.isfinite(f)):
+        raise ValueError("f_ghz must be positive and finite")
+    if np.any(T < 0) or not np.all(np.isfinite(T)):
+        raise ValueError("temp_k must be finite and >= 0")
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = H_OVER_KB_K_PER_GHZ * f / T          # T = 0 -> inf -> n = 0
+        return np.where(x > 350.0,
+                        np.exp(-x),
+                        1.0 / np.expm1(np.minimum(x, 360.0)))
+
+
 def bose_occupation(f_ghz, temp_k):
     """Mean thermal phonon number n(f, T) = 1/(exp(h f / kB T) - 1).
 
     Exactly 0 at T = 0. Overflow-safe for arbitrarily large h f / kB T
     (underflows smoothly to 0) and accurate for arbitrarily small exponents
-    (expm1 keeps full precision where the naive form would cancel).
+    (expm1 keeps full precision where the naive form would cancel). A
+    ValueError names an n that overflows (h f / kB T below about 1e-308).
 
     Parameters
     ----------
@@ -68,18 +86,9 @@ def bose_occupation(f_ghz, temp_k):
     temp_k : float or array
         Temperature in K, finite and >= 0.
     """
-    f = np.asarray(f_ghz, dtype=float)
-    T = np.asarray(temp_k, dtype=float)
-    if np.any(f <= 0) or not np.all(np.isfinite(f)):
-        raise ValueError("f_ghz must be positive and finite")
-    if np.any(T < 0) or not np.all(np.isfinite(T)):
-        raise ValueError("temp_k must be finite and >= 0")
-
-    with np.errstate(divide="ignore", over="ignore"):
-        x = H_OVER_KB_K_PER_GHZ * f / T          # T = 0 -> inf -> n = 0
-        n = np.where(x > 350.0,
-                     np.exp(-x),
-                     1.0 / np.expm1(np.minimum(x, 360.0)))
+    n = _occupation(f_ghz, temp_k)
+    n = np.where(np.asarray(temp_k) == 0, 0.0, n)  # also where h f underflows
+    _require_finite(**{"occupation n(f, T)": n})
     return _scalar_like(n, f_ghz, temp_k)
 
 
@@ -104,8 +113,8 @@ def _phonon_mhz(f_ghz, temp_k, alpha, emission=False, *, name):
     a = np.asarray(alpha, dtype=float)
     if np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        n = bose_occupation(f_ghz, temp_k)  # 0/0 where h f underflows at T = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = _occupation(f_ghz, temp_k)  # a NaN or inf n makes the term NaN or inf
         if emission:
             n = n + 1.0
         term = alpha * np.asarray(f_ghz, dtype=float) ** 3 * 1e3 * n

@@ -6,6 +6,24 @@ numpy's SeedSequence, one per scan, so scan k of a series does not depend on
 how many draws earlier scans consumed:
 
     Generator(PCG64(SeedSequence((seed, index))))
+
+A PLE scan is scan 0 of a series: simulate_ple_scan and
+simulate_scan_series draw every scan through one function, and scan k
+takes from its substream, in this order:
+
+1. for k > 0, a diffusion step of the center when diffusion_sigma > 0, then
+   a jump test and, on success, a jump when jump_prob > 0;
+2. only when ionization_coeff > 0, one uniform u_i per point. With
+   s_i = dwell * peak_rate * L_i the expected signal at point i, a bright
+   emitter goes dark at the first point with u_i < min(1, ionization_coeff
+   * s_i); a dark one, under repump="resonant", turns bright at the first
+   later point with u_i < min(1, repump_rate * s_i), and so on. A point's
+   counts take the state from before its own switch;
+3. one Poisson draw per point, all at once, of mean
+   dwell * background_rate + (s_i while bright, else 0); with noiseless
+   the counts are that mean itself and nothing is drawn.
+
+Scans without charge dynamics therefore take only Poisson draws.
 """
 
 from __future__ import annotations
@@ -35,6 +53,9 @@ _MASK64 = (1 << 64) - 1
 _STREAM_BUDGET = 1 << 30
 _MAX_STREAM_PHOTONS = _STREAM_BUDGET // 17  # simulate_hbt: ~6.3e7 photons
 _MAX_TRPL_COUNTS = _STREAM_BUDGET // 9      # simulate_trpl: ~1.2e8 counts
+
+# The largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX).
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 REPUMP_POLICIES = ("none", "between_scans", "resonant")
 
@@ -133,6 +154,9 @@ class ScanSeriesConfig:
         if self.n_scans * self.grid.size() > MAX_BINS:
             raise ValueError(f"n_scans x grid points = {self.n_scans} x "
                              f"{self.grid.size()} exceeds {MAX_BINS} points")
+        # the time axis of the event log, as simulate_scan_series computes it
+        _require_finite(**{"n_scans x grid points x dwell":
+                           self.n_scans * (self.grid.size() * self.dwell)})
         if not 0.0 <= self.jump_prob <= 1.0:
             raise ValueError("jump_prob must be in [0, 1]")
         if self.diffusion_sigma < 0 or self.jump_sigma < 0:
@@ -152,6 +176,10 @@ class ScanSeriesConfig:
             raise ValueError(
                 f"model linewidth is not positive ({width:.3g} MHz); "
                 "check gamma_others")
+        # below this, (w/2)^2 + detuning^2 overflows only where L < 2^-53,
+        # so a scan may take L = 0 there
+        if (width / 2.0) * (width / 2.0) > np.finfo(float).max * 2.0 ** -53:
+            raise ValueError(f"model linewidth {width:.3g} MHz is too wide to scan")
         return width
 
 
@@ -166,24 +194,46 @@ class ScanEvent:
     center_mhz: float
 
 
-def simulate_ple_scan(cfg: ScanSeriesConfig) -> Spectrum:
-    """One Poisson-sampled PLE scan (requires n_scans == 1).
+def _scan(cfg: ScanSeriesConfig, rng, grid, fwhm, center, bright):
+    """One scan drawn from ``rng`` as the module docstring says: (counts,
+    charge state after it, [(point_index, "ionization" | "repump"), ...])."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a far detuning gives L = 0
+        signal = cfg.dwell * cfg.peak_rate \
+            * physics.lorentzian(grid, center, fwhm, 1.0, 0.0)
+    background = cfg.dwell * cfg.background_rate
+    peak = background + signal.max()
+    if not peak < (math.inf if cfg.noiseless else _POISSON_LAM_MAX):  # NaN too
+        raise ValueError(f"expected_counts must be finite and, to be Poisson-drawn, "
+                         f"below {_POISSON_LAM_MAX:g}; got {peak:g}")
+    switches, flips = [], np.zeros(grid.size + 1, bool)  # flips[i + 1]: switch at i
+    if cfg.ionization_coeff > 0:
+        u = rng.random(grid.size)  # u < 1: u < c * s is u < min(1, c * s)
+        repump_rate = cfg.repump_rate if cfg.repump == "resonant" else 0.0
+        with np.errstate(over="ignore"):  # an overflowing hazard is a certain switch
+            hits = {True: u < cfg.ionization_coeff * signal,  # bright -> dark
+                    False: u < repump_rate * signal}          # dark -> bright
+        state, i = bright, 0
+        while i < grid.size:
+            i += int(np.argmax(hits[state][i:]))  # argmax stops at the first hit
+            if not hits[state][i]:
+                break
+            switches.append((i, "ionization" if state else "repump"))
+            state, i = not state, i + 1
+            flips[i] = True
+    lit = np.logical_xor.accumulate(flips[:-1]) != bright
+    expected = background + np.where(lit, signal, 0.0)
+    counts = expected if cfg.noiseless else rng.poisson(expected).astype(float)
+    return counts, bright != (len(switches) % 2 == 1), switches
 
-    Expected counts per point: dwell * (background_rate + peak_rate * L(d))
-    with L normalized to 1 at resonance. noiseless=True returns the
-    expectation itself.
-    """
+
+def simulate_ple_scan(cfg: ScanSeriesConfig) -> Spectrum:
+    """One PLE scan: scan 0 of simulate_scan_series (requires n_scans == 1)."""
     if cfg.n_scans != 1:
         raise ValueError("simulate_ple_scan needs n_scans == 1; "
                          "use simulate_scan_series")
-    fwhm = cfg.fwhm()
     grid = cfg.grid.centers()
-    expected = cfg.dwell * (cfg.background_rate + cfg.peak_rate
-                            * physics.lorentzian(grid, cfg.center0, fwhm, 1.0, 0.0))
-    if cfg.noiseless:
-        counts = expected
-    else:
-        counts = substream(cfg.seed, 0).poisson(expected).astype(float)
+    counts = _scan(cfg, substream(cfg.seed, 0), grid, cfg.fwhm(), cfg.center0,
+                   True)[0]
     meta = {"temperature_k": cfg.temperature, "emitter": cfg.emitter.name,
             "scan_index": 0, "seed": cfg.seed}
     return Spectrum(grid, counts, meta)
@@ -192,21 +242,13 @@ def simulate_ple_scan(cfg: ScanSeriesConfig) -> Spectrum:
 def simulate_scan_series(cfg: ScanSeriesConfig):
     """Scan series with spectral diffusion and charge-state telegraphing.
 
-    Returns (spectra, events). Scans are sequentially dependent: the line
-    center random-walks between scans and the bright/dark charge state
-    carries over according to the repump policy. Events log scan starts
-    (with the realized center), ionizations and repumps.
-    """
-    fwhm = cfg.fwhm()
-    grid = cfg.grid.centers()
-    n_points = grid.size
-    scan_time = n_points * cfg.dwell
-
-    spectra: list[Spectrum] = []
-    events: list[ScanEvent] = []
-    center = cfg.center0
-    bright = True
-
+    Returns (spectra, events). The line center random-walks between scans
+    and the charge state carries over as the repump policy says. Events log
+    scan starts (with the realized center), ionizations and repumps."""
+    fwhm, grid = cfg.fwhm(), cfg.grid.centers()
+    scan_time = grid.size * cfg.dwell
+    spectra, events = [], []
+    center, bright = cfg.center0, True
     for k in range(cfg.n_scans):
         rng = substream(cfg.seed, k)
         if k > 0:
@@ -214,27 +256,13 @@ def simulate_scan_series(cfg: ScanSeriesConfig):
                 center += rng.normal(0.0, cfg.diffusion_sigma)
             if cfg.jump_prob > 0 and rng.random() < cfg.jump_prob:
                 center += rng.normal(0.0, cfg.jump_sigma)
+            _require_finite(**{f"center_mhz at scan {k}": center})
         if cfg.repump == "between_scans":
             bright = True
         events.append(ScanEvent(k, -1, k * scan_time, "scan_start", center))
-
-        expected_signal = cfg.dwell * cfg.peak_rate \
-            * physics.lorentzian(grid, center, fwhm, 1.0, 0.0)
-        bg = cfg.dwell * cfg.background_rate
-        counts = np.empty(n_points)
-        for i in range(n_points):
-            lam = bg + (expected_signal[i] if bright else 0.0)
-            counts[i] = lam if cfg.noiseless else rng.poisson(lam)
-            t_point = k * scan_time + (i + 1) * cfg.dwell
-            if bright:
-                if cfg.ionization_coeff > 0 and \
-                        rng.random() < min(1.0, cfg.ionization_coeff * expected_signal[i]):
-                    bright = False
-                    events.append(ScanEvent(k, i, t_point, "ionization", center))
-            elif cfg.repump == "resonant" and cfg.repump_rate > 0:
-                if rng.random() < min(1.0, cfg.repump_rate * expected_signal[i]):
-                    bright = True
-                    events.append(ScanEvent(k, i, t_point, "repump", center))
+        counts, bright, switches = _scan(cfg, rng, grid, fwhm, center, bright)
+        events += [ScanEvent(k, i, k * scan_time + (i + 1) * cfg.dwell, kind,
+                             center) for i, kind in switches]
         meta = {"temperature_k": cfg.temperature, "emitter": cfg.emitter.name,
                 "scan_index": k, "seed": cfg.seed, "center_mhz": center}
         spectra.append(Spectrum(grid, counts, meta))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -85,19 +86,19 @@ class TestPredict:
     @pytest.mark.parametrize("field, value", [
         ("gamma0", float("nan")), ("alpha_gs", float("inf")),
         ("gamma_others", float("nan"))])
-    def test_non_finite_emitter_file_exit_2(self, tmp_path, field, value):
-        # json.dumps writes these as the NaN / Infinity tokens json.loads reads
+    def test_non_finite_emitter_file_exit_2(self, capsys, tmp_path, field,
+                                            value):
+        # json.dumps writes these as the NaN / Infinity tokens json.loads
+        # reads; run() fails on anything raised out of cli.main
         path = tmp_path / "bad.json"
         fields = {"name": "bad", "f_gs": 3870.0, "f_es": 6920.0, "gamma0": 36.2}
         fields[field] = value
         path.write_text(json.dumps(fields))
-        proc = subprocess.run(
-            [sys.executable, "-m", "g4vlines", "predict", "--emitter", str(path),
-             "--temp", "6.2"], capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert f"{field} must be finite" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, out, err = run(capsys, "predict", "--emitter", str(path),
+                             "--temp", "6.2")
+        assert code == 2
+        assert out == ""
+        assert f"{field} must be finite" in err
 
 
 class TestThreshold:
@@ -354,19 +355,17 @@ class TestSimulate:
         assert code == 2
         assert "grid_mhz" in err
 
-    def test_infinite_tau_max_exit_2(self, tmp_path):
-        # 1e400 parses as inf; it must end in exit 2, not a traceback
+    def test_infinite_tau_max_exit_2(self, capsys, tmp_path):
+        # 1e400 parses as inf; it must end in exit 2, with nothing raised
+        # out of cli.main
         cfg = tmp_path / "hbt.json"
         cfg.write_text('{"rate": 2e5, "lifetime_ns": 4.4, "purity_rho": 0.9, '
                        '"duration_s": 1.0, "bin_width_ns": 2.0, '
                        '"tau_max_ns": 1e400, "seed": 14}')
-        proc = subprocess.run(
-            [sys.executable, "-m", "g4vlines", "simulate", "hbt",
-             "--config", str(cfg), "--out", str(tmp_path / "x")],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "tau_max" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, err = run(capsys, "simulate", "hbt", "--config", str(cfg),
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "tau_max" in err
 
     @pytest.mark.parametrize("what, key, message", [
         ("trpl", "t_max_ns", "t_max must be finite"),
@@ -383,21 +382,18 @@ class TestSimulate:
         assert code == 2
         assert message in err
 
-    def test_tiny_grid_step_exit_2(self, tmp_path):
-        # (stop - start) / step overflows; it must end in exit 2, not a
-        # traceback or a huge grid
+    def test_tiny_grid_step_exit_2(self, capsys, tmp_path):
+        # (stop - start) / step overflows; it must end in exit 2, not an
+        # exception raised out of cli.main or a huge grid
         cfg = tmp_path / "ple.json"
         cfg.write_text(json.dumps(
             {"emitter": "PbV", "temperature_k": 6.2, "dwell_s": 0.1,
              "grid_mhz": {"start": -150, "stop": 150, "step": 1e-320},
              "peak_rate": 5000.0, "background_rate": 100.0}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "g4vlines", "simulate", "ple",
-             "--config", str(cfg), "--out", str(tmp_path / "x")],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "config error at 'grid_mhz'" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, err = run(capsys, "simulate", "ple", "--config", str(cfg),
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "config error at 'grid_mhz'" in err
 
     @pytest.mark.parametrize("what, key, value, message", [
         ("ple", "noiseless", "false", "expected true or false"),
@@ -446,21 +442,19 @@ class TestSimulate:
          "expected a number, got false"),
         ("hbt", "rate", "[2e5]", "expected a number, got [200000.0]"),
         ("hbt", "duration_s", "1e400", "duration must be finite, got inf")])
-    def test_strict_float_values_exit_2(self, tmp_path, what, key, text,
-                                        message):
+    def test_strict_float_values_exit_2(self, capsys, tmp_path, what, key,
+                                        text, message):
         # float fields take only JSON numbers other than bools, and finite
-        # ones; `"temperature_k": true` used to run as 1.0 K
+        # ones; `"temperature_k": true` used to run as 1.0 K. run() fails on
+        # anything raised out of cli.main
         paths = _write_configs(tmp_path)
         cfg = json.dumps(dict(json.loads(paths[what].read_text()), **{key: 1}))
         paths[what].write_text(cfg.replace(f'"{key}": 1', f'"{key}": {text}'))
         out_dir = tmp_path / "x"
-        proc = subprocess.run(
-            [sys.executable, "-m", "g4vlines", "simulate", what,
-             "--config", str(paths[what]), "--out", str(out_dir)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert f"config error at '{key}': {message}" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, err = run(capsys, "simulate", what, "--config",
+                           str(paths[what]), "--out", str(out_dir))
+        assert code == 2
+        assert f"config error at '{key}': {message}" in err
         assert list(out_dir.iterdir()) == []
 
     def test_integral_float_values_accepted(self, capsys, tmp_path):
@@ -805,3 +799,55 @@ class TestFuzz:
         assert report.exists() == (code != 2)
         if code != 2:
             dataio.load_fit_report(report)
+
+    @given(changed=st.dictionaries(
+               st.sampled_from(["temperature_k", "dwell_s", "peak_rate",
+                                "background_rate", "center0_mhz",
+                                "diffusion_sigma_mhz", "jump_prob",
+                                "jump_sigma_mhz", "ionization_coeff",
+                                "repump_rate"]),
+               st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+           grid=st.none() | st.tuples(
+               st.floats(allow_nan=False, allow_infinity=False),
+               st.floats(allow_nan=False, allow_infinity=False),
+               st.integers(1, 30)),
+           what=st.sampled_from(["ple", "series"]), n_scans=st.integers(1, 4),
+           repump=st.sampled_from(["none", "between_scans", "resonant"]),
+           noiseless=st.booleans(), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_simulate_scan_config_exit_0_or_2(self, tmp_path_factory, changed,
+                                              grid, what, n_scans, repump,
+                                              noiseless, seed):
+        # any finite float in any numeric field of a scan config: outputs
+        # with every number finite, or an input error, and no numpy warning.
+        # A grid (start, step, points) stays small; the cap has its own test
+        cfg = {"emitter": "PbV", "temperature_k": 6.2,
+               "grid_mhz": {"start": -40.0, "stop": 40.0, "step": 4.0},
+               "dwell_s": 0.1, "peak_rate": 5000.0, "background_rate": 100.0,
+               "ionization_coeff": 1e-3, "repump_rate": 1e-3,
+               "n_scans": n_scans if what == "series" else 1, "repump": repump,
+               "noiseless": noiseless, "seed": seed, **changed}
+        if grid is not None:
+            start, step, points = grid
+            cfg["grid_mhz"] = {"start": start, "stop": start + points * step,
+                               "step": step}
+        base = tmp_path_factory.getbasetemp()
+        path, out_dir = base / "fuzz_scan.json", base / "fuzz_scan"
+        path.write_text(json.dumps(cfg))
+        shutil.rmtree(out_dir, ignore_errors=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", what, "--config", str(path),
+                         "--out", str(out_dir)])
+        assert code in (0, 2), err.getvalue()
+        assert (code == 2) == err.getvalue().startswith("error: ")
+        if code == 0:  # every CSV value, header value and manifest number
+            for written in out_dir.iterdir():
+                for token in re.split(r"[\s,=:\[\]{}\"]+", written.read_text()):
+                    try:
+                        number = float(token)
+                    except ValueError:
+                        continue  # a key, a name or a file name
+                    assert math.isfinite(number), (written.name, token)

@@ -38,6 +38,15 @@ class TestBoseOccupation:
     def test_zero_temperature(self):
         assert g.bose_occupation(3870.0, 0.0) == 0.0
 
+    def test_edge_of_float_range(self):
+        # h f underflows to 0 at 5e-324 GHz, which gave 0/0 at T = 0; at
+        # 1e-300 GHz and 1e10 K, n overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.bose_occupation(5e-324, 0.0) == 0.0
+            with pytest.raises(ValueError, match=r"^occupation n\(f, T\) must be finite"):
+                g.bose_occupation(1e-300, 1e10)
+
     def test_frozen_value(self):
         # oracle: 1/expm1(h*3870 GHz / kB / 16.2 K) = 1.04925197381e-5
         assert g.bose_occupation(3870.0, 16.2) == pytest.approx(

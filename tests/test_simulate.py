@@ -3,8 +3,15 @@
 ``hbt_reference`` is the earlier stream builder of ``simulate_hbt``, which
 kept every stage of the photon stream as its own array: ``simulate_hbt``
 builds the stream in place and must agree with it bit for bit.
+
+``series_reference`` is the earlier point-by-point loop of
+``simulate_scan_series``. Without ionization it draws only Poisson counts,
+one per point, so the per-scan draw must agree with it bit for bit.
+``documented_series`` follows the draw order of the ``simulate`` module
+docstring point by point, so it pins the stream with ionization on.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -48,6 +55,87 @@ def hbt_reference(rate, lifetime, purity_rho, duration, *, bin_width,
     normalization = (det_a.size / duration_ns) * (det_b.size / duration_ns) \
         * duration_ns * bin_width
     return counts, counts / normalization, normalization
+
+
+def series_reference(cfg):
+    """(spectra, events) of simulate_scan_series's earlier per-point loop."""
+    fwhm = cfg.fwhm()
+    grid = cfg.grid.centers()
+    n_points = grid.size
+    scan_time = n_points * cfg.dwell
+    spectra, events = [], []
+    center = cfg.center0
+    bright = True
+    for k in range(cfg.n_scans):
+        rng = g.substream(cfg.seed, k)
+        if k > 0:
+            if cfg.diffusion_sigma > 0:
+                center += rng.normal(0.0, cfg.diffusion_sigma)
+            if cfg.jump_prob > 0 and rng.random() < cfg.jump_prob:
+                center += rng.normal(0.0, cfg.jump_sigma)
+        if cfg.repump == "between_scans":
+            bright = True
+        events.append(g.ScanEvent(k, -1, k * scan_time, "scan_start", center))
+        expected_signal = cfg.dwell * cfg.peak_rate \
+            * g.lorentzian(grid, center, fwhm, 1.0, 0.0)
+        bg = cfg.dwell * cfg.background_rate
+        counts = np.empty(n_points)
+        for i in range(n_points):
+            lam = bg + (expected_signal[i] if bright else 0.0)
+            counts[i] = lam if cfg.noiseless else rng.poisson(lam)
+            t_point = k * scan_time + (i + 1) * cfg.dwell
+            if bright:
+                if cfg.ionization_coeff > 0 and \
+                        rng.random() < min(1.0, cfg.ionization_coeff * expected_signal[i]):
+                    bright = False
+                    events.append(g.ScanEvent(k, i, t_point, "ionization", center))
+            elif cfg.repump == "resonant" and cfg.repump_rate > 0:
+                if rng.random() < min(1.0, cfg.repump_rate * expected_signal[i]):
+                    bright = True
+                    events.append(g.ScanEvent(k, i, t_point, "repump", center))
+        meta = {"temperature_k": cfg.temperature, "emitter": cfg.emitter.name,
+                "scan_index": k, "seed": cfg.seed, "center_mhz": center}
+        spectra.append(g.Spectrum(grid, counts, meta))
+    return spectra, events
+
+
+def documented_series(cfg):
+    """(counts per scan, events) drawn in the documented per-scan order."""
+    grid = cfg.grid.centers()
+    scan_time = grid.size * cfg.dwell
+    counts, events = [], []
+    center, bright = cfg.center0, True
+    for k in range(cfg.n_scans):
+        rng = g.substream(cfg.seed, k)
+        if k > 0:
+            if cfg.diffusion_sigma > 0:
+                center += rng.normal(0.0, cfg.diffusion_sigma)
+            if cfg.jump_prob > 0 and rng.random() < cfg.jump_prob:
+                center += rng.normal(0.0, cfg.jump_sigma)
+        if cfg.repump == "between_scans":
+            bright = True
+        events.append(g.ScanEvent(k, -1, k * scan_time, "scan_start", center))
+        s = cfg.dwell * cfg.peak_rate \
+            * g.lorentzian(grid, center, cfg.fwhm(), 1.0, 0.0)
+        lit = np.full(grid.size, bright)
+        if cfg.ionization_coeff > 0:
+            u = rng.random(grid.size)
+            for i in range(grid.size):
+                lit[i] = bright
+                if bright:
+                    p = min(1.0, cfg.ionization_coeff * s[i])
+                else:
+                    p = min(1.0, cfg.repump_rate * s[i]) \
+                        if cfg.repump == "resonant" else 0.0
+                if u[i] < p:
+                    t_point = k * scan_time + (i + 1) * cfg.dwell
+                    kind = "ionization" if bright else "repump"
+                    events.append(g.ScanEvent(k, i, t_point, kind, center))
+                    bright = not bright
+        expected = cfg.dwell * cfg.background_rate + np.where(lit, s, 0.0)
+        counts.append(expected if cfg.noiseless
+                      else rng.poisson(expected).astype(float))
+    return counts, events
 
 
 class _CountingGenerator:
@@ -192,9 +280,86 @@ class TestScanSeries:
         assert a_events == b_events
 
     def test_first_scan_matches_single_scan(self):
-        spectra, _ = g.simulate_scan_series(_cfg(n_scans=5, seed=9))
-        single = g.simulate_ple_scan(_cfg(seed=9))
-        assert np.array_equal(spectra[0].counts, single.counts)
+        # with charge dynamics too: a PLE scan is scan 0 of the series
+        charge = dict(ionization_coeff=2e-3, repump="resonant", repump_rate=2e-3)
+        for kw in ({}, charge, dict(charge, noiseless=True)):
+            spectra, events = g.simulate_scan_series(_cfg(n_scans=5, seed=9, **kw))
+            single = g.simulate_ple_scan(_cfg(seed=9, **kw))
+            assert np.array_equal(spectra[0].counts, single.counts)
+        kinds = [ev.kind for ev in events if ev.scan_index == 0]
+        assert "ionization" in kinds and "repump" in kinds
+
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(noiseless=True), dict(diffusion_sigma=4.0),
+        dict(jump_prob=0.4, jump_sigma=20.0),
+        dict(diffusion_sigma=2.0, jump_prob=0.3, jump_sigma=15.0, noiseless=True),
+        dict(diffusion_sigma=3.0, repump="between_scans"),
+        dict(jump_prob=0.5, jump_sigma=10.0, repump="resonant", repump_rate=2e-3),
+        dict(diffusion_sigma=3.0, repump="resonant", repump_rate=0.5,
+             noiseless=True)],
+        ids=["plain", "noiseless", "diffusion", "jumps", "both_noiseless",
+             "between_scans", "resonant", "resonant_noiseless"])
+    def test_matches_reference_without_ionization(self, kw):
+        # the same counts, meta and events, bit for bit, as the per-point loop
+        for seed in range(20):
+            cfg = _cfg(grid=g.FrequencyGrid(-60.0, 60.0, 4.0), n_scans=4,
+                       seed=seed * 7919 + 1, **kw)
+            spectra, events = g.simulate_scan_series(cfg)
+            ref_spectra, ref_events = series_reference(cfg)
+            for spec, ref in zip(spectra, ref_spectra, strict=True):
+                assert spec.counts.tobytes() == ref.counts.tobytes()
+                assert spec.meta == ref.meta
+            assert events == ref_events
+            assert [repr(ev.time_s) for ev in events] == \
+                [repr(ev.time_s) for ev in ref_events]
+
+    @pytest.mark.parametrize("kw", [
+        dict(repump="none"), dict(repump="between_scans", noiseless=True),
+        dict(repump="between_scans", diffusion_sigma=3.0),
+        dict(repump="resonant", repump_rate=2e-3, jump_prob=0.4, jump_sigma=20.0),
+        dict(repump="resonant", repump_rate=5e-3, noiseless=True)],
+        ids=["none", "between_scans_noiseless", "between_scans", "resonant",
+             "resonant_noiseless"])
+    def test_matches_documented_stream(self, kw):
+        # with ionization on: the draw order of the module docstring, bit for bit
+        switches = set()
+        for seed in range(20):
+            cfg = _cfg(grid=g.FrequencyGrid(-60.0, 60.0, 4.0), n_scans=4,
+                       ionization_coeff=2e-3, seed=seed * 7919 + 1, **kw)
+            spectra, events = g.simulate_scan_series(cfg)
+            counts, ref_events = documented_series(cfg)
+            assert [spec.counts.tobytes() for spec in spectra] == \
+                [c.tobytes() for c in counts]
+            assert events == ref_events
+            switches |= {ev.kind for ev in events} - {"scan_start"}
+        assert switches == ({"ionization", "repump"} if kw["repump"] == "resonant"
+                            else {"ionization"})
+
+    def test_no_ionization_probability_oracle(self):
+        # independent of draw order: with every scan starting bright, a scan
+        # sees no ionization with probability prod(1 - min(1, c s_i)); the
+        # count over many scans is binomial, checked at 4.753 sigma (1e-6)
+        cfg = _cfg(grid=g.FrequencyGrid(-60.0, 60.0, 4.0), n_scans=3000,
+                   ionization_coeff=1e-4, repump="between_scans",
+                   noiseless=True, seed=17)
+        s = cfg.dwell * cfg.peak_rate * g.lorentzian(
+            cfg.grid.centers(), 0.0, cfg.fwhm(), 1.0, 0.0)
+        hazard = np.minimum(1.0, cfg.ionization_coeff * s)
+        p_none = float(np.prod(1.0 - hazard))
+        # the first ionization at or before the line center
+        p_early = 1.0 - float(np.prod(1.0 - hazard[cfg.grid.centers() <= 0.0]))
+        assert 0.2 < p_none < 0.8 and 0.2 < p_early < 0.8
+        _, events = g.simulate_scan_series(cfg)
+        first = {}
+        for ev in events:
+            if ev.kind == "ionization":
+                first.setdefault(ev.scan_index, ev.point_index)
+        grid = cfg.grid.centers()
+        observed = {"none": cfg.n_scans - len(first),
+                    "early": sum(grid[i] <= 0.0 for i in first.values())}
+        for key, p in (("none", p_none), ("early", p_early)):
+            n = cfg.n_scans
+            assert abs(observed[key] - n * p) < 4.753 * math.sqrt(n * p * (1 - p)), key
 
     def test_static_series_identical_in_expectation(self):
         spectra, events = g.simulate_scan_series(
@@ -267,6 +432,45 @@ class TestScanSeries:
         _, events = g.simulate_scan_series(_cfg(**kw))
         kinds = [ev.kind for ev in events]
         assert "ionization" in kinds and "repump" in kinds
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kw, error", [
+        (dict(center0=1e200, noiseless=True), None),  # L = 0: background only
+        (dict(diffusion_sigma=1e308), None),          # far, finite centers
+        (dict(jump_prob=1.0, jump_sigma=1e308),
+         r"^center_mhz at scan \d must be finite, got inf"),
+        (dict(ionization_coeff=1e308), None),         # a certain switch
+        (dict(dwell=1e300, peak_rate=1e10),
+         r"^expected_counts must be finite.*; got inf$"),
+        (dict(peak_rate=1e306),
+         r"^expected_counts .* below 9\.22337e\+18; got 1e\+305$"),
+        (dict(dwell=1e308, peak_rate=0.0, background_rate=0.0),
+         r"^n_scans x grid points x dwell must be finite"),
+        (dict(temperature=1e142), None),              # w = 9.8e145 MHz
+        (dict(temperature=1e143), "^model linewidth 9.84e"),  # above 2.8e146
+    ], ids=["center0", "diffusion_sigma", "jump_sigma", "ionization_coeff",
+            "dwell_peak_rate", "peak_rate", "dwell", "wide_line", "too_wide_line"])
+    def test_edge_of_float_range(self, kw, error):
+        # a finite answer or a ValueError naming the value, and no warning
+        def both():
+            spectra, events = g.simulate_scan_series(_cfg(n_scans=3, **kw))
+            return spectra, events, g.simulate_ple_scan(_cfg(**kw))
+
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                both()
+            return
+        spectra, events, single = both()
+        assert np.array_equal(single.counts, spectra[0].counts)
+        for spec in spectra:
+            assert np.all(np.isfinite(spec.counts))
+            assert math.isfinite(spec.meta["center_mhz"])
+        assert all(math.isfinite(ev.time_s) and math.isfinite(ev.center_mhz)
+                   for ev in events)
+        if "center0" in kw:
+            assert np.all(spectra[0].counts == _cfg().dwell * _cfg().background_rate)
+        if "ionization_coeff" in kw:
+            assert (events[1].kind, events[1].point_index) == ("ionization", 0)
 
     def test_bright_fraction_monotone_in_ionization(self):
         def bright_fraction(coeff):
