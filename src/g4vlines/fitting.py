@@ -15,9 +15,11 @@ by ``_report``, which rejects a value that is infinite or NaN.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import physics
 from .emitters import REGISTRY, EmitterParams, _require_finite
@@ -31,6 +33,10 @@ __all__ = [
 MAX_ITERATIONS = 200
 REL_STEP_TOL = 1e-8
 LAMBDA0 = 1e-3
+# Data at the edge of the float range can make a start value, the cost or a
+# parameter infinite or NaN. Those steps run under this error state; the
+# result keeps the value, and ``_report`` names it.
+_EDGE = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def data_digest(*arrays) -> str:
@@ -63,19 +69,37 @@ def _gn_covariance(jac: np.ndarray) -> np.ndarray | None:
     return cov if (cov.diagonal() > 0).all() else None
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` for a float64 (n, n) matrix and (n,) vector.
+
+    It calls the LAPACK gesv gufunc that ``np.linalg.solve`` dispatches to,
+    under the same error state, without its argument wrapping: the same
+    bits, and ``LinAlgError`` where gesv finds the matrix singular.
+    """
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
+@np.errstate(**_EDGE)
 def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
             max_iter=MAX_ITERATIONS) -> _LMResult:
     """Minimize sum(((y - model(x, p)) / sigma)^2) over p.
 
-    Data at the edge of the float range can make the cost or a parameter
-    infinite or NaN; the result keeps it, and ``_report`` rejects it.
+    The arrays ``model`` and ``jac`` return are only read, never written.
     """
     p = np.array(p0, dtype=float)
     w = 1.0 / np.asarray(sigma, dtype=float)
+    neg_w = -w[:, None]  # J * -w has the bits of -J * w
 
     def residual(params):
-        return (y - model(x, params)) * w
+        r = y - model(x, params)
+        r *= w
+        return r
 
     r = residual(p)
     cost = float(r @ r)
@@ -83,38 +107,42 @@ def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
     converged = False
     n_iter = 0
     jr = None  # derivatives of the current point, once taken
+    damped = np.empty((p.size, p.size))  # J^T J, damped on its diagonal
+    damped_diag = damped.reshape(-1)[::p.size + 1]  # a view
     for n_iter in range(1, max_iter + 1):
         if jr is None:
-            jr = -jac(x, p) * w[:, None]     # d residual / d p
-            grad = jr.T @ r
-            hess = jr.T @ jr
-            damp = hess.diagonal().copy()
-            damp[damp <= 0] = 1.0
-        damped = hess.copy()
-        damped.flat[::p.size + 1] += lam * damp
+            jr = jac(x, p) * neg_w            # d residual / d p
+            neg_grad = -(jr.T @ r)
+            np.matmul(jr.T, jr, out=damped)
+            hess_diag = damped.diagonal().copy()
+            damp = np.where(hess_diag <= 0, 1.0, hess_diag)
+        np.add(hess_diag, lam * damp, out=damped_diag)
         try:
-            step = np.linalg.solve(damped, -grad)
+            step = _solve(damped, neg_grad)
         except np.linalg.LinAlgError:
             step = None
-        trial = None if step is None else p + step
-        if trial is not None and (guard is None or guard(trial)):
-            r_trial = residual(trial)
-            cost_trial = float(r_trial @ r_trial)
-            if cost_trial <= cost:
-                rel_change = np.max(np.abs(step) / (np.abs(p) + 1e-300))
-                p, r, cost, jr = trial, r_trial, cost_trial, None
-                lam = max(lam / 10.0, 1e-14)
-                if rel_change < REL_STEP_TOL:
-                    converged = True
-                    break
-                continue
+        if step is not None:
+            trial = p + step
+            if guard is None or guard(trial):
+                r_trial = residual(trial)
+                cost_trial = float(r_trial @ r_trial)
+                if cost_trial <= cost:
+                    # a NaN change fails the test, as it fails np.max(...) < tol
+                    small = all(abs(s) / (abs(q) + 1e-300) < REL_STEP_TOL
+                                for s, q in zip(step.tolist(), p.tolist()))
+                    p, r, cost, jr = trial, r_trial, cost_trial, None
+                    lam = max(lam / 10.0, 1e-14)
+                    if small:
+                        converged = True
+                        break
+                    continue
         # the one rejection: singular solve, refused by guard, or higher cost
         lam *= 10.0
         if lam > 1e12:
             break
 
     if jr is None:
-        jr = -jac(x, p) * w[:, None]
+        jr = jac(x, p) * neg_w
     return _LMResult(params=p, cov=_gn_covariance(jr), n_iterations=n_iter,
                      converged=converged, cost=cost)
 
@@ -150,37 +178,56 @@ def _report(model_name, names, units, res: _LMResult, n_points, *,
 # Lorentzian line fit
 
 def lorentzian_model(x, p):
-    c, w, a, b = p
-    h2 = (w / 2.0) ** 2
-    return b + a * h2 / ((x - c) ** 2 + h2)
+    # Python floats round as numpy float64 scalars do, and their ** is the
+    # same libm pow; it raises where numpy's gives inf
+    c, w, a, b = np.asarray(p, dtype=float).tolist()
+    try:
+        h2 = (w / 2.0) ** 2
+    except OverflowError:
+        h2 = math.inf
+    out = np.subtract(x, c)
+    out *= out
+    out += h2
+    np.divide(a * h2, out, out=out)
+    out += b
+    return out
 
 
 def lorentzian_jacobian(x, p):
-    c, w, a, b = p
+    c, w, a, b = np.asarray(p, dtype=float).tolist()
     h = w / 2.0
     d = x - c
-    denom = d * d + h * h
+    denom = d * d
+    denom += h * h
+    denom2 = denom * denom
     out = np.empty((x.size, 4))
-    out[:, 0] = 2.0 * a * h * h * d / denom ** 2
-    out[:, 1] = a * h * d * d / denom ** 2
-    out[:, 2] = h * h / denom
+    col = out[:, 0]
+    np.multiply(d, 2.0 * a * h * h, out=col)
+    col /= denom2
+    col = out[:, 1]
+    np.multiply(d, a * h, out=col)
+    col *= d
+    col /= denom2
+    np.divide(h * h, denom, out=out[:, 2])
     out[:, 3] = 1.0
     return out
 
 
 def _halfmax_width(x, y, i_peak, level):
     """Interpolated width of y around index i_peak at the given level."""
+    # the nearest i <= i_peak with y[i-1] < level <= y[i], and the nearest
+    # i >= i_peak with y[i+1] < level <= y[i]
     left = right = None
-    for i in range(i_peak, 0, -1):
-        if y[i - 1] < level <= y[i]:
-            frac = (level - y[i - 1]) / (y[i] - y[i - 1])
-            left = x[i - 1] + frac * (x[i] - x[i - 1])
-            break
-    for i in range(i_peak, x.size - 1):
-        if y[i + 1] < level <= y[i]:
-            frac = (y[i] - level) / (y[i] - y[i + 1])
-            right = x[i] + frac * (x[i + 1] - x[i])
-            break
+    hits = np.flatnonzero((y[:i_peak] < level) & (level <= y[1:i_peak + 1]))
+    if hits.size:
+        i = int(hits[-1]) + 1
+        frac = (level - y[i - 1]) / (y[i] - y[i - 1])
+        left = x[i - 1] + frac * (x[i] - x[i - 1])
+    hits = np.flatnonzero((y[i_peak + 1:] < level) & (level <= y[i_peak:-1]))
+    if hits.size:
+        i = i_peak + int(hits[0])
+        frac = (y[i] - level) / (y[i] - y[i + 1])
+        right = x[i] + frac * (x[i + 1] - x[i])
     if left is None or right is None or right <= left:
         return (x[-1] - x[0]) / 4.0
     return right - left
@@ -200,12 +247,13 @@ def fit_lorentzian(spectrum: Spectrum, *, max_iter=MAX_ITERATIONS) -> FitReport:
         raise ValueError("no peak: all counts are equal")
 
     warn: list[str] = []
-    offset0 = float(np.median(y))
-    i_peak = int(np.argmax(y))
-    amp0 = float(y[i_peak] - offset0)
-    if y[i_peak] <= 1.2 * offset0:
-        warn.append("no prominent peak (max <= 1.2 x median counts)")
-    fwhm0 = _halfmax_width(x, y, i_peak, offset0 + amp0 / 2.0)
+    with np.errstate(**_EDGE):
+        offset0 = float(np.median(y))
+        i_peak = int(np.argmax(y))
+        amp0 = float(y[i_peak] - offset0)
+        if y[i_peak] <= 1.2 * offset0:
+            warn.append("no prominent peak (max <= 1.2 x median counts)")
+        fwhm0 = _halfmax_width(x, y, i_peak, offset0 + amp0 / 2.0)
     p0 = [float(x[i_peak]), fwhm0, amp0, offset0]
 
     res = _lm_fit(lorentzian_model, lorentzian_jacobian, x, y,
@@ -281,16 +329,17 @@ def fit_decay(trace: DecayTrace, model: str = "exp1", *,
     if np.ptp(y) == 0:
         raise ValueError("no decay: counts are constant over the fit window")
 
-    a0, tau0, b0 = _decay_inits(t, y)
-    # amplitudes are referenced to t = 0, so undo the window offset
-    if model == "exp1":
-        p0 = [a0 * np.exp(min(t[0] / tau0, 50.0)), tau0, b0]
-        names = ("amplitude", "tau", "offset")
-    else:
-        tau_f0 = tau0 / 5.0
-        p0 = [0.5 * a0 * np.exp(min(t[0] / tau_f0, 50.0)), tau_f0,
-              0.5 * a0 * np.exp(min(t[0] / tau0, 50.0)), tau0, b0]
-        names = ("amp_fast", "tau_fast", "amp_slow", "tau_slow", "offset")
+    with np.errstate(**_EDGE):
+        a0, tau0, b0 = _decay_inits(t, y)
+        # amplitudes are referenced to t = 0, so undo the window offset
+        if model == "exp1":
+            p0 = [a0 * np.exp(min(t[0] / tau0, 50.0)), tau0, b0]
+            names = ("amplitude", "tau", "offset")
+        else:
+            tau_f0 = tau0 / 5.0
+            p0 = [0.5 * a0 * np.exp(min(t[0] / tau_f0, 50.0)), tau_f0,
+                  0.5 * a0 * np.exp(min(t[0] / tau0, 50.0)), tau0, b0]
+            names = ("amp_fast", "tau_fast", "amp_slow", "tau_slow", "offset")
     res = _lm_fit(exp_model, exp_jacobian, t, y, _poisson_sigma(y), p0,
                   guard=lambda p: np.all(p[1:-1:2] > 0), max_iter=max_iter)
     warn: list[str] = []
@@ -300,7 +349,9 @@ def fit_decay(trace: DecayTrace, model: str = "exp1", *,
             res.params = res.params[order]
             if res.cov is not None:
                 res.cov = res.cov[np.ix_(order, order)]
-        if res.params[3] / res.params[1] < DEGENERACY_RATIO:
+        with np.errstate(**_EDGE):  # a start tau_fast may underflow to 0
+            degenerate = res.params[3] / res.params[1] < DEGENERACY_RATIO
+        if degenerate:
             warn.append("components degenerate (tau_slow/tau_fast < 1.5)")
     units = {k: "ns" if k.startswith("tau") else "counts" for k in names}
     derived = {"transform_limit_mhz": physics.transform_limit(float(res.params[-2]))}

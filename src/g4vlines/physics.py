@@ -219,14 +219,27 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
     """Lorentzian line profile: offset + amplitude at the peak.
 
     offset + amplitude * (w/2)^2 / ((detuning - center)^2 + (w/2)^2)
+
+    Where the numerator or the denominator overflows, or the denominator
+    underflows to 0, the profile is taken as
+    offset + amplitude / (1 + ((detuning - center) / (w/2))^2) instead.
     """
     if np.any(np.asarray(fwhm_mhz) <= 0):
         raise ValueError(f"fwhm must be positive, got {fwhm_mhz}")
     if np.any(np.asarray(amplitude) < 0) or np.any(np.asarray(offset) < 0):
         raise ValueError("amplitude and offset must be >= 0")
-    hwhm2 = (np.asarray(fwhm_mhz, dtype=float) / 2.0) ** 2
+    hwhm = np.asarray(fwhm_mhz, dtype=float) / 2.0
     d = np.asarray(detuning_mhz, dtype=float) - center_mhz
-    value = offset + amplitude * hwhm2 / (d * d + hwhm2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hwhm2 = hwhm ** 2
+        num = amplitude * hwhm2
+        den = d * d + hwhm2
+        value = offset + num / den
+    out_of_range = ~(np.isfinite(num) & np.isfinite(den)) | (den == 0)
+    if out_of_range.any():
+        with np.errstate(over="ignore"):  # (d / hwhm)^2 = inf gives the 0 tail
+            value = np.where(out_of_range,
+                             amplitude / (1.0 + (d / hwhm) ** 2) + offset, value)
     return _scalar_like(value, detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset)
 
 

@@ -176,8 +176,7 @@ class ScanSeriesConfig:
             raise ValueError(
                 f"model linewidth is not positive ({width:.3g} MHz); "
                 "check gamma_others")
-        # below this, (w/2)^2 + detuning^2 overflows only where L < 2^-53,
-        # so a scan may take L = 0 there
+        # below this, (w/2)^2 + detuning^2 overflows only where L < 2^-53
         if (width / 2.0) * (width / 2.0) > np.finfo(float).max * 2.0 ** -53:
             raise ValueError(f"model linewidth {width:.3g} MHz is too wide to scan")
         return width
@@ -197,7 +196,7 @@ class ScanEvent:
 def _scan(cfg: ScanSeriesConfig, rng, grid, fwhm, center, bright):
     """One scan drawn from ``rng`` as the module docstring says: (counts,
     charge state after it, [(point_index, "ionization" | "repump"), ...])."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a far detuning gives L = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is named below
         signal = cfg.dwell * cfg.peak_rate \
             * physics.lorentzian(grid, center, fwhm, 1.0, 0.0)
     background = cfg.dwell * cfg.background_rate

@@ -800,6 +800,51 @@ class TestFuzz:
         if code != 2:
             dataio.load_fit_report(report)
 
+    @given(detunings=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=1, max_size=40, unique=True),
+           grid=st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(min_value=0.0, exclude_min=True,
+                                    allow_infinity=False)),
+           counts=st.lists(st.floats(min_value=0.0, allow_infinity=False)
+                           | st.integers(0, 10**6).map(float),
+                           min_size=40, max_size=40),
+           token=st.none() | st.sampled_from(["nan", "-1", "1e400"]),
+           what=st.sampled_from([["ple"], ["lifetime", "--model", "exp1"],
+                                 ["lifetime", "--model", "exp2"]]),
+           max_iter=st.sampled_from([1, 3, g.fitting.MAX_ITERATIONS]))
+    @settings(max_examples=150, deadline=None)
+    def test_fit_ple_lifetime_exit_0_2_or_4(self, tmp_path_factory, detunings,
+                                            grid, counts, token, what,
+                                            max_iter):
+        # any finite counts on sorted detunings (ple) or on a uniform time
+        # grid (lifetime), maybe with one bad count: a report that reads
+        # back, an input error or "not converged", and no warning
+        if what[0] == "ple":
+            header, xs = dataio.SPECTRUM_HEADER, sorted(detunings)
+        else:
+            header, (start, step) = dataio.DECAY_HEADER, grid
+            xs = [start + k * step for k in range(len(detunings))]
+        ys = [repr(c) for c in counts[:len(xs)]]
+        if token is not None:
+            ys[-1] = token
+        base = tmp_path_factory.getbasetemp()
+        path, report = base / "fuzz_trace.csv", base / "fuzz_trace_report.json"
+        path.write_text("\n".join([header, *map(",".join, zip(map(repr, xs), ys))])
+                        + "\n")
+        report.unlink(missing_ok=True)
+        argv = ["fit", what[0], "--in", str(path), "--out", str(report),
+                "--max-iter", str(max_iter), *what[1:]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 4), err.getvalue()
+        assert (code == 2) == err.getvalue().startswith("error: ")
+        assert report.exists() == (code != 2)
+        if code != 2:
+            dataio.load_fit_report(report)
+
     @given(changed=st.dictionaries(
                st.sampled_from(["temperature_k", "dwell_s", "peak_rate",
                                 "background_rate", "center0_mhz",

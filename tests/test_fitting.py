@@ -3,6 +3,10 @@
 ``lm_reference`` is the earlier damping loop of ``fitting._lm_fit``, which
 took the derivatives anew on every attempt: ``_lm_fit`` takes them once per
 accepted point and must give the same report, byte for byte, on every exit.
+``lorentzian_model_reference`` and ``lorentzian_jacobian_reference`` are the
+earlier Lorentzian functions, on numpy scalars, and ``halfmax_width_reference``
+the earlier loop of the start width: the faster ones must give the same
+bits, and ``fitting._solve`` the bits of ``np.linalg.solve``.
 """
 
 import functools
@@ -75,6 +79,50 @@ def lm_reference(model, jac, x, y, sigma, p0, *, guard=None,
     return fitting._LMResult(params=p, cov=fitting._gn_covariance(jr),
                              n_iterations=n_iter, converged=converged,
                              cost=cost)
+
+
+def lorentzian_model_reference(x, p):
+    c, w, a, b = p
+    h2 = (w / 2.0) ** 2
+    return b + a * h2 / ((x - c) ** 2 + h2)
+
+
+def lorentzian_jacobian_reference(x, p):
+    c, w, a, b = p
+    h = w / 2.0
+    d = x - c
+    denom = d * d + h * h
+    out = np.empty((x.size, 4))
+    out[:, 0] = 2.0 * a * h * h * d / denom ** 2
+    out[:, 1] = a * h * d * d / denom ** 2
+    out[:, 2] = h * h / denom
+    out[:, 3] = 1.0
+    return out
+
+
+def halfmax_width_reference(x, y, i_peak, level):
+    left = right = None
+    for i in range(i_peak, 0, -1):
+        if y[i - 1] < level <= y[i]:
+            frac = (level - y[i - 1]) / (y[i] - y[i - 1])
+            left = x[i - 1] + frac * (x[i] - x[i - 1])
+            break
+    for i in range(i_peak, x.size - 1):
+        if y[i + 1] < level <= y[i]:
+            frac = (y[i] - level) / (y[i] - y[i + 1])
+            right = x[i] + frac * (x[i + 1] - x[i])
+            break
+    if left is None or right is None or right <= left:
+        return (x[-1] - x[0]) / 4.0
+    return right - left
+
+
+def _same_bits(a, b):
+    """Equal shapes and bytes; any NaN matches any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
 
 
 def _noiseless_spectrum(center=0.0, fwhm=38.8, amp=1000.0, offset=10.0,
@@ -161,7 +209,7 @@ class TestLorentzianFit:
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(fitting, "_solve", singular)
         report = g.fit_lorentzian(_noiseless_spectrum())
         assert report.converged is False
         assert report.n_iterations < 20
@@ -490,12 +538,36 @@ class TestDampingLoop:
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(fitting, "_solve", singular)
+        monkeypatch.setattr(np.linalg, "solve", singular)  # for lm_reference
         report, counts = self._compare(
             monkeypatch, lambda: g.fit_lorentzian(_noiseless_spectrum()))
         assert not report.converged
         assert report.n_iterations == 16
         assert counts["jac"] == 1
+
+    @pytest.mark.parametrize("fit", [
+        lambda: g.fit_lorentzian(_scan(5000.0, seed=99)),
+        lambda: g.fit_decay(_trace(2000, seed=4), "exp2"),
+        lambda: _temp_series(("gamma_others",)),
+        lambda: _temp_series(("gamma_others", "alpha_gs")),
+    ], ids=["lorentzian", "exp2", "tempseries-1", "tempseries-2"])
+    def test_model_and_jacobian_outputs_only_read(self, monkeypatch, fit):
+        # fit_temperature_series's jacobian returns views of one array, so
+        # weighting a Jacobian in place would corrupt later iterations
+        def read_only(f):
+            def wrapped(x, p):
+                out = f(x, p)
+                out.flags.writeable = False
+                return out
+            return wrapped
+
+        def guarded_lm(model, jac, *args, **kwargs):
+            return _lm_fit(read_only(model), read_only(jac), *args, **kwargs)
+
+        expected = json.dumps(fit().to_dict())
+        monkeypatch.setattr(fitting, "_lm_fit", guarded_lm)
+        assert json.dumps(fit().to_dict()) == expected
 
     def test_series_scans(self, monkeypatch):
         """One Jacobian per accepted point over a drifting, blinking series."""
@@ -507,6 +579,109 @@ class TestDampingLoop:
         spectra, _ = g.simulate_scan_series(cfg)
         for spectrum in spectra:
             self._compare(monkeypatch, lambda: g.fit_lorentzian(spectrum))
+
+
+def _random_lorentzian_params(rng, n):
+    """Centers, widths of either sign, amplitudes and offsets over several
+    decades, so that the scalar squares round every way."""
+    def spread(lo, hi):
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+    return np.column_stack([spread(-3, 3), spread(-2, 3), spread(-1, 6),
+                            spread(-1, 4)])
+
+
+class TestSameBits:
+    """The per-iteration code of the fitter against the earlier code."""
+
+    # (38.013 / 2) ** 2 through libm pow is 361.24704224999994, and the
+    # product 19.0065 * 19.0065 is 361.24704225 (glibc 2.36): the model
+    # keeps its scalar power
+    SPECIAL = [[3.0, 38.013, 900.0, 25.0], [0.0, -38.013, 1.0, 0.0],
+               [0.0, 1e200, 5.0, 1.0], [0.0, 1e200, 0.0, 1.0],
+               [1.0, 1e-200, 5.0, 1.0], [0.0, 0.0, 5.0, 1.0],
+               [np.nan, 40.0, 5.0, 1.0], [0.0, 40.0, np.inf, 1.0]]
+
+    def test_lorentzian_functions_match_reference(self):
+        rng = np.random.default_rng(12)
+        grid = np.arange(-300.0, 300.01, 4.0)
+        params = np.vstack([self.SPECIAL, _random_lorentzian_params(rng, 3000)])
+        with np.errstate(all="ignore"):
+            for i, p in enumerate(params):
+                x = grid if i % 2 else np.sort(rng.normal(p[0], 100.0, 50))
+                assert _same_bits(lorentzian_model(x, p),
+                                  lorentzian_model_reference(x, p)), p
+                assert _same_bits(lorentzian_jacobian(x, p),
+                                  lorentzian_jacobian_reference(x, p)), p
+
+    def test_halfmax_width_matches_reference(self):
+        # small integer counts: plateaus, ties with the level, and peaks at
+        # either end
+        rng = np.random.default_rng(8)
+        for _ in range(3000):
+            n = int(rng.integers(2, 40))
+            x = np.cumsum(rng.uniform(0.1, 5.0, n))
+            y = rng.integers(0, 6, n).astype(float)
+            i_peak = int(rng.integers(0, n))
+            level = float(y[rng.integers(0, n)] if rng.random() < 0.5
+                          else rng.uniform(-1.0, 6.0))
+            assert _same_bits(fitting._halfmax_width(x, y, i_peak, level),
+                              halfmax_width_reference(x, y, i_peak, level))
+
+    @staticmethod
+    def _systems(monkeypatch):
+        """Random 1x1 to 5x5 systems, and the damped systems of a fit."""
+        rng = np.random.default_rng(5)
+        systems = []
+        for n in range(1, 6):
+            for _ in range(200):
+                a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-8, 8, (n, n))
+                systems.append((a, rng.normal(size=n)))
+                systems.append((a @ a.T, rng.normal(size=n)))
+        solve = fitting._solve
+
+        def recording(a, b):
+            systems.append((a.copy(), b.copy()))
+            return solve(a, b)
+
+        monkeypatch.setattr(fitting, "_solve", recording)
+        cfg = g.ScanSeriesConfig(
+            emitter=PBV, temperature=6.2, grid=g.FrequencyGrid(-300, 300, 4),
+            dwell=0.2, peak_rate=25000.0, background_rate=50.0, n_scans=6,
+            diffusion_sigma=1.0, ionization_coeff=2.2e-6, repump="resonant",
+            repump_rate=3e-5, seed=7)
+        for spectrum in g.simulate_scan_series(cfg)[0]:
+            g.fit_lorentzian(spectrum)
+        g.fit_decay(_trace(2000, seed=4), "exp2")
+        monkeypatch.undo()
+        return systems
+
+    def test_solve_matches_linalg_solve(self, monkeypatch):
+        systems = self._systems(monkeypatch)
+        assert len(systems) > 2000 + 100  # the fits recorded their systems
+        for a, b in systems:
+            try:
+                expected = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    fitting._solve(a, b)
+                continue
+            assert _same_bits(fitting._solve(a, b), expected)
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((3, 3)), [[1.0, 2.0], [2.0, 4.0]], [[np.nan, 1.0], [1.0, 1.0]],
+    ], ids=["zero", "rank-1", "nan"])
+    def test_solve_singular_raises(self, a):
+        a = np.asarray(a, dtype=float)
+        for solve in (np.linalg.solve, fitting._solve):
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                solve(a, np.ones(len(a)))
+
+    def test_solve_all_nan_as_linalg_solve(self):
+        # gesv finds no zero pivot here: both return NaN, and the fit
+        # rejects the step on its NaN cost
+        a, b = np.full((2, 2), np.nan), np.ones(2)
+        assert _same_bits(fitting._solve(a, b), np.linalg.solve(a, b))
+        assert np.isnan(fitting._solve(a, b)).all()
 
 
 class TestReport:

@@ -326,6 +326,31 @@ class TestLorentzian:
         with pytest.raises(ValueError):
             g.lorentzian(0.0, 0.0, -1.0, 10.0, 0.0)
 
+    def test_terms_out_of_range_take_the_profile(self):
+        # (detuning)^2 + (w/2)^2 or amplitude * (w/2)^2 overflows, or the
+        # denominator underflows to 0: the profile, not a 0 or a NaN, and
+        # no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.lorentzian(1e154, 0.0, 2e154, 1.0, 0.0) == 0.5
+            assert g.lorentzian(1e-170, 0.0, 2e-170, 1.0, 0.0) == 0.5
+            assert g.lorentzian(0.0, 1e200, 1.0, 1.0, 0.0) == 0.0
+            assert g.lorentzian(0.0, 0.0, 1e160, 0.0, 2.0) == 2.0
+            assert g.lorentzian(1e160, 0.0, 2e160, 1e300, 0.0) == 5e299
+            values = g.lorentzian(np.array([0.0, 1e154, 1e200]), 0.0, 2e154,
+                                  1.0, 0.0)
+        assert np.array_equal(values, [1.0, 0.5, 1.0 / (1.0 + 1e46 ** 2)])
+
+    def test_finite_terms_keep_their_bytes(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(0.0, 1e3, 2000)
+        w = 10.0 ** rng.uniform(-3, 6, 2000)
+        d = x - 5.0
+        h2 = (w / 2.0) ** 2
+        expected = 30.0 + 800.0 * h2 / (d * d + h2)
+        assert np.array_equal(g.lorentzian(x, 5.0, w, 800.0, 30.0).view(np.int64),
+                              expected.view(np.int64))
+
 
 class TestBreakdown:
     def test_terms_sum(self):
