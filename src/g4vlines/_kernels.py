@@ -13,33 +13,40 @@ on the other side of ``floor((b - a)/w + 0.5)``; the comparison rule is the
 one that the per-edge count below can evaluate exactly, so both branches
 use it.
 
-Each row a_i owns the window [lo_i, hi_i) of b between its outer edges,
-found with two ``searchsorted`` calls (the sliding-window pair counter used
-for TCSPC time tags; Wahl et al., Opt. Express 11, 3583 (2003)). Rows with
-an empty window add the same count to every edge, so they are dropped. Rows
-are taken a block at a time, and each block picks its branch from its own
-input: its exact pair total against (2*m_max + 2) x its rows, the number of
-edge searches the per-edge count would make.
+Each row a_i owns the window [lo_i, hi_i) of b between its outer edges (the
+sliding-window pair counter used for TCSPC time tags; Wahl et al., Opt.
+Express 11, 3583 (2003)). Rows are taken a block at a time. Two scalar
+searches find the block's partners bs = b[first:last], from the first row's
+lower outer edge to the last row's upper one; they hold every window and
+every interior edge of the block. Where the partners average more than one
+per bin width (len(bs) * w > bs[-1] - bs[0]), the block builds its cell
+table (below) first and finds every window through it; otherwise two
+``searchsorted`` calls over bs find them. Rows with an empty window add the
+same count to every edge, so they are dropped. Each block then picks its
+branch from its own input: its exact pair total against (2*m_max + 2) x
+its rows, the number of edge searches the per-edge count would make.
 
 * few pairs: expand the pairs in chunks of ``_CHUNK_PAIRS`` and bincount
   them, O(N log N + pairs);
 * many pairs: count the b below every interior edge and take differences,
   O(N log N + M N) expected.
 
-The per-edge count searches only the block's own partners bs =
-b[lo_0:hi_last], which hold every interior edge of every row, through a
-bucket table built once per block: ``_CELLS_PER_PARTNER`` x len(bs) equal
-cells over the span of bs, cell(x) = clip((x - bs_0) * inv, 0, ncell - 1)
-cast to int, and start[c] = the number of bs in cells below c. cell is
-monotone non-decreasing (a rounded difference, a product with a positive
-inv, a clip and a truncation of values >= 0 each are), so every b in a lower
-cell than an edge is below the edge and every b in a higher cell is not. An
-edge's count is start[cell(edge)] plus a short advance over the b of its own
-cell that compare below it, the comparison evaluated exactly as written.
+The per-edge count searches only bs, through the block's bucket table: the
+one that found the windows, or, where the density rule took none but the
+pair total picks this branch, one built for the edges.
+``_CELLS_PER_PARTNER`` x len(bs) equal cells span bs, cell(x) =
+clip((x - bs_0) * inv, 0, ncell - 1) cast to int, and start[c] = the number
+of bs in cells below c. cell is monotone non-decreasing (a rounded
+difference, a product with a positive inv, a clip and a truncation of values
+>= 0 each are), so every b in a lower cell than a key is below the key and
+every b in a higher cell is not. A key's count, a window end or an edge's,
+is start[cell(key)] plus a short advance over the b of its own cell that
+compare below it, the comparison evaluated exactly as written.
 Two fallbacks keep it exact and bounded: a block whose partners span zero
-time, or so little that inv is not finite, counts every edge with
-``searchsorted``; keys still advancing after ``_ADVANCE_PASSES`` passes
-(duplicate time tags, crowded cells) finish with ``searchsorted``.
+time, or so little that inv is not finite, finds its windows and counts
+every edge with ``searchsorted``; keys still advancing after
+``_ADVANCE_PASSES`` passes (duplicate time tags, crowded cells) finish with
+``searchsorted``.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ MAX_BINS = 1_000_001
 _BLOCK_ROWS = 1 << 16
 _CHUNK_PAIRS = 1 << 16
 
-# Cells of the per-edge count's bucket table per partner, and the comparison
+# Cells of a block's bucket table per partner, and the comparison
 # passes over all keys after which the keys still advancing fall back to
 # searchsorted. On an hbt_wide stream 21 % of the keys pass one partner of
 # their own cell, 3 % two and 0.4 % three. 2 cells per partner and 3 passes
@@ -99,20 +106,52 @@ def coincidence_histogram(times_a, times_b, bin_width: float,
 
     hist = np.zeros(2 * m_max + 1, dtype=np.int64)
     for r in range(0, a.size, _BLOCK_ROWS):
-        ta = a[r:r + _BLOCK_ROWS]
-        lo = np.searchsorted(b, _edge(ta, -m_max, w), side="left")
-        hi = np.searchsorted(b, _edge(ta, m_max + 1, w), side="left")
-        active = lo < hi
-        if not active.all():
-            ta, lo, hi = ta[active], lo[active], hi[active]
-        n_pairs = int((hi - lo).sum())
-        if n_pairs == 0:
-            continue
-        if n_pairs <= (2 * m_max + 2) * ta.size:
-            _add_pairs(hist, ta, b, lo, hi, w, m_max)
-        else:
-            _add_edges(hist, ta, b, lo, hi, w, m_max)
+        _add_block(hist, a[r:r + _BLOCK_ROWS], b, w, m_max)
     return hist
+
+
+def _add_block(hist, a, b, w, m_max):
+    """Add the pairs of the rows a to hist.
+
+    Every local dies on return, so no block's cell table or edge array is
+    still alive while the next block builds its own.
+    """
+    first = np.searchsorted(b, _edge(a[0], -m_max, w), side="left")
+    last = np.searchsorted(b, _edge(a[-1], m_max + 1, w), side="left")
+    bs = b[first:last]  # the partners of every row of the block
+    if bs.size == 0:
+        return
+    dense = bs.size * w > float(bs[-1]) - float(bs[0])  # > 1 per bin width
+    table = _CellTable.build(bs, a.size) if dense else None
+    lo, hi = _windows(a, bs, w, m_max, table)
+    active = lo < hi
+    if not active.all():
+        a, lo, hi = a[active], lo[active], hi[active]
+    n_pairs = int((hi - lo).sum())
+    if n_pairs == 0:
+        return
+    if n_pairs <= (2 * m_max + 2) * a.size:
+        _add_pairs(hist, a, bs, lo, hi, w, m_max)
+    else:
+        if not dense:
+            table = _CellTable.build(bs, a.size)
+        _add_edges(hist, a, bs, lo, hi, w, m_max, table)
+
+
+def _windows(a, bs, w, m_max, table):
+    """Each row's window [lo, hi) in bs, between its outer edges.
+
+    One edge array serves both ends and dies on return, before the block's
+    edges are counted.
+    """
+    edge = _edge(a, -m_max, w)
+    if table is None:
+        lo = np.searchsorted(bs, edge, side="left")
+        hi = np.searchsorted(bs, _edge(a, m_max + 1, w, out=edge), side="left")
+    else:
+        lo = table.positions(edge)
+        hi = table.positions(_edge(a, m_max + 1, w, out=edge))
+    return lo, hi
 
 
 def _add_pairs(hist, a, b, lo, hi, w, m_max):
@@ -150,22 +189,22 @@ def _settle(ta, tb, m, w):
     return m
 
 
-def _add_edges(hist, a, b, lo, hi, w, m_max):
-    """Count the b below every edge, summed over the rows a, and difference."""
+def _add_edges(hist, a, bs, lo, hi, w, m_max, table):
+    """Count the bs below every edge, summed over the rows a, and difference.
+
+    ``table`` is the block's cell table, or None where ``build`` refused
+    one; then every edge is counted by binary search.
+    """
     below = np.empty(2 * m_max + 2, dtype=np.int64)
     below[0] = lo.sum()
     below[-1] = hi.sum()
-    first = int(lo[0])
-    bs = b[first:int(hi[-1])]  # every interior edge of every row falls in bs
-    table = _CellTable.build(bs, a.size)
     keys = np.empty(_capacity(a.size))[:a.size]
     for k in range(1, 2 * m_max + 1):
         _edge(a, k - m_max, w, out=keys)
         if table is None:
-            n_below = _search_below(bs, keys)
+            below[k] = _search_below(bs, keys)
         else:
-            n_below = table.below(keys)
-        below[k] = first * keys.size + n_below
+            below[k] = table.below(keys)
     hist += np.diff(below)
 
 
@@ -231,6 +270,26 @@ class _CellTable:
         np.clip(y, 0.0, self.top, out=y)
         np.copyto(cell, y, casting="unsafe")
         return cell
+
+    def positions(self, keys):
+        """``np.searchsorted(bs, keys, side="left")`` through the table.
+
+        The lookup and comparison passes of ``below``, kept per key: each
+        pass moves the keys whose next b compares below them one b on, and
+        the keys still moving after the last pass finish by binary search.
+        Returns a new array.
+        """
+        y, less = self.y[:keys.size], self.less[:keys.size]
+        pos = np.take(self.start, self.cells(keys), mode="clip")
+        for _ in range(_ADVANCE_PASSES):
+            np.take(self.bs_inf, pos, out=y, mode="clip")
+            np.less(y, keys, out=less)
+            if not less.any():
+                return pos
+            pos += less
+        left = np.flatnonzero(less)
+        pos[left] = np.searchsorted(self.bs, keys[left], side="left")
+        return pos
 
     def below(self, keys):
         """``_search_below(bs, keys)`` through the table.

@@ -222,7 +222,8 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
 
     Where the numerator or the denominator overflows, or the denominator
     underflows to 0, the profile is taken as
-    offset + amplitude / (1 + ((detuning - center) / (w/2))^2) instead.
+    offset + amplitude / (1 + ((detuning - center) / (w/2))^2) instead, and
+    as offset + amplitude at detuning = center, also where w/2 rounds to 0.
     """
     if np.any(np.asarray(fwhm_mhz) <= 0):
         raise ValueError(f"fwhm must be positive, got {fwhm_mhz}")
@@ -237,9 +238,11 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
         value = offset + num / den
     out_of_range = ~(np.isfinite(num) & np.isfinite(den)) | (den == 0)
     if out_of_range.any():
-        with np.errstate(over="ignore"):  # (d / hwhm)^2 = inf gives the 0 tail
+        # (d / hwhm)^2 = inf, also d / 0, gives the 0 tail; d = 0 the peak
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = d / np.where(d == 0, 1.0, hwhm)
             value = np.where(out_of_range,
-                             amplitude / (1.0 + (d / hwhm) ** 2) + offset, value)
+                             amplitude / (1.0 + ratio ** 2) + offset, value)
     return _scalar_like(value, detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset)
 
 

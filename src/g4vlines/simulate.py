@@ -310,14 +310,18 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
     n_fast = 0
     if background is not None:
         # amplitude ratio -> count fraction of the fast component
-        frac_fast = background.a_fast * background.tau_fast \
-            / (background.a_fast * background.tau_fast + lifetime)
+        fast = background.a_fast * background.tau_fast
+        if fast + lifetime < math.inf:
+            frac_fast = fast / (fast + lifetime)
+        else:  # the sum overflows
+            frac_fast = 1.0 / (1.0 + lifetime / fast)
         n_fast = rng.binomial(n, frac_fast) if n else 0
     # same draws as exponential(tau_fast, n_fast), then exponential(lifetime, n - n_fast)
     times = rng.standard_exponential(n)
-    if n_fast:
-        times[:n_fast] *= background.tau_fast
-    times[n_fast:] *= lifetime
+    with np.errstate(over="ignore"):  # an arrival at inf is past t_max
+        if n_fast:
+            times[:n_fast] *= background.tau_fast
+        times[n_fast:] *= lifetime
     edges = bin_width * np.arange(n_bins + 1)
     counts, _ = np.histogram(times, edges)
     centers = edges[:-1] + bin_width / 2.0
@@ -357,6 +361,8 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
         raise ValueError("rate and duration must be positive")
     if lifetime <= 0:
         raise ValueError("lifetime must be positive")
+    if duration * 1e9 == math.inf:
+        raise ValueError(f"duration = {duration:g} s overflows in ns")
     m_max = _bin_count(bin_width, tau_max, "tau_max", MAX_BINS / 2)
     if rate * duration > _MAX_STREAM_PHOTONS:
         raise ValueError(f"stream too large: rate * duration = {rate * duration:g} "
@@ -364,24 +370,31 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
                          "or duration")
 
     lifetime_s = lifetime * 1e-9
+    if lifetime_s == 0.0:
+        raise ValueError(f"lifetime = {lifetime:g} ns underflows in s")
     emitter_rate = purity_rho * rate
     bg_rate = (1.0 - purity_rho) * rate
-    if emitter_rate > 0 and emitter_rate >= 0.5 / lifetime_s:
-        raise ValueError("emitter rate too high for the given lifetime "
-                         "(needs rate * purity_rho << 1/lifetime)")
+    if emitter_rate > 0:
+        if emitter_rate >= 0.5 / lifetime_s:
+            raise ValueError("emitter rate too high for the given lifetime "
+                             "(needs rate * purity_rho << 1/lifetime)")
+        excitation_rate = 1.0 / (1.0 / emitter_rate - lifetime_s)
+        if not 0.0 < excitation_rate < math.inf:
+            raise ValueError(f"rate * purity_rho = {emitter_rate:g} /s is out "
+                             "of range")
 
     rng = substream(seed, 0)
     parts = []
     if emitter_rate > 0:
-        excitation_rate = 1.0 / (1.0 / emitter_rate - lifetime_s)
         t = 0.0
         mean_wait = 1.0 / excitation_rate + lifetime_s
         while t < duration:
             n = int((duration - t) / mean_wait * 1.05) + 16
             ts = rng.exponential(1.0 / excitation_rate, n)
-            ts += rng.exponential(lifetime_s, n)
-            np.cumsum(ts, out=ts)
-            ts += t
+            with np.errstate(over="ignore"):  # inf is past duration
+                ts += rng.exponential(lifetime_s, n)
+                np.cumsum(ts, out=ts)
+                ts += t
             parts.append(ts[:np.searchsorted(ts, duration)])  # ts is sorted
             t = ts[-1]
         del ts  # parts holds the only references to the batches
@@ -395,7 +408,7 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     else:
         stream = np.concatenate(parts) if parts else np.empty(0)
         parts.clear()
-        stream.sort()
+        stream.sort(kind="stable")  # a merge of the sorted runs
     if stream.size < 2:
         raise ValueError("stream contains fewer than 2 photons; "
                          "increase rate or duration")
@@ -406,16 +419,30 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     del stream, to_b
     det_a *= 1e9
     det_b *= 1e9
+    normalization = _normalization(det_a.size, det_b.size, duration * 1e9,
+                                   bin_width)
 
     counts = coincidence_histogram(det_a, det_b, bin_width, m_max)
-    return _histogram(counts, det_a.size, det_b.size, duration * 1e9, bin_width)
+    return _histogram(counts, normalization, bin_width)
 
 
-def _histogram(counts, n_a: int, n_b: int, duration: float,
-               bin_width: float) -> CorrelationHistogram:
-    """g2 of the counts of 2 m_max + 1 bins between streams of n_a and n_b
-    photons: each bin over the pairs two uncorrelated streams would give."""
+def _normalization(n_a: int, n_b: int, duration: float,
+                   bin_width: float) -> float:
+    """The pairs per bin that two uncorrelated streams of n_a and n_b photons
+    over duration would give: positive and finite, and so is every g2 value
+    (at most n_a * n_b pairs over it), or ValueError."""
     normalization = (n_a / duration) * (n_b / duration) * duration * bin_width
+    if not (0.0 < normalization < math.inf
+            and n_a * n_b / normalization < math.inf):
+        raise ValueError(f"g2 normalization = {normalization:g} is out of range "
+                         f"for {n_a} and {n_b} photons; change rate, duration "
+                         "or bin_width")
+    return normalization
+
+
+def _histogram(counts, normalization: float,
+               bin_width: float) -> CorrelationHistogram:
+    """g2 of the counts of 2 m_max + 1 bins: each bin over the normalization."""
     m_max = counts.size // 2
     tau_bins = bin_width * np.arange(-m_max, m_max + 1)
     return CorrelationHistogram(tau_bins, counts / normalization, counts,
@@ -445,7 +472,8 @@ def correlate_stream(arrival_times, *, bin_width: float, tau_max: float,
         duration = float(t[-1])
     if duration <= 0:
         raise ValueError("duration must be positive")
+    normalization = _normalization(t.size, t.size, duration, bin_width)
 
     counts = coincidence_histogram(t, t, bin_width, m_max)
     counts[m_max] -= t.size  # drop self-pairs
-    return _histogram(counts, t.size, t.size, duration, bin_width)
+    return _histogram(counts, normalization, bin_width)

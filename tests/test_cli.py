@@ -710,6 +710,14 @@ _JSON_VALUES = st.recursive(
     max_leaves=4)
 
 
+# A change to a default float of a simulate config: any finite float, or the
+# default scaled by 1e-3 ... 1e3, so that many examples run to the end.
+_CHANGES = (st.floats(allow_nan=False, allow_infinity=False).map(
+                lambda value: lambda default: value)
+            | st.floats(-3.0, 3.0).map(
+                lambda exponent: lambda default: default * 10.0 ** exponent))
+
+
 class TestFuzz:
     @given(changed=st.dictionaries(st.sampled_from(sorted(PBV_FIELDS) + ["bogus"]),
                                    _JSON_VALUES, max_size=4),
@@ -888,11 +896,125 @@ class TestFuzz:
                          "--out", str(out_dir)])
         assert code in (0, 2), err.getvalue()
         assert (code == 2) == err.getvalue().startswith("error: ")
-        if code == 0:  # every CSV value, header value and manifest number
-            for written in out_dir.iterdir():
-                for token in re.split(r"[\s,=:\[\]{}\"]+", written.read_text()):
-                    try:
-                        number = float(token)
-                    except ValueError:
-                        continue  # a key, a name or a file name
-                    assert math.isfinite(number), (written.name, token)
+        if code == 0:
+            assert_finite_outputs(out_dir)
+
+    @given(changed=st.dictionaries(
+               st.sampled_from(["rate", "lifetime_ns", "purity_rho",
+                                "duration_s", "bin_width_ns", "tau_max_ns"]),
+               _CHANGES, min_size=1),
+           bins=st.sampled_from([(2.0, 50.0), (1e5, 1e6)]),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_simulate_hbt_config_exit_0_or_2(self, tmp_path_factory, changed,
+                                             bins, seed):
+        # any finite float, or a scaled default, in any field of an hbt
+        # config, from fine bins (binary-search windows) or wide ones (the
+        # cell table's windows): finite outputs or an input error, and no
+        # numpy warning. The stream and histogram caps are lowered to 2e4
+        # photons and 2001 bins here, so that no example draws or writes
+        # more; the real caps are tested without drawing in
+        # test_simulate_caps_before_drawing
+        bin_width, tau_max = bins
+        cfg = {"rate": 2e5, "lifetime_ns": 4.4, "purity_rho": 0.9,
+               "duration_s": 0.05, "bin_width_ns": bin_width,
+               "tau_max_ns": tau_max, "seed": seed}
+        for key, change in changed.items():
+            cfg[key] = change(cfg[key])
+        code, out_dir = self.run_simulate(tmp_path_factory, "hbt", cfg)
+        if code == 0:
+            assert_finite_outputs(out_dir)
+
+    @given(changed=st.dictionaries(
+               st.sampled_from(["lifetime_ns", "bin_width_ns", "t_max_ns",
+                                "a_fast", "tau_fast_ns"]),
+               _CHANGES, min_size=1),
+           counts_total=st.integers(-10, 30_000) | st.integers(),
+           background=st.booleans(), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_simulate_trpl_config_exit_0_or_2(self, tmp_path_factory, changed,
+                                              counts_total, background, seed):
+        # any finite float, or a scaled default, in any float field of a
+        # trpl config, any integer count: finite outputs or an input error,
+        # and no numpy warning, with the count and bin caps lowered as for
+        # hbt above
+        cfg = {"lifetime_ns": 4.4, "counts_total": counts_total,
+               "bin_width_ns": 0.2, "t_max_ns": 60.0, "seed": seed}
+        background_cfg = {"a_fast": 6.0, "tau_fast_ns": 0.5}
+        for key, change in changed.items():
+            fields = background_cfg if key in background_cfg else cfg
+            fields[key] = change(fields[key])
+        if background:
+            cfg["background"] = background_cfg
+        code, out_dir = self.run_simulate(tmp_path_factory, "trpl", cfg)
+        if code == 0:
+            assert_finite_outputs(out_dir)
+
+    @staticmethod
+    def run_simulate(tmp_path_factory, what, cfg):
+        """Exit code and output directory of `simulate what` on cfg, run with
+        every warning an error except trpl's documented short window, and
+        with at most 2e4 photons or counts and 2001 bins."""
+        base = tmp_path_factory.getbasetemp()
+        path, out_dir = base / f"fuzz_{what}.json", base / f"fuzz_{what}"
+        path.write_text(json.dumps(cfg))
+        shutil.rmtree(out_dir, ignore_errors=True)
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            mp.setattr(g.simulate, "_MAX_STREAM_PHOTONS", 20_000)
+            mp.setattr(g.simulate, "_MAX_TRPL_COUNTS", 20_000)
+            mp.setattr(g.simulate, "MAX_BINS", 2001)
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "t_max = .* below 10 lifetimes",
+                                    UserWarning)
+            code = main(["simulate", what, "--config", str(path),
+                         "--out", str(out_dir)])
+        assert code in (0, 2), err.getvalue()
+        assert (code == 2) == err.getvalue().startswith("error: ")
+        return code, out_dir
+
+    @pytest.mark.parametrize("what, cfg, cap", [
+        ("hbt", {"rate": 1e6, "lifetime_ns": 4.4, "purity_rho": 0.9,
+                 "bin_width_ns": 2.0, "tau_max_ns": 50.0}, "_MAX_STREAM_PHOTONS"),
+        ("trpl", {"lifetime_ns": 4.4, "bin_width_ns": 0.2, "t_max_ns": 60.0,
+                  "background": {"a_fast": 6.0, "tau_fast_ns": 0.5}},
+         "_MAX_TRPL_COUNTS")])
+    def test_simulate_caps_before_drawing(self, tmp_path, monkeypatch, what,
+                                          cfg, cap):
+        # one photon or count over the real cap exits 2 before any draw; at
+        # the cap the config is accepted and reaches the generator
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"random stream drawn: {name}")
+
+        monkeypatch.setattr(g.simulate, "substream", lambda *args: NoDraws())
+        limit = getattr(g.simulate, cap)
+        path = tmp_path / "cfg.json"
+        for size, accepted in ((limit + 1, False), (limit, True)):
+            if what == "hbt":
+                cfg["duration_s"] = size / cfg["rate"]
+            else:
+                cfg["counts_total"] = size
+            path.write_text(json.dumps(cfg))
+            argv = ["simulate", what, "--config", str(path),
+                    "--out", str(tmp_path / "out")]
+            if accepted:
+                with pytest.raises(AssertionError, match="random stream drawn"):
+                    main(argv)
+            else:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert main(argv) == 2
+                assert "exceeds" in err.getvalue() or "must be in" in err.getvalue()
+
+
+def assert_finite_outputs(out_dir):
+    """Every CSV value, header value and manifest number written is finite."""
+    for written in out_dir.iterdir():
+        for token in re.split(r"[\s,=:\[\]{}\"]+", written.read_text()):
+            try:
+                number = float(token)
+            except ValueError:
+                continue  # a key, a name or a file name
+            assert math.isfinite(number), (written.name, token)

@@ -78,6 +78,27 @@ def edge_counts(monkeypatch):
     return ran
 
 
+@pytest.fixture
+def table_calls(monkeypatch):
+    """("build", partners) of every ``_CellTable.build`` call and
+    ("positions", keys) of every window search through a table, in order."""
+    ran = []
+    build = _kernels._CellTable.build
+    positions = _kernels._CellTable.positions
+
+    def build_spy(bs, n_keys):
+        ran.append(("build", bs.size))
+        return build(bs, n_keys)
+
+    def positions_spy(table, keys):
+        ran.append(("positions", keys.size))
+        return positions(table, keys)
+
+    monkeypatch.setattr(_kernels._CellTable, "build", staticmethod(build_spy))
+    monkeypatch.setattr(_kernels._CellTable, "positions", positions_spy)
+    return ran
+
+
 def assert_cell_tables_used(edge_counts):
     """Every block counted through its cell table: each binary search is of
     the few keys left after the passes, fewer than a block's keys."""
@@ -240,6 +261,50 @@ class TestImplementationAgreement:
         assert hist.sum() > 50_000_000
         assert peak < 6e6, f"kernel peak {peak / 1e6:.1f} MB"
 
+    def test_one_table_per_dense_block(self, table_calls, branches):
+        # an hbt_wide-size stream, ~5 partners per bin width: each block
+        # builds one table, finds both window ends of its rows through it
+        # and counts its edges with it
+        rng = np.random.default_rng(41)
+        a = poisson_stream(rng, 300_000, 5e-4, start=1e9)
+        b = poisson_stream(rng, 300_000, 5e-4, start=1e9)
+        assert_matches_reference(a, b, 1e4, 10)
+        rows = [min(_kernels._BLOCK_ROWS, a.size - r)
+                for r in range(0, a.size, _kernels._BLOCK_ROWS)]
+        assert len(rows) > 1
+        assert [name for name, _ in table_calls] \
+            == ["build", "positions", "positions"] * len(rows)
+        assert [n for name, n in table_calls if name == "positions"] \
+            == [n for n in rows for _ in range(2)]
+        assert branches == ["_add_edges"] * len(rows)
+
+    def test_no_table_for_sparse_blocks(self, table_calls, branches):
+        # a criterion-7/hbt_fine-size stream, ~4e-4 partners per bin width:
+        # windows by binary search, pairs binned, no table (the "fine"
+        # stream above checks such histograms against the reference)
+        rng = np.random.default_rng(43)
+        a = poisson_stream(rng, 50_000, 2e-3, start=1e6)
+        b = poisson_stream(rng, 50_000, 2e-3, start=1e6)
+        assert coincidence_histogram(a, b, 0.2, 250).sum() > 0
+        assert table_calls == []
+        assert set(branches) == {"_add_pairs"}
+
+    def test_sparse_block_of_dense_rows_builds_for_edges(self, table_calls,
+                                                         branches):
+        # two bursts far apart: the block's partners average fewer than one
+        # per bin width, but each row has many, so the edge branch runs and
+        # builds its table after the windows
+        rng = np.random.default_rng(47)
+        bursts = [np.sort(rng.uniform(t, t + 50.0, 400)) for t in (0.0, 1e6)]
+        a = np.concatenate([burst[::4] for burst in bursts])
+        b = np.concatenate(bursts)
+        w, m_max = 1.0, 20
+        bs = b[(b >= a[0] - (m_max + 0.5) * w) & (b < a[-1] + (m_max + 0.5) * w)]
+        assert bs.size * w < bs[-1] - bs[0]
+        assert_matches_reference(a, b, w, m_max)
+        assert table_calls == [("build", bs.size)]
+        assert branches == ["_add_edges"]
+
     def test_validation(self):
         one = np.array([0.0])
         for bad in (-1.0, 0.0, math.nan, math.inf):
@@ -305,3 +370,50 @@ class TestBucketedEdgeCount:
         assert_matches_reference(a, b, w, m_max)
         assert_matches_reference(b, a, w, m_max)
         assert_cell_tables_used(edge_counts)
+
+
+class TestCellTablePositions:
+    """``_CellTable.positions`` is ``np.searchsorted(bs, keys, side="left")``."""
+
+    @staticmethod
+    def assert_positions(bs, keys):
+        table = _kernels._CellTable.build(bs, keys.size + 100)
+        got = table.positions(keys)
+        expected = np.searchsorted(bs, keys, side="left")
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        return table, expected
+
+    def test_keys_outside_and_inside(self):
+        rng = np.random.default_rng(53)
+        bs = np.sort(rng.uniform(1e9, 1e9 + 1e6, 5000))
+        keys = rng.uniform(bs[0] - 1e5, bs[-1] + 1e5, 20_000)
+        keys[:4] = [bs[0], bs[-1], np.nextafter(bs[0], -np.inf),
+                    np.nextafter(bs[-1], np.inf)]
+        assert (keys < bs[0]).any() and (keys > bs[-1]).any()
+        self.assert_positions(bs, keys)
+        self.assert_positions(bs, np.sort(keys))
+
+    def test_duplicate_tags(self):
+        rng = np.random.default_rng(59)
+        bs = np.sort(rng.integers(0, 300, 2000)).astype(float)
+        keys = np.concatenate([bs, bs + 0.5, bs - 0.5, [-1.0, 300.0]])
+        self.assert_positions(bs, keys)
+
+    def test_crowded_cell_finishes_by_binary_search(self):
+        # 200 identical tags fill one cell: a key just above them lies more
+        # than _ADVANCE_PASSES partners past its cell's start
+        rng = np.random.default_rng(61)
+        bs = np.sort(np.concatenate([rng.uniform(0.0, 1000.0, 400),
+                                     np.full(200, 500.0)]))
+        keys = np.concatenate([[np.nextafter(500.0, np.inf), 500.0],
+                               rng.uniform(-10.0, 1010.0, 500)])
+        table, expected = self.assert_positions(bs, keys)
+        advance = expected - table.start[table.cells(keys)]
+        assert advance.max() > _kernels._ADVANCE_PASSES
+
+    def test_negative_tags(self):
+        rng = np.random.default_rng(67)
+        bs = np.sort(rng.uniform(-2e4, -1e4, 3000))
+        keys = rng.uniform(-2.5e4, -5e3, 4000)
+        self.assert_positions(bs, keys)

@@ -341,6 +341,25 @@ class TestLorentzian:
                                   1.0, 0.0)
         assert np.array_equal(values, [1.0, 0.5, 1.0 / (1.0 + 1e46 ** 2)])
 
+    def test_width_rounding_to_zero_half(self):
+        # w = 5e-324: w/2 rounds to 0, so the formula and its re-evaluation
+        # would divide 0 by 0 at the peak; the peak is amplitude + offset,
+        # and every other detuning, whatever branch it takes, the 0 tail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.lorentzian(0.0, 0.0, 5e-324, 1.0, 0.0) == 1.0
+            assert g.lorentzian(3.0, 3.0, 5e-324, 2.0, 0.5) == 2.5
+            for d in (1.0, 1e-200, 1e200, -1e-200):
+                assert g.lorentzian(d, 0.0, 5e-324, 2.0, 0.5) == 0.5
+            values = g.lorentzian(np.array([0.0, 1e-200, 1e200, 1.0]), 0.0,
+                                  5e-324, 2.0, 0.5)
+            # only the re-evaluated peak changes: a width that does not
+            # round to 0 keeps its bytes in every element
+            wide = g.lorentzian(np.array([0.0, 1e-170, 1e154]), 0.0,
+                                np.array([1e-320, 2e-170, 2e154]), 1.0, 0.0)
+        assert np.array_equal(values, [2.5, 0.5, 0.5, 0.5])
+        assert np.array_equal(wide, [1.0, 0.5, 0.5])
+
     def test_finite_terms_keep_their_bytes(self):
         rng = np.random.default_rng(3)
         x = rng.normal(0.0, 1e3, 2000)

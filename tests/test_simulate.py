@@ -13,6 +13,7 @@ docstring point by point, so it pins the stream with ionization on.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,10 +24,9 @@ from g4vlines._kernels import MAX_BINS, coincidence_histogram
 PBV = g.REGISTRY.get("PbV")
 
 
-def hbt_reference(rate, lifetime, purity_rho, duration, *, bin_width,
-                  tau_max, seed):
-    """(counts, g2, normalization) of simulate_hbt's earlier stream builder."""
-    m_max = int(round(tau_max / bin_width))
+def reference_detectors(rate, lifetime, purity_rho, duration, seed):
+    """(det_a, det_b) in ns of simulate_hbt's earlier stream builder, which
+    sorts the concatenated parts with numpy's default sort."""
     lifetime_s = lifetime * 1e-9
     emitter_rate = purity_rho * rate
     bg_rate = (1.0 - purity_rho) * rate
@@ -48,8 +48,15 @@ def hbt_reference(rate, lifetime, purity_rho, duration, *, bin_width,
         parts.append(np.sort(rng.uniform(0.0, duration, n_bg)))
     stream = np.sort(np.concatenate(parts))
     to_b = rng.random(stream.size) < 0.5
-    det_a = stream[~to_b] * 1e9
-    det_b = stream[to_b] * 1e9
+    return stream[~to_b] * 1e9, stream[to_b] * 1e9
+
+
+def hbt_reference(rate, lifetime, purity_rho, duration, *, bin_width,
+                  tau_max, seed):
+    """(counts, g2, normalization) of simulate_hbt's earlier stream builder."""
+    m_max = int(round(tau_max / bin_width))
+    det_a, det_b = reference_detectors(rate, lifetime, purity_rho, duration,
+                                       seed)
     counts = coincidence_histogram(det_a, det_b, bin_width, m_max)
     duration_ns = duration * 1e9
     normalization = (det_a.size / duration_ns) * (det_b.size / duration_ns) \
@@ -524,6 +531,23 @@ class TestTrpl:
         clipped = 50_000 * np.exp(-80.0 / 4.4)
         assert 50_000 - trace.counts.sum() <= max(10 * clipped, 10)
 
+    @pytest.mark.parametrize("lifetime, background, in_window", [
+        (1.7e308, None, 0),
+        (4.4, g.TrplBackground(a_fast=1e200, tau_fast=1e200), 0),
+        (1e308, g.TrplBackground(a_fast=1e308, tau_fast=1.5), 600)])
+    def test_weights_and_arrivals_past_float_range(self, lifetime, background,
+                                                   in_window):
+        # arrivals that overflow to inf fall outside the histogram, and the
+        # fast share is right where its weights overflow (inf: all fast;
+        # 1.5e308 against 1e308, whose sum overflows: 0.6), with no numpy
+        # warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "t_max = .* below 10 lifetimes")
+            trace = g.simulate_trpl(lifetime, 1000, bin_width=0.5, t_max=50.0,
+                                    background=background, seed=1)
+        assert abs(trace.counts.sum() - in_window) <= 50
+
     def test_errors(self):
         with pytest.raises(ValueError):
             g.simulate_trpl(-1.0, 100, bin_width=0.5, t_max=50.0)
@@ -687,6 +711,30 @@ class TestHbt:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             g.simulate_hbt(**kw, bin_width=1.0, tau_max=50.0)
 
+    @pytest.mark.parametrize("rate, lifetime, rho, duration, bin_width, seed, error", [
+        # every photon at detector b: a g2 of 0/0
+        (3.0, 4.4, 0.5, 1.0, 2.0, 18, "normalization = 0 .* 0 and 4 photons"),
+        (1e5, 4.4, 0.5, 0.01, 5e-324, 0, "normalization = 0 "),
+        (1e-300, 4.4, 0.0, 3e300, 2.0, 0, "overflows in ns"),
+        (1e5, 1e-320, 0.5, 0.01, 2.0, 0, "underflows in s"),
+        (5e-324, 4.4, 0.9, 1.0, 2.0, 0, "purity_rho = 4.94066e-324 /s is out")])
+    def test_out_of_range_named(self, rate, lifetime, rho, duration,
+                                bin_width, seed, error):
+        # each gave a NaN or inf g2, a numpy warning or a ZeroDivisionError
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=error):
+            warnings.simplefilter("error")
+            g.simulate_hbt(rate, lifetime, rho, duration, bin_width=bin_width,
+                           tau_max=bin_width, seed=seed)
+
+    def test_emitter_waits_past_float_range(self):
+        # rate * purity_rho = 4.5e-308 /s: the emitter's waits overflow to
+        # inf, past duration, with no numpy warning; the background remains
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = g.simulate_hbt(2e5, 4.4, 2.2250738585e-313, 0.05,
+                                  bin_width=2.0, tau_max=50.0)
+        assert hist.coincidence_counts.sum() > 0
+
     @pytest.mark.parametrize("rate, duration, accepted", [
         (4e6, 7.5, True),      # criterion 7: 3e7 photons
         (1e6, 63.0, True), (1e6, 64.0, False), (1e8, 2.0, False)])
@@ -734,6 +782,27 @@ class TestHbt:
         assert counts.sum() > 0
         assert generators[0].exponential_calls == 2 * batches
 
+    @pytest.mark.parametrize("rho", [0.0, 1.0, 0.5, 0.959],
+                             ids=["background", "emitter", "mixed", "crit7"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_merged_stream_equals_default_sort(self, monkeypatch, rho, seed):
+        # the sorted emitter and background runs are merged by a stable
+        # sort; the stream is positive floats, so it is the default sort's
+        detectors = []
+
+        def capture(det_a, det_b, *args):
+            detectors.append((det_a.copy(), det_b.copy()))
+            return coincidence_histogram(det_a, det_b, *args)
+
+        monkeypatch.setattr(g.simulate, "coincidence_histogram", capture)
+        g.simulate_hbt(4e6, 4.4, rho, 2e-3, bin_width=0.2, tau_max=50.0,
+                       seed=seed)
+        (det_a, det_b), = detectors
+        ref_a, ref_b = reference_detectors(4e6, 4.4, rho, 2e-3, seed)
+        assert det_a.size + det_b.size > 7000
+        assert det_a.tobytes() == ref_a.tobytes()
+        assert det_b.tobytes() == ref_b.tobytes()
+
     def test_peak_memory_per_photon(self):
         # hbt_wide-like stream of 1e6 photons: built in place and dropped
         # before the kernel runs, so the traced peak (~17 B per photon) is
@@ -772,6 +841,18 @@ class TestCorrelateStream:
             assert per_bin[-100 * k] == n - k
         others = [c for t, c in per_bin.items() if t % 100 != 0]
         assert max(others) == 0
+
+    @pytest.mark.parametrize("kw", [dict(duration=1e308),
+                                    dict(bin_width=5e-324, tau_max=5e-324)],
+                             ids=["duration", "bin_width"])
+    def test_normalization_out_of_range_named(self, kw):
+        # a normalization that underflows to 0, or so small that a g2 value
+        # overflows, used to give a NaN or inf g2 with a numpy warning
+        kw = dict(dict(bin_width=1.0, tau_max=5.0), **kw)
+        with warnings.catch_warnings(), \
+                pytest.raises(ValueError, match="normalization .* out of range"):
+            warnings.simplefilter("error")
+            g.correlate_stream(np.array([0.0, 1.0, 2.0]), **kw)
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
