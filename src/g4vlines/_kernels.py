@@ -41,17 +41,19 @@ difference, a product with a positive inv, a clip and a truncation of values
 >= 0 each are), so every b in a lower cell than a key is below the key and
 every b in a higher cell is not. A key's count, a window end or an edge's,
 is start[cell(key)] plus a short advance over the b of its own cell that
-compare below it, the comparison evaluated exactly as written.
-Two fallbacks keep it exact and bounded: a block whose partners span zero
-time, or so little that inv is not finite, finds its windows and counts
-every edge with ``searchsorted``; keys still advancing after
-``_ADVANCE_PASSES`` passes (duplicate time tags, crowded cells) finish with
-``searchsorted``.
+compare below it, the comparison evaluated exactly as written. The
+argument holds for any positive finite inv, so every block's table is
+exact: inv = ncell / span only makes the advance short. Where the partners
+span zero time, or so little that the quotient overflows, inv is the
+largest float, and a span beyond the float range counts as the largest
+float. Keys still advancing after ``_ADVANCE_PASSES`` passes (duplicate
+time tags, crowded cells) finish with the table's one binary search.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -69,13 +71,15 @@ _BLOCK_ROWS = 1 << 16
 _CHUNK_PAIRS = 1 << 16
 
 # Cells of a block's bucket table per partner, and the comparison
-# passes over all keys after which the keys still advancing fall back to
-# searchsorted. On an hbt_wide stream 21 % of the keys pass one partner of
+# passes over all keys after which the keys still advancing finish by
+# binary search. On an hbt_wide stream 21 % of the keys pass one partner of
 # their own cell, 3 % two and 0.4 % three. 2 cells per partner and 3 passes
 # ran within 3 % of the fastest choice there (4 cells, 2 passes) with half
 # the table (16 B per partner).
 _CELLS_PER_PARTNER = 2
 _ADVANCE_PASSES = 3
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _edge(a, k, w, out=None):
@@ -122,7 +126,7 @@ def _add_block(hist, a, b, w, m_max):
     if bs.size == 0:
         return
     dense = bs.size * w > float(bs[-1]) - float(bs[0])  # > 1 per bin width
-    table = _CellTable.build(bs, a.size) if dense else None
+    table = _CellTable(bs, a.size) if dense else None
     lo, hi = _windows(a, bs, w, m_max, table)
     active = lo < hi
     if not active.all():
@@ -133,9 +137,9 @@ def _add_block(hist, a, b, w, m_max):
     if n_pairs <= (2 * m_max + 2) * a.size:
         _add_pairs(hist, a, bs, lo, hi, w, m_max)
     else:
-        if not dense:
-            table = _CellTable.build(bs, a.size)
-        _add_edges(hist, a, bs, lo, hi, w, m_max, table)
+        if table is None:
+            table = _CellTable(bs, a.size)
+        _add_edges(hist, a, lo, hi, w, m_max, table)
 
 
 def _windows(a, bs, w, m_max, table):
@@ -189,28 +193,16 @@ def _settle(ta, tb, m, w):
     return m
 
 
-def _add_edges(hist, a, bs, lo, hi, w, m_max, table):
-    """Count the bs below every edge, summed over the rows a, and difference.
-
-    ``table`` is the block's cell table, or None where ``build`` refused
-    one; then every edge is counted by binary search.
-    """
+def _add_edges(hist, a, lo, hi, w, m_max, table):
+    """Count the partners below every edge through the block's cell table,
+    summed over the rows a, and difference."""
     below = np.empty(2 * m_max + 2, dtype=np.int64)
     below[0] = lo.sum()
     below[-1] = hi.sum()
     keys = np.empty(_capacity(a.size))[:a.size]
     for k in range(1, 2 * m_max + 1):
-        _edge(a, k - m_max, w, out=keys)
-        if table is None:
-            below[k] = _search_below(bs, keys)
-        else:
-            below[k] = table.below(keys)
+        below[k] = table.below(_edge(a, k - m_max, w, out=keys))
     hist += np.diff(below)
-
-
-def _search_below(bs, keys):
-    """Sum over the keys of the number of bs below each key, by binary search."""
-    return int(np.searchsorted(bs, keys, side="left").sum())
 
 
 def _capacity(n):
@@ -230,25 +222,13 @@ class _CellTable:
     7 MB above the earlier kernel's instead of 1 MB.
     """
 
-    @classmethod
-    def build(cls, bs, n_keys):
-        """The table of bs for up to n_keys keys at a time, or None.
-
-        None when bs spans zero time, or so little that the cell scale
-        overflows.
-        """
+    def __init__(self, bs, n_keys):
         n_cells = _CELLS_PER_PARTNER * bs.size
-        base = float(bs[0])
-        span = float(bs[-1]) - base
-        inv = n_cells / span if span > 0 else math.inf
-        if not 0.0 < inv < math.inf:
-            return None
-        return cls(bs, n_keys, n_cells, base, inv)
-
-    def __init__(self, bs, n_keys, n_cells, base, inv):
         self.bs = bs
-        self.base = base
-        self.inv = inv
+        self.base = float(bs[0])
+        # any positive finite inv keeps the count exact (module docstring)
+        span = min(float(bs[-1]) - self.base, _FLOAT_MAX)
+        self.inv = min(n_cells / span, _FLOAT_MAX) if span > 0 else _FLOAT_MAX
         self.top = float(n_cells - 1)
         self.y = np.empty(_capacity(max(n_keys, bs.size)))
         self.cell = np.empty(_capacity(max(n_keys, bs.size)), dtype=np.intp)
@@ -264,8 +244,8 @@ class _CellTable:
     def cells(self, x):
         """clip((x - base) * inv, 0, top) truncated to int: monotone in x."""
         y, cell = self.y[:x.size], self.cell[:x.size]
-        np.subtract(x, self.base, out=y)
         with np.errstate(over="ignore"):  # +-inf is clipped like any x
+            np.subtract(x, self.base, out=y)
             np.multiply(y, self.inv, out=y)
         np.clip(y, 0.0, self.top, out=y)
         np.copyto(cell, y, casting="unsafe")
@@ -288,11 +268,11 @@ class _CellTable:
                 return pos
             pos += less
         left = np.flatnonzero(less)
-        pos[left] = np.searchsorted(self.bs, keys[left], side="left")
+        pos[left] = self._search(keys[left])
         return pos
 
     def below(self, keys):
-        """``_search_below(bs, keys)`` through the table.
+        """The sum over the keys of ``positions(keys)``.
 
         Every b in a lower cell than a key is below it, so a key's count is
         pos = start[cell(key)] plus the number of b from bs[pos] on that
@@ -313,5 +293,10 @@ class _CellTable:
                 return total
             total += n_less
         left = np.flatnonzero(less)
-        return (total + _search_below(self.bs, keys[left])
+        return (total + int(self._search(keys[left]).sum())
                 - int(pos[left].sum()) - _ADVANCE_PASSES * left.size)
+
+    def _search(self, keys):
+        """``np.searchsorted(bs, keys, side="left")``: the table's one binary
+        search, for the keys still advancing after the last pass."""
+        return np.searchsorted(self.bs, keys, side="left")

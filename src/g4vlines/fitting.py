@@ -88,10 +88,13 @@ def _solve(a, b):
 @np.errstate(**_EDGE)
 def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
             max_iter=MAX_ITERATIONS) -> _LMResult:
-    """Minimize sum(((y - model(x, p)) / sigma)^2) over p.
+    """Minimize sum(((y - model(x, p)) / sigma)^2) over p, in 1 to max_iter
+    iterations.
 
     The arrays ``model`` and ``jac`` return are only read, never written.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     p = np.array(p0, dtype=float)
     w = 1.0 / np.asarray(sigma, dtype=float)
     neg_w = -w[:, None]  # J * -w has the bits of -J * w

@@ -224,7 +224,13 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
     underflows to 0, the profile is taken as
     offset + amplitude / (1 + ((detuning - center) / (w/2))^2) instead, and
     as offset + amplitude at detuning = center, also where w/2 rounds to 0.
+    A ValueError names an argument that is not finite.
     """
+    args = {"detuning_mhz": detuning_mhz, "center_mhz": center_mhz,
+            "fwhm_mhz": fwhm_mhz, "amplitude": amplitude, "offset": offset}
+    if not all(math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()
+               for v in args.values()):  # one test, then the name
+        _require_finite(**args)
     if np.any(np.asarray(fwhm_mhz) <= 0):
         raise ValueError(f"fwhm must be positive, got {fwhm_mhz}")
     if np.any(np.asarray(amplitude) < 0) or np.any(np.asarray(offset) < 0):

@@ -60,10 +60,23 @@ _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 REPUMP_POLICIES = ("none", "between_scans", "resonant")
 
 
+def _integral(value, name: str) -> int:
+    """value as an int, where it is integral (2 or 2.0); a ValueError names
+    a value that int() would truncate or refuse (2.5, NaN, inf)."""
+    try:
+        integral = int(value) == value
+    except (OverflowError, ValueError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Documented split function: independent generator for (seed, index)."""
+    seed = _integral(seed, "seed") & _MASK64
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((int(seed) & _MASK64, int(index)))))
+        np.random.PCG64(np.random.SeedSequence((seed, int(index)))))
 
 
 @dataclass(frozen=True)
@@ -141,6 +154,7 @@ class ScanSeriesConfig:
     noiseless: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "n_scans", _integral(self.n_scans, "n_scans"))
         _require_finite(**{f.name: getattr(self, f.name) for f in fields(self)
                            if f.type == "float"})
         if self.temperature < 0:
@@ -298,6 +312,7 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
     if not 0 <= counts_total <= _MAX_TRPL_COUNTS:
         raise ValueError(f"counts_total must be in [0, {_MAX_TRPL_COUNTS:g}], "
                          f"got {counts_total}")
+    n = _integral(counts_total, "counts_total")
     n_bins = _bin_count(bin_width, t_max, "t_max", MAX_BINS + 0.5)
     if n_bins < 2:
         raise ValueError("t_max must cover at least two bins")
@@ -306,7 +321,6 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
                       "the tail will be clipped", stacklevel=2)
 
     rng = substream(seed, 0)
-    n = int(counts_total)
     n_fast = 0
     if background is not None:
         # amplitude ratio -> count fraction of the fast component
@@ -456,7 +470,8 @@ def correlate_stream(arrival_times, *, bin_width: float, tau_max: float,
     All ordered pairs within +-tau_max are counted with a sliding window
     (self-pairs excluded); the per-bin normalization is
     rate^2 * duration * bin_width with rate = n_photons / duration.
-    ``duration`` defaults to the last arrival time.
+    ``duration`` defaults to the last arrival time and may not end before
+    it.
     """
     t = np.asarray(arrival_times, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -472,6 +487,9 @@ def correlate_stream(arrival_times, *, bin_width: float, tau_max: float,
         duration = float(t[-1])
     if duration <= 0:
         raise ValueError("duration must be positive")
+    if duration < t[-1]:
+        raise ValueError(f"duration {duration} is before the last arrival "
+                         f"time {t[-1]}")
     normalization = _normalization(t.size, t.size, duration, bin_width)
 
     counts = coincidence_histogram(t, t, bin_width, m_max)

@@ -211,6 +211,19 @@ class TestFit:
                          "--max-iter", "1")
         assert code == 4
 
+    @pytest.mark.parametrize("what", [["ple", "ple_pbv.csv"],
+                                      ["lifetime", "trpl_gev.csv"]])
+    @pytest.mark.parametrize("max_iter", ["0", "-2"])
+    def test_max_iter_below_one_exit_2(self, capsys, fixtures_dir, tmp_path,
+                                       what, max_iter):
+        # it used to write the start values as an unconverged report, exit 4
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "fit", what[0], "--in", str(fixtures_dir / what[1]),
+                           "--out", str(out), "--max-iter", max_iter)
+        assert code == 2
+        assert f"max_iter must be >= 1, got {max_iter}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, fit", [
         (["ple", "ple_pbv.csv"],
          lambda f: g.fit_lorentzian(dataio.load_spectrum(f / "ple_pbv.csv"))),

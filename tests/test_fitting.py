@@ -518,6 +518,15 @@ class TestDampingLoop:
         assert not report.converged
         assert report.n_iterations == max_iter
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        # 0 iterations used to return the start values as a report
+        for fit in (lambda: g.fit_lorentzian(_scan(5000.0, seed=5), max_iter=max_iter),
+                    lambda: g.fit_decay(_trace(2000, seed=4), "exp2",
+                                        max_iter=max_iter)):
+            with pytest.raises(ValueError, match=f"^max_iter must be >= 1, got {max_iter}$"):
+                fit()
+
     @pytest.mark.parametrize("fit,converged", [
         (lambda: g.fit_decay(_trace(50, seed=17), "exp1"), False),
         (lambda: g.fit_decay(_trace(2000, seed=4), "exp2"), True),

@@ -9,9 +9,11 @@ input, including separations a few ulps from an edge at large time tags.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from g4vlines import _kernels
 from g4vlines._kernels import MAX_BINS, coincidence_histogram
@@ -59,15 +61,16 @@ def branches(monkeypatch):
 
 @pytest.fixture
 def edge_counts(monkeypatch):
-    """(path, number of keys) of every per-edge count, in call order.
+    """(path, number of keys) of every count through a cell table, in call
+    order.
 
-    "bucket" is a count through the block's cell table, "search" a binary
-    search: of a whole block's keys where the block has no table, or of the
-    keys still advancing after the last pass.
+    "bucket" is an edge's count through the block's cell table, "search"
+    the table's binary search of the keys still advancing after the last
+    pass, of an edge or of a window end.
     """
     ran = []
     for owner, name, path in ((_kernels._CellTable, "below", "bucket"),
-                              (_kernels, "_search_below", "search")):
+                              (_kernels._CellTable, "_search", "search")):
         count = getattr(owner, name)
 
         def spy(*args, _count=count, _path=path):
@@ -80,21 +83,21 @@ def edge_counts(monkeypatch):
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """("build", partners) of every ``_CellTable.build`` call and
+    """("table", partners) of every ``_CellTable`` constructed and
     ("positions", keys) of every window search through a table, in order."""
     ran = []
-    build = _kernels._CellTable.build
+    init = _kernels._CellTable.__init__
     positions = _kernels._CellTable.positions
 
-    def build_spy(bs, n_keys):
-        ran.append(("build", bs.size))
-        return build(bs, n_keys)
+    def init_spy(table, bs, n_keys):
+        ran.append(("table", bs.size))
+        init(table, bs, n_keys)
 
     def positions_spy(table, keys):
         ran.append(("positions", keys.size))
         return positions(table, keys)
 
-    monkeypatch.setattr(_kernels._CellTable, "build", staticmethod(build_spy))
+    monkeypatch.setattr(_kernels._CellTable, "__init__", init_spy)
     monkeypatch.setattr(_kernels._CellTable, "positions", positions_spy)
     return ran
 
@@ -273,7 +276,7 @@ class TestImplementationAgreement:
                 for r in range(0, a.size, _kernels._BLOCK_ROWS)]
         assert len(rows) > 1
         assert [name for name, _ in table_calls] \
-            == ["build", "positions", "positions"] * len(rows)
+            == ["table", "positions", "positions"] * len(rows)
         assert [n for name, n in table_calls if name == "positions"] \
             == [n for n in rows for _ in range(2)]
         assert branches == ["_add_edges"] * len(rows)
@@ -302,7 +305,7 @@ class TestImplementationAgreement:
         bs = b[(b >= a[0] - (m_max + 0.5) * w) & (b < a[-1] + (m_max + 0.5) * w)]
         assert bs.size * w < bs[-1] - bs[0]
         assert_matches_reference(a, b, w, m_max)
-        assert table_calls == [("build", bs.size)]
+        assert table_calls == [("table", bs.size)]
         assert branches == ["_add_edges"]
 
     def test_validation(self):
@@ -317,23 +320,24 @@ class TestImplementationAgreement:
 
 
 class TestBucketedEdgeCount:
-    """The per-edge branch's cell table and its two binary-search fallbacks."""
+    """The per-edge branch's cell table, exact for every block, and its one
+    binary search."""
 
     def test_zero_span_searches(self, edge_counts):
-        # all partners of the block at one time tag: no cell scale
+        # all partners of the block at one time tag: the largest float is
+        # the cell scale, and every edge is counted through the table
         a = np.linspace(-3.0, 3.0, 40)
         b = np.full(500, 0.25)
         assert_matches_reference(a, b, 1.0, 4)
-        assert edge_counts and all(path == "search" for path, _ in edge_counts)
-        assert {n for _, n in edge_counts} == {a.size}
+        assert edge_counts == [("bucket", a.size)] * (2 * 4)
 
     def test_cell_scale_overflow_searches(self, edge_counts):
         # partners 2 ulps of 0 apart: 2 cells per partner over that span
-        # overflow the scale to inf
+        # overflow the quotient to inf, so the scale is the largest float
         b = np.repeat([0.0, 5e-324, 1e-323], 300)
         a = np.linspace(-2.0, 2.0, 30)
         assert_matches_reference(a, b, 1.0, 3)
-        assert edge_counts and all(path == "search" for path, _ in edge_counts)
+        assert edge_counts == [("bucket", a.size)] * (2 * 3)
 
     def test_overflowing_products_clip(self, edge_counts):
         # a finite but huge scale: (key - bs[0]) * inv overflows to +-inf
@@ -372,12 +376,67 @@ class TestBucketedEdgeCount:
         assert_cell_tables_used(edge_counts)
 
 
+# time tags near each offset; at 0 a few ulps are subnormal, at +-1.5e308
+# two tags of opposite sign are further apart than the largest float
+_OFFSETS = [0.0, -7.0, 1e9, 1e15, -1e15, 1e307, -1e307, 1.5e308]
+
+
+@st.composite
+def degenerate_streams(draw):
+    """(a, b, bin_width, m_max): sorted streams whose partners span zero
+    time, a few ulps or integer steps, with duplicate and negative tags."""
+    offset = draw(st.sampled_from(_OFFSETS))
+    ulp = np.spacing(abs(offset))
+    w = draw(st.sampled_from([1e-3, 0.5, 1.0, 2.0])) * max(1.0, ulp)
+    m_max = draw(st.integers(0, 5))
+
+    def stream(kind, n):
+        steps = np.array(draw(st.lists(st.integers(-3, 3), min_size=n,
+                                       max_size=n)), dtype=float)
+        if kind == "zero":
+            t = np.full(n, offset)
+        elif kind == "ulps":
+            t = offset + steps * ulp
+        elif kind == "steps":
+            t = offset + steps * (w / 2.0)
+        else:  # both signs: at 1.5e308 their span overflows to inf
+            t = np.copysign(offset, steps) + steps * ulp
+        return np.sort(t)
+
+    kinds = st.sampled_from(["zero", "ulps", "steps", "signs"])
+    b = stream(draw(kinds), draw(st.integers(1, 40)))
+    a = b if draw(st.booleans()) else stream(draw(kinds), draw(st.integers(1, 12)))
+    return a, b, w, m_max
+
+
+def test_degenerate_spans_match_reference():
+    # zero, subnormal, few-ulp and overflowing partner spans, through both
+    # branches: every block's cell table counts exactly
+    ran = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(streams=degenerate_streams())
+    @example(streams=(np.zeros(3), np.zeros(40), 1.0, 2))        # edges
+    @example(streams=(np.zeros(3), np.array([0.0, 5e-324]), 1.0, 2))  # pairs
+    @example(streams=(np.array([-1.5e308, 1.5e308]),                   # inf span
+                      np.array([-1.5e308] + [1.5e308] * 40), 1e293, 1))
+    def check(streams):
+        with mock.patch.object(_kernels, "_add_pairs", wraps=_kernels._add_pairs) as pairs, \
+                mock.patch.object(_kernels, "_add_edges", wraps=_kernels._add_edges) as edges:
+            assert_matches_reference(*streams)
+        ran.update(name for name, spy in (("pairs", pairs), ("edges", edges))
+                   if spy.called)
+
+    check()
+    assert ran == {"pairs", "edges"}
+
+
 class TestCellTablePositions:
     """``_CellTable.positions`` is ``np.searchsorted(bs, keys, side="left")``."""
 
     @staticmethod
     def assert_positions(bs, keys):
-        table = _kernels._CellTable.build(bs, keys.size + 100)
+        table = _kernels._CellTable(bs, keys.size + 100)
         got = table.positions(keys)
         expected = np.searchsorted(bs, keys, side="left")
         assert got.dtype == expected.dtype

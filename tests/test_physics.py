@@ -326,6 +326,20 @@ class TestLorentzian:
         with pytest.raises(ValueError):
             g.lorentzian(0.0, 0.0, -1.0, 10.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position, name", enumerate(
+        ["detuning_mhz", "center_mhz", "fwhm_mhz", "amplitude", "offset"]))
+    def test_non_finite_argument_named(self, position, name, bad):
+        # a NaN fwhm passed the sign check, and a NaN or inf elsewhere gave
+        # a NaN or inf profile
+        args = [0.0, 0.0, 1.0, 1.0, 0.0]
+        for value in (bad, np.array([1.0, bad])):
+            args[position] = value
+            with warnings.catch_warnings(), \
+                    pytest.raises(ValueError, match=f"^{name} must be finite"):
+                warnings.simplefilter("error")
+                g.lorentzian(*args)
+
     def test_terms_out_of_range_take_the_profile(self):
         # (detuning)^2 + (w/2)^2 or amplitude * (w/2)^2 overflows, or the
         # denominator underflows to 0: the profile, not a 0 or a NaN, and

@@ -215,6 +215,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             _cfg(**{field: bad})
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+    def test_non_integral_n_scans(self, bad):
+        # 2.5 used to construct, and simulate_scan_series then ended in a
+        # TypeError from range()
+        with pytest.raises(ValueError, match=f"^n_scans must be an integer, got {bad}$"):
+            _cfg(n_scans=bad)
+
+    def test_integral_float_n_scans(self):
+        cfg = _cfg(n_scans=2.0)
+        assert type(cfg.n_scans) is int
+        spectra, events = g.simulate_scan_series(cfg)
+        expected, expected_events = g.simulate_scan_series(_cfg(n_scans=2))
+        assert [s.counts.tolist() for s in spectra] \
+            == [s.counts.tolist() for s in expected]
+        assert events == expected_events
+
     def test_scan_points_capped(self):
         # 101 points per scan: the series may hold at most MAX_BINS points
         limit = MAX_BINS // 101
@@ -242,6 +258,22 @@ class TestPleScan:
         assert np.array_equal(s1.counts, s2.counts)
         s3 = g.simulate_ple_scan(_cfg(seed=8))
         assert not np.array_equal(s1.counts, s3.counts)
+        s4 = g.simulate_ple_scan(_cfg(seed=7.0))
+        assert np.array_equal(s1.counts, s4.counts)
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+    def test_non_integral_seed(self, bad):
+        # seed 2.5 used to draw the stream of seed 2 and write 2.5 into the
+        # meta; every generator takes its seed through substream
+        for draw in (lambda: g.substream(bad, 0),
+                     lambda: g.simulate_ple_scan(_cfg(seed=bad)),
+                     lambda: g.simulate_scan_series(_cfg(seed=bad)),
+                     lambda: g.simulate_trpl(4.4, 100, bin_width=0.5, t_max=50.0,
+                                             seed=bad),
+                     lambda: g.simulate_hbt(2e5, 4.4, 0.9, 0.01, bin_width=2.0,
+                                            tau_max=60.0, seed=bad)):
+            with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad}$"):
+                draw()
 
     def test_flat_background_when_peak_rate_zero(self):
         cfg = _cfg(peak_rate=0.0, background_rate=2000.0, seed=3)
@@ -502,6 +534,14 @@ class TestTrpl:
         t1 = g.simulate_trpl(4.4, 100_000, bin_width=0.2, t_max=60.0, seed=4)
         t2 = g.simulate_trpl(4.4, 100_000, bin_width=0.2, t_max=60.0, seed=4)
         assert np.array_equal(t1.counts, t2.counts)
+        t3 = g.simulate_trpl(4.4, 1e5, bin_width=0.2, t_max=60.0, seed=4)
+        assert np.array_equal(t1.counts, t3.counts)
+
+    def test_non_integral_counts_total(self, monkeypatch):
+        # 2.5 used to draw 2 counts
+        monkeypatch.setattr(g.simulate, "substream", _stream_reached)
+        with pytest.raises(ValueError, match=r"^counts_total must be an integer, got 2\.5$"):
+            g.simulate_trpl(4.4, 2.5, bin_width=0.5, t_max=50.0)
 
     def test_exp1_closure(self):
         trace = g.simulate_trpl(4.4, 1_000_000, bin_width=0.2, t_max=60.0, seed=3)
@@ -853,6 +893,17 @@ class TestCorrelateStream:
                 pytest.raises(ValueError, match="normalization .* out of range"):
             warnings.simplefilter("error")
             g.correlate_stream(np.array([0.0, 1.0, 2.0]), **kw)
+
+    def test_duration_before_last_arrival_rejected(self):
+        # arrivals up to 3.0 normalized over 0.5 gave a g2 of a stream
+        # shorter than its own data
+        t = np.array([0.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match="duration 0.5 is before the last "
+                                             "arrival time 3.0"):
+            g.correlate_stream(t, bin_width=1.0, tau_max=5.0, duration=0.5)
+        at_last = g.correlate_stream(t, bin_width=1.0, tau_max=5.0, duration=3.0)
+        default = g.correlate_stream(t, bin_width=1.0, tau_max=5.0)
+        assert np.array_equal(at_last.g2, default.g2)
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
