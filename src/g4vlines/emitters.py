@@ -28,8 +28,21 @@ LIFETIME_CONSISTENCY_RTOL = 0.01
 def _require_finite(**values) -> None:
     """ValueError naming the first of ``values`` (scalar or array) not finite."""
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
+        if not (math.isfinite(value) if type(value) is float
+                else np.all(np.isfinite(value))):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _integral(value, name: str) -> int:
+    """value as an int, where it is integral (2 or 2.0); a ValueError names
+    a value that int() would truncate or refuse (2.5, NaN, inf)."""
+    try:
+        integral = int(value) == value
+    except (OverflowError, ValueError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def _inverse(value: float, name: str) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import physics
-from .emitters import REGISTRY, EmitterParams, _require_finite
+from .emitters import REGISTRY, EmitterParams, _integral, _require_finite
 from .records import DecayTrace, FitReport, Spectrum
 
 __all__ = [
@@ -56,25 +56,17 @@ class _LMResult:
     cost: float
 
 
-def _gn_covariance(jac: np.ndarray) -> np.ndarray | None:
-    """(J^T J)^-1, or None where J^T J is not positive-definite. A matrix
-    singular up to rounding can pass the Cholesky test and still invert to
-    a variance <= 0 or NaN; that gives None too."""
-    hess = jac.T @ jac
-    try:
-        np.linalg.cholesky(hess)  # positive-definite check
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        return None
-    return cov if (cov.diagonal() > 0).all() else None
-
-
 def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-@np.errstate(call=_raise_singular, invalid="call", over="ignore",
-             divide="ignore", under="ignore")
+# The error state np.linalg runs its LAPACK gufuncs under: a gufunc that
+# fails (a zero pivot, a matrix not positive-definite) raises LinAlgError.
+_LINALG = dict(call=_raise_singular, invalid="call", over="ignore",
+               divide="ignore", under="ignore")
+
+
+@np.errstate(**_LINALG)
 def _solve(a, b):
     """``np.linalg.solve(a, b)`` for a float64 (n, n) matrix and (n,) vector.
 
@@ -85,14 +77,44 @@ def _solve(a, b):
     return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
+@np.errstate(**_LINALG)
+def _cholesky_inv(a):
+    """``np.linalg.inv(a)`` of a float64 (n, n) matrix that
+    ``np.linalg.cholesky(a)`` accepts, through the same gufuncs and error
+    state without their argument wrapping; ``LinAlgError`` where either
+    fails."""
+    _umath_linalg.cholesky_lo(a, signature="d->d")  # positive-definite check
+    return _umath_linalg.inv(a, signature="d->d")
+
+
+def _gn_covariance(jac: np.ndarray) -> np.ndarray | None:
+    """(J^T J)^-1, or None where J^T J is not positive-definite. A matrix
+    singular up to rounding can pass the Cholesky test and still invert to
+    a variance <= 0 or NaN; that gives None too."""
+    try:
+        cov = _cholesky_inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        return None
+    return cov if (cov.diagonal() > 0).all() else None
+
+
+def _damped_diagonal(hess_diag: list, lam: float) -> list:
+    """diag(J^T J) + lam * damp, where damp is diag(J^T J) with 1 in place
+    of an entry <= 0, on Python floats: the bits of
+    ``np.add(h, lam * np.where(h <= 0, 1.0, h))`` without its numpy calls."""
+    return [h + lam * (1.0 if h <= 0 else h) for h in hess_diag]
+
+
 @np.errstate(**_EDGE)
 def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
             max_iter=MAX_ITERATIONS) -> _LMResult:
     """Minimize sum(((y - model(x, p)) / sigma)^2) over p, in 1 to max_iter
-    iterations.
+    iterations; a ValueError names a ``max_iter`` that is not an integer
+    (3.0 counts as 3) or is below 1.
 
     The arrays ``model`` and ``jac`` return are only read, never written.
     """
+    max_iter = _integral(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     p = np.array(p0, dtype=float)
@@ -117,9 +139,8 @@ def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
             jr = jac(x, p) * neg_w            # d residual / d p
             neg_grad = -(jr.T @ r)
             np.matmul(jr.T, jr, out=damped)
-            hess_diag = damped.diagonal().copy()
-            damp = np.where(hess_diag <= 0, 1.0, hess_diag)
-        np.add(hess_diag, lam * damp, out=damped_diag)
+            hess_diag = damped_diag.tolist()
+        damped_diag[:] = _damped_diagonal(hess_diag, lam)
         try:
             step = _solve(damped, neg_grad)
         except np.linalg.LinAlgError:
@@ -159,16 +180,16 @@ def _report(model_name, names, units, res: _LMResult, n_points, *,
     """The one constructor of a FitReport; a ValueError names a value of
     ``params``, ``std_errors``, ``reduced_chi2`` or ``derived`` that is
     infinite or NaN, so no report holds one."""
-    params = {k: float(v) for k, v in zip(names, res.params)}
-    std_errors = None if res.cov is None else {
-        k: float(np.sqrt(res.cov[i, i])) for i, k in enumerate(names)}
+    params = dict(zip(names, res.params.tolist()))
+    std_errors = None if res.cov is None else dict(
+        zip(names, np.sqrt(res.cov.diagonal()).tolist()))
     reduced_chi2 = res.cost / max(n_points - len(names), 1)
     derived = derived or {}
     values = {**{f"params.{k}": v for k, v in params.items()},
               **{f"std_errors.{k}": v for k, v in (std_errors or {}).items()},
               "reduced_chi2": reduced_chi2,
               **{f"derived.{k}": v for k, v in derived.items()}}
-    if not np.isfinite(list(values.values())).all():  # one test, then the name
+    if not all(map(math.isfinite, values.values())):  # one test, then the name
         _require_finite(**values)
     return FitReport(
         model=model_name, params=params, units=dict(units),
@@ -216,6 +237,17 @@ def lorentzian_jacobian(x, p):
     return out
 
 
+def _median(y: np.ndarray) -> float:
+    """``float(np.median(y))`` of a finite 1-d float64 array: the same
+    partition, and the same mean of the middle element or pair, whose sum
+    starts at +0.0 as np.mean's does (so a median of -0.0 is +0.0)."""
+    half = y.size // 2
+    if y.size % 2:
+        return 0.0 + float(np.partition(y, half)[half])
+    part = np.partition(y, (half - 1, half))
+    return (0.0 + float(part[half - 1]) + float(part[half])) / 2.0
+
+
 def _halfmax_width(x, y, i_peak, level):
     """Interpolated width of y around index i_peak at the given level."""
     # the nearest i <= i_peak with y[i-1] < level <= y[i], and the nearest
@@ -246,13 +278,13 @@ def fit_lorentzian(spectrum: Spectrum, *, max_iter=MAX_ITERATIONS) -> FitReport:
         raise ValueError(f"need at least 8 points to fit, got {len(spectrum)}")
     x = spectrum.detunings
     y = spectrum.counts
-    if np.ptp(y) == 0:
+    i_peak = int(np.argmax(y))
+    if y[i_peak] == y.min():
         raise ValueError("no peak: all counts are equal")
 
     warn: list[str] = []
     with np.errstate(**_EDGE):
-        offset0 = float(np.median(y))
-        i_peak = int(np.argmax(y))
+        offset0 = _median(y)
         amp0 = float(y[i_peak] - offset0)
         if y[i_peak] <= 1.2 * offset0:
             warn.append("no prominent peak (max <= 1.2 x median counts)")

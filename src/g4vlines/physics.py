@@ -231,9 +231,9 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
     if not all(math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()
                for v in args.values()):  # one test, then the name
         _require_finite(**args)
-    if np.any(np.asarray(fwhm_mhz) <= 0):
+    if _any_below(fwhm_mhz, 0.0, or_equal=True):
         raise ValueError(f"fwhm must be positive, got {fwhm_mhz}")
-    if np.any(np.asarray(amplitude) < 0) or np.any(np.asarray(offset) < 0):
+    if _any_below(amplitude, 0.0) or _any_below(offset, 0.0):
         raise ValueError("amplitude and offset must be >= 0")
     hwhm = np.asarray(fwhm_mhz, dtype=float) / 2.0
     d = np.asarray(detuning_mhz, dtype=float) - center_mhz
@@ -242,14 +242,25 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
         num = amplitude * hwhm2
         den = d * d + hwhm2
         value = offset + num / den
-    out_of_range = ~(np.isfinite(num) & np.isfinite(den)) | (den == 0)
-    if out_of_range.any():
+    # den is in [0, inf], never NaN: one test on its range and num's first
+    if not (0.0 < den.min() and den.max() < math.inf and np.isfinite(num).all()):
+        out_of_range = ~(np.isfinite(num) & np.isfinite(den)) | (den == 0)
         # (d / hwhm)^2 = inf, also d / 0, gives the 0 tail; d = 0 the peak
         with np.errstate(over="ignore", divide="ignore"):
             ratio = d / np.where(d == 0, 1.0, hwhm)
             value = np.where(out_of_range,
                              amplitude / (1.0 + ratio ** 2) + offset, value)
-    return _scalar_like(value, detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset)
+    # the result has the broadcast shape of the arguments: 0-d if all are
+    return float(value) if value.ndim == 0 else value
+
+
+def _any_below(value, bound: float, or_equal: bool = False) -> bool:
+    """Whether an element of ``value`` is below ``bound`` (or equal to it);
+    a Python float is compared without numpy."""
+    if type(value) is not float:
+        value = np.asarray(value)
+    below = value <= bound if or_equal else value < bound
+    return bool(below if type(below) is bool else below.any())
 
 
 @dataclass(frozen=True)

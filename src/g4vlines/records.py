@@ -15,7 +15,7 @@ def _column(values, name) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -40,9 +40,10 @@ class Spectrum:
             raise ValueError(
                 f"detunings ({self.detunings.size}) and counts "
                 f"({self.counts.size}) differ in length")
-        if np.any(np.diff(self.detunings) <= 0):
+        # finite values: d[i + 1] > d[i] exactly where d[i + 1] - d[i] > 0
+        if not (self.detunings[1:] > self.detunings[:-1]).all():
             raise ValueError("detunings must be strictly increasing")
-        if np.any(self.counts < 0):
+        if self.counts.min() < 0:
             raise ValueError("counts must be >= 0")
 
     def __len__(self) -> int:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import physics
 from ._kernels import MAX_BINS, coincidence_histogram
-from .emitters import EmitterParams, _require_finite
+from .emitters import EmitterParams, _integral, _require_finite
 from .records import CorrelationHistogram, DecayTrace, Spectrum
 
 __all__ = [
@@ -58,18 +58,6 @@ _MAX_TRPL_COUNTS = _STREAM_BUDGET // 9      # simulate_trpl: ~1.2e8 counts
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 REPUMP_POLICIES = ("none", "between_scans", "resonant")
-
-
-def _integral(value, name: str) -> int:
-    """value as an int, where it is integral (2 or 2.0); a ValueError names
-    a value that int() would truncate or refuse (2.5, NaN, inf)."""
-    try:
-        integral = int(value) == value
-    except (OverflowError, ValueError):
-        integral = False
-    if not integral:
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
 
 
 def substream(seed: int, index: int) -> np.random.Generator:

@@ -24,6 +24,28 @@ class TestRecords:
         with pytest.raises(ValueError, match="finite"):
             g.Spectrum([0.0, np.nan], [1.0, 2.0])
 
+    @pytest.mark.parametrize("detunings, counts, message", [
+        ([0.0, np.nan], [1.0, 2.0], "detunings contains non-finite values"),
+        ([0.0, np.inf], [1.0, 2.0], "detunings contains non-finite values"),
+        ([0.0, 1.0], [np.nan, 2.0], "counts contains non-finite values"),
+        ([0.0, 1.0], [1.0, -np.inf], "counts contains non-finite values"),
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], "detunings must be strictly increasing"),
+        ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], "detunings must be strictly increasing"),
+        ([1e308, -1e308], [1.0, 2.0], "detunings must be strictly increasing"),
+        ([0.0, -0.0], [1.0, 2.0], "detunings must be strictly increasing"),
+        ([0.0, 1.0], [1.0, -2.0], "counts must be >= 0"),
+        ([0.0, 1.0], [-5e-324, 0.0], "counts must be >= 0"),
+    ])
+    def test_spectrum_messages(self, detunings, counts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            g.Spectrum(detunings, counts)
+
+    def test_spectrum_accepts_edges(self):
+        # a difference that overflows is still positive; -0.0 counts are >= 0
+        spec = g.Spectrum([-1e308, 1e308], [-0.0, 0.0])
+        assert len(spec) == 2
+        assert len(g.Spectrum([1.0], [0.0])) == 1
+
     def test_decay_trace_uniform_bins(self):
         g.DecayTrace([0.5, 1.5, 2.5], [3, 2, 1])
         with pytest.raises(ValueError, match="uniform"):

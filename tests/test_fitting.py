@@ -117,6 +117,17 @@ def halfmax_width_reference(x, y, i_peak, level):
     return right - left
 
 
+def gn_covariance_reference(jac):
+    """The earlier _gn_covariance, through np.linalg."""
+    hess = jac.T @ jac
+    try:
+        np.linalg.cholesky(hess)
+        cov = np.linalg.inv(hess)
+    except np.linalg.LinAlgError:
+        return None
+    return cov if np.all(np.diag(cov) > 0) else None
+
+
 def _same_bits(a, b):
     """Equal shapes and bytes; any NaN matches any NaN."""
     a, b = np.asarray(a), np.asarray(b)
@@ -527,6 +538,22 @@ class TestDampingLoop:
             with pytest.raises(ValueError, match=f"^max_iter must be >= 1, got {max_iter}$"):
                 fit()
 
+    @pytest.mark.parametrize("max_iter", [2.5, np.nan, np.inf])
+    def test_non_integral_max_iter_rejected(self, max_iter):
+        # range() used to end these in a TypeError
+        for fit in (lambda: g.fit_lorentzian(_scan(5000.0, seed=5), max_iter=max_iter),
+                    lambda: g.fit_decay(_trace(2000, seed=4), "exp2",
+                                        max_iter=max_iter)):
+            with pytest.raises(ValueError,
+                               match=f"^max_iter must be an integer, got {max_iter}$"):
+                fit()
+
+    def test_integral_float_max_iter_accepted(self):
+        for fit in (functools.partial(g.fit_lorentzian, _scan(5000.0, seed=5)),
+                    functools.partial(g.fit_decay, _trace(2000, seed=4), "exp2")):
+            assert fit(max_iter=3.0) == fit(max_iter=3)
+            assert fit(max_iter=3.0).n_iterations == 3
+
     @pytest.mark.parametrize("fit,converged", [
         (lambda: g.fit_decay(_trace(50, seed=17), "exp1"), False),
         (lambda: g.fit_decay(_trace(2000, seed=4), "exp2"), True),
@@ -691,6 +718,106 @@ class TestSameBits:
         a, b = np.full((2, 2), np.nan), np.ones(2)
         assert _same_bits(fitting._solve(a, b), np.linalg.solve(a, b))
         assert np.isnan(fitting._solve(a, b)).all()
+
+
+class TestSameBitsPerFit:
+    """The start values, damping and covariance against the numpy calls
+    they replace."""
+
+    @staticmethod
+    def _median_inputs():
+        rng = np.random.default_rng(21)
+        yield from ([7.0], [3.0, 1.0], np.zeros(151), np.zeros(150),
+                    [0.0, -0.0, 0.0, -0.0], [-0.0, -0.0], [-0.0],
+                    [-0.0, 1.0, -0.0], [2.0, 2.0, 1.0, 2.0],
+                    [1e308, 1.5e308], [1.7e308, 1.7e308, 0.0, 1.8e308],
+                    [np.finfo(float).max] * 4, [5e-324, 5e-324, 0.0])
+        for n in range(1, 41):
+            yield rng.integers(0, 4, n).astype(float)         # ties
+            yield rng.poisson(100.0, n).astype(float)
+            yield 10.0 ** rng.uniform(-320, 308, n)           # sums that overflow
+
+    def test_median_matches_np_median(self):
+        for y in self._median_inputs():
+            y = np.asarray(y, dtype=float)
+            before = y.copy()
+            with np.errstate(over="ignore"):
+                expected = np.median(y)
+            got = fitting._median(y)
+            assert type(got) is float
+            assert _same_bits(got, expected), y
+            assert _same_bits(y, before)  # the input is not reordered
+
+    @staticmethod
+    def _jacobians():
+        rng = np.random.default_rng(13)
+        x = np.linspace(-1.0, 1.0, 31)
+        for _ in range(300):                                  # positive-definite
+            n = int(rng.integers(1, 6))
+            yield rng.normal(size=(31, n)) * 10.0 ** rng.uniform(-150, 150, n)
+        yield np.column_stack([x, 3.0 * x, np.ones_like(x)])  # dependent columns
+        yield np.column_stack([x, np.zeros_like(x)])          # zero column
+        yield np.zeros((31, 4))
+        yield np.column_stack([x, x])                         # semidefinite
+        yield np.column_stack([x, x + 1e-17])                 # singular by rounding
+        for bad in (np.nan, np.inf):
+            jac = np.column_stack([x, x * x, np.ones_like(x)])
+            jac[4, 1] = bad
+            yield jac
+        yield np.full((31, 2), np.nan)
+        yield lorentzian_jacobian(x * 100.0, [3.0, 38.0, 900.0, 25.0])
+
+    def test_gn_covariance_matches_linalg(self):
+        outcomes = set()
+        with np.errstate(invalid="ignore", over="ignore"):
+            for jac in self._jacobians():
+                expected = gn_covariance_reference(jac)
+                got = fitting._gn_covariance(jac)
+                outcomes.add(got is None)
+                if expected is None:
+                    assert got is None, jac
+                else:
+                    assert _same_bits(got, expected), jac
+        assert outcomes == {True, False}
+
+    def test_cholesky_inv_matches_linalg(self):
+        # symmetric matrices, also indefinite ones whose inverse has a
+        # positive diagonal: only the Cholesky test refuses those
+        rng = np.random.default_rng(4)
+        mats = [np.linalg.inv([[1.0, 2.0], [2.0, 1.0]]), [[0.0]], [[-1.0]],
+                [[np.nan]], [[1.0, np.nan], [np.nan, 1.0]], np.eye(3)]
+        for n in range(1, 6):
+            for _ in range(100):
+                m = rng.normal(size=(n, n))
+                mats.append(m + m.T)
+                mats.append(m @ m.T)
+        refused = 0
+        for a in map(np.asarray, mats):
+            try:
+                np.linalg.cholesky(a)
+                expected = np.linalg.inv(a)
+            except np.linalg.LinAlgError:
+                refused += 1
+                with pytest.raises(np.linalg.LinAlgError):
+                    fitting._cholesky_inv(a)
+                continue
+            assert _same_bits(fitting._cholesky_inv(a), expected), a
+        assert 0 < refused < len(mats)
+
+    @pytest.mark.parametrize("lam", [1e-14, 1e-3, 1.0, 1e12, 1e13])
+    def test_damped_diagonal_matches_where_add(self, lam):
+        entries = [np.nan, 0.0, -0.0, np.inf, -np.inf, -2.5, -1e308, 5e-324,
+                   1e-300, 3.0, 1e308, float(np.finfo(float).max)]
+        rng = np.random.default_rng(2)
+        diagonals = [entries] + [rng.choice(entries, 4).tolist()
+                                 for _ in range(200)]
+        for h in diagonals:
+            h_arr = np.array(h)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.add(h_arr, lam * np.where(h_arr <= 0, 1.0, h_arr))
+            got = fitting._damped_diagonal(h, lam)
+            assert all(type(v) is float for v in got)
+            assert _same_bits(got, expected), h
 
 
 class TestReport:

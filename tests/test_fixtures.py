@@ -1,14 +1,20 @@
-"""The bundled fixtures are exactly what scripts/make_fixtures.py writes."""
+"""The bundled fixtures are exactly what scripts/make_fixtures.py writes;
+scripts/report_digest.py digests every series_fit fit report."""
 
 import importlib.util
 
 
-def test_make_fixtures_reproduces_fixtures(fixtures_dir, tmp_path, monkeypatch,
-                                           capsys):
-    script = fixtures_dir.parent / "scripts" / "make_fixtures.py"
-    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+def _script(fixtures_dir, name):
+    path = fixtures_dir.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_make_fixtures_reproduces_fixtures(fixtures_dir, tmp_path, monkeypatch,
+                                           capsys):
+    module = _script(fixtures_dir, "make_fixtures")
     monkeypatch.setattr(module, "FIXTURES", tmp_path)
     module.main()
     capsys.readouterr()
@@ -18,3 +24,12 @@ def test_make_fixtures_reproduces_fixtures(fixtures_dir, tmp_path, monkeypatch,
     for name in names:
         assert (tmp_path / name).read_bytes() == \
             (fixtures_dir / name).read_bytes(), name
+
+
+def test_report_digest_covers_every_series_fit_report(fixtures_dir):
+    module = _script(fixtures_dir, "report_digest")
+    assert module.seed_range("1-12") == range(1, 13)
+    assert module.seed_range("7") == range(7, 8)
+    hexdigest, n_reports = module.digest(range(3, 4))
+    assert n_reports == 125  # one report per scan of the series_fit op
+    assert len(hexdigest) == 64 and module.digest(range(3, 4))[0] == hexdigest

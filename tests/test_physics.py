@@ -306,6 +306,26 @@ class TestTemperatureThreshold:
             g.temperature_threshold(PBV, ratio=math.nan)
 
 
+def lorentzian_reference(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
+    """The earlier body of g.lorentzian after its argument checks: it built
+    the out-of-range mask on every call."""
+    hwhm = np.asarray(fwhm_mhz, dtype=float) / 2.0
+    d = np.asarray(detuning_mhz, dtype=float) - center_mhz
+    with np.errstate(over="ignore", invalid="ignore"):
+        hwhm2 = hwhm ** 2
+        num = amplitude * hwhm2
+        den = d * d + hwhm2
+        value = offset + num / den
+    out_of_range = ~(np.isfinite(num) & np.isfinite(den)) | (den == 0)
+    if out_of_range.any():
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = d / np.where(d == 0, 1.0, hwhm)
+            value = np.where(out_of_range,
+                             amplitude / (1.0 + ratio ** 2) + offset, value)
+    args = (detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset)
+    return float(value) if all(np.ndim(x) == 0 for x in args) else value
+
+
 class TestLorentzian:
     def test_peak_value(self):
         assert g.lorentzian(5.0, 5.0, 40.0, 800.0, 30.0) == pytest.approx(830.0)
@@ -373,6 +393,56 @@ class TestLorentzian:
                                 np.array([1e-320, 2e-170, 2e154]), 1.0, 0.0)
         assert np.array_equal(values, [2.5, 0.5, 0.5, 0.5])
         assert np.array_equal(wide, [1.0, 0.5, 0.5])
+
+    # (detuning, center, fwhm, amplitude, offset): the numerator overflows,
+    # the denominator overflows, it underflows to 0, w/2 rounds to 0, and
+    # terms in range; scalars, 0-d arrays, numpy scalars and arrays
+    RANGE_CASES = [
+        (0.0, 0.0, 1e160, 1e300, 0.0), (1e160, 0.0, 2e160, 1e300, 0.0),
+        (1e155, 0.0, 1.0, 1.0, 0.0), (0.0, 1e200, 1.0, 1.0, 3.0),
+        (1e-170, 0.0, 2e-170, 1.0, 0.0), (0.0, 0.0, 2e-170, 1.0, 0.0),
+        (0.0, 0.0, 5e-324, 2.0, 0.5), (1.0, 0.0, 5e-324, 2.0, 0.5),
+        (0.0, 0.0, 1e160, 0.0, 2.0), (5.0, 5.0, 40.0, 800.0, 30.0),
+        (np.array(1e155), np.float64(0.0), np.array(1.0), 1.0, np.array(0.0)),
+        (np.array(3.0), 0.0, np.array(5e-324), np.float64(2.0), 0.5),
+        (np.array(25.0), np.array(5.0), np.array(40.0), np.array(800.0),
+         np.array(30.0)),
+        (3, 0, 40, 800, 30),
+        (np.array([0.0, 1e-200, 1e154, 1e200, 1.0, -3.0]), 0.0, 2e154, 1.0, 0.0),
+        (np.array([0.0, 1e-200, 1e200, 1.0]), 0.0, 5e-324, 2.0, 0.5),
+        (np.array([0.0, 1e-170, 1e154]), 0.0,
+         np.array([1e-320, 2e-170, 2e154]), 1.0, 0.0),
+        (np.arange(-300.0, 300.01, 4.0), 1.5, 40.3, 1.0, 0.0),
+        (np.arange(-300.0, 300.01, 4.0), 1.5, np.full(151, 40.3),
+         np.full(151, 1e300), 0.0),
+        ([1.0, 2.0], 0.0, [1e-320, 2.0], [1.0, 2.0], [0.0, 1.0]),
+    ]
+
+    @pytest.mark.parametrize("case", RANGE_CASES)
+    def test_range_test_matches_old_mask(self, case):
+        # the combined range test skips the mask only where every element
+        # is in range, so the bytes and the return type are the old ones
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = g.lorentzian(*case)
+        expected = lorentzian_reference(*case)
+        assert type(got) is type(expected)
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(expected).view(np.int64))
+
+    def test_range_test_random_magnitudes(self):
+        rng = np.random.default_rng(17)
+        for i in range(2000):
+            d = rng.normal(0.0, 10.0 ** rng.uniform(-200, 300), int(rng.integers(1, 8)))
+            args = (d if i % 3 else float(d[0]),
+                    float(rng.normal(0.0, 10.0 ** rng.uniform(-200, 300))),
+                    float(10.0 ** rng.uniform(-323, 307)),
+                    float(10.0 ** rng.uniform(-300, 307)) * (i % 5 > 0),
+                    float(10.0 ** rng.uniform(-300, 307)) * (i % 2))
+            got, expected = g.lorentzian(*args), lorentzian_reference(*args)
+            assert type(got) is type(expected)
+            assert np.array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(expected).view(np.int64)), args
 
     def test_finite_terms_keep_their_bytes(self):
         rng = np.random.default_rng(3)
