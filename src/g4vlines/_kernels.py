@@ -48,12 +48,24 @@ span zero time, or so little that the quotient overflows, inv is the
 largest float, and a span beyond the float range counts as the largest
 float. Keys still advancing after ``_ADVANCE_PASSES`` passes (duplicate
 time tags, crowded cells) finish with the table's one binary search.
+
+A dense block of at least ``_THREAD_MIN_ROWS`` rows deals its interior
+edges out to ``_WORKERS`` threads (2 where the process may run on two
+cores): the calling thread counts edges 1, 3, 5, ... and one helper
+thread edges 2, 4, 6, .... Both read the one table; each counts through
+its own keys and work buffers (25 B per row), which the calling thread
+allocates before the helper starts, and each writes only its own edges'
+counts. Every count is an exact integer, so the histogram is the same
+bytes for any number of threads and any order they run in. Sparse blocks,
+small blocks and the pair branch (hbt_fine, criterion 7) start no thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 
@@ -78,6 +90,16 @@ _CHUNK_PAIRS = 1 << 16
 # the table (16 B per partner).
 _CELLS_PER_PARTNER = 2
 _ADVANCE_PASSES = 3
+
+# Threads counting a dense block's interior edges: at most 2, and no more
+# than the cores this process may run on when it is imported (1 runs the
+# serial loop). Most numpy calls of an edge release the interpreter lock
+# over their arrays of keys, so two threads overlap. Blocks of fewer rows
+# count serially: a thread's start and join take about 70 us on a 2-core
+# Xeon VM, the edge count of about 6000 keys.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+_THREAD_MIN_ROWS = 1 << 14
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -136,10 +158,16 @@ def _add_block(hist, a, b, w, m_max):
         return
     if n_pairs <= (2 * m_max + 2) * a.size:
         _add_pairs(hist, a, bs, lo, hi, w, m_max)
-    else:
-        if table is None:
-            table = _CellTable(bs, a.size)
-        _add_edges(hist, a, lo, hi, w, m_max, table)
+        return
+    # the edge count needs only the sums of the window ends: drop the
+    # per-row arrays before it allocates its workers' buffers
+    below_lo, below_hi = int(lo.sum()), int(hi.sum())
+    del lo, hi, active
+    if table is None:
+        table = _CellTable(bs, a.size)
+    threaded = dense and a.size >= _THREAD_MIN_ROWS
+    workers = max(1, min(_WORKERS, 2 * m_max)) if threaded else 1
+    _add_edges(hist, a, below_lo, below_hi, w, m_max, table, workers)
 
 
 def _windows(a, bs, w, m_max, table):
@@ -193,16 +221,57 @@ def _settle(ta, tb, m, w):
     return m
 
 
-def _add_edges(hist, a, lo, hi, w, m_max, table):
-    """Count the partners below every edge through the block's cell table,
-    summed over the rows a, and difference."""
+def _add_edges(hist, a, below_lo, below_hi, w, m_max, table, workers):
+    """Count the partners below every interior edge through the block's
+    cell table, summed over the rows a, and difference.
+
+    below_lo and below_hi are the sums of the rows' window ends, the counts
+    below the outer edges. The interior edges are dealt out to ``workers``
+    threads, the calling one included: each has its own keys and work
+    buffers, allocated here before any helper starts, and writes its own
+    entries of ``below``; the table is only read. The counts are exact
+    integers, so the histogram does not depend on the threads' order.
+    """
     below = np.empty(2 * m_max + 2, dtype=np.int64)
-    below[0] = lo.sum()
-    below[-1] = hi.sum()
-    keys = np.empty(_capacity(a.size))[:a.size]
-    for k in range(1, 2 * m_max + 1):
-        below[k] = table.below(_edge(a, k - m_max, w, out=keys))
+    below[0] = below_lo
+    below[-1] = below_hi
+    tables = [table] + [table.twin(a.size) for _ in range(1, workers)]
+    keys = [np.empty(_capacity(a.size))[:a.size] for _ in tables]
+
+    def count(i):
+        for k in range(1 + i, 2 * m_max + 1, workers):
+            below[k] = tables[i].below(_edge(a, k - m_max, w, out=keys[i]))
+
+    _run(count, workers)
     hist += np.diff(below)
+
+
+def _run(job, workers):
+    """job(0) on the calling thread and job(1), ... on helper threads.
+
+    Every helper is joined before this returns, also when job(0) raises;
+    then the first exception a helper raised is raised here.
+    """
+    errors = []
+
+    def helper(i):
+        try:
+            job(i)
+        except BaseException as exc:  # re-raised by the caller below
+            errors.append(exc)
+
+    started = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=helper, args=(i,))
+            thread.start()
+            started.append(thread)
+        job(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _capacity(n):
@@ -220,6 +289,10 @@ class _CellTable:
     per edge and pass, or buffers of exact size, glibc's heap fragmented
     over a run of hbt_wide benchmark ops, and the peak RSS rose by up to
     7 MB above the earlier kernel's instead of 1 MB.
+
+    The table proper (bs, its scale, start and bs_inf) is only read once
+    built, so a ``twin`` shares it and brings its own buffers: two threads
+    count through a table and its twin at once.
     """
 
     def __init__(self, bs, n_keys):
@@ -230,16 +303,32 @@ class _CellTable:
         span = min(float(bs[-1]) - self.base, _FLOAT_MAX)
         self.inv = min(n_cells / span, _FLOAT_MAX) if span > 0 else _FLOAT_MAX
         self.top = float(n_cells - 1)
-        self.y = np.empty(_capacity(max(n_keys, bs.size)))
-        self.cell = np.empty(_capacity(max(n_keys, bs.size)), dtype=np.intp)
-        self.pos = np.empty(_capacity(n_keys), dtype=np.intp)
-        self.less = np.empty(_capacity(n_keys), dtype=bool)
+        self._buffers(max(n_keys, bs.size))
         cell = self.cells(bs)
         cell += 1
         self.start = np.bincount(cell, minlength=_capacity(n_cells) + 1)
         np.cumsum(self.start, out=self.start)  # bs in the cells below c
         self.bs_inf = np.full(_capacity(bs.size + _ADVANCE_PASSES), np.inf)
         self.bs_inf[:bs.size] = bs
+
+    def _buffers(self, n):
+        """Work buffers for n keys: 17 B per key.
+
+        ``cells`` fills y and then cell; ``below`` takes the keys' positions
+        into y's memory, dead once the cells are cast, and the partners it
+        compares into cell's, dead once the positions are taken.
+        """
+        self.y = np.empty(_capacity(n))
+        self.cell = np.empty(_capacity(n)).view(np.intp)
+        self.less = np.empty(_capacity(n), dtype=bool)
+
+    def twin(self, n_keys):
+        """A table that shares this one's partners, cells and start, with
+        its own work buffers for n_keys keys."""
+        twin = object.__new__(_CellTable)
+        twin.__dict__.update(self.__dict__)
+        twin._buffers(n_keys)
+        return twin
 
     def cells(self, x):
         """clip((x - base) * inv, 0, top) truncated to int: monotone in x."""
@@ -282,8 +371,10 @@ class _CellTable:
         bs_inf, so mode "clip" never moves one: it only skips the buffered
         bounds check of ``np.take``.
         """
-        y, pos, less = self.y[:keys.size], self.pos[:keys.size], self.less[:keys.size]
-        np.take(self.start, self.cells(keys), out=pos, mode="clip")
+        cell = self.cells(keys)
+        pos = self.y.view(np.intp)[:keys.size]
+        np.take(self.start, cell, out=pos, mode="clip")
+        y, less = self.cell.view(np.float64)[:keys.size], self.less[:keys.size]
         total = int(pos.sum())
         for j in range(_ADVANCE_PASSES):
             np.take(self.bs_inf[j:], pos, out=y, mode="clip")

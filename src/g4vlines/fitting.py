@@ -460,6 +460,14 @@ def fit_cubic_alpha(points, weights="delta") -> FitReport:
 # ---------------------------------------------------------------------------
 # Temperature series
 
+def _has_duplicates(values) -> bool:
+    """Whether ``np.unique(values).size < values.size``, which counts every
+    NaN as one value, without ``np.unique``: it imports ``numpy.ma``, about
+    17 ms of a cold command. Needs at least 2 values."""
+    s = np.sort(values)  # NaNs last
+    return bool((s[1:] == s[:-1]).any() or np.isnan(s[-2]))
+
+
 def fit_temperature_series(points, emitter: EmitterParams,
                            free=("gamma_others",),
                            max_temp: float | None = None) -> FitReport:
@@ -484,7 +492,7 @@ def fit_temperature_series(points, emitter: EmitterParams,
     if temps.size < 2 or temps.size < len(free):
         raise ValueError(
             f"need at least max(2, n_free) points, got {temps.size}")
-    if np.unique(temps).size != temps.size:
+    if _has_duplicates(temps):
         raise ValueError("temperatures must be distinct")
     if np.any(temps < 0):
         raise ValueError("temperatures must be >= 0")

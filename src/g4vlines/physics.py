@@ -63,6 +63,7 @@ def _occupation(f_ghz, temp_k):
         raise ValueError("f_ghz must be positive and finite")
     if np.any(T < 0) or not np.all(np.isfinite(T)):
         raise ValueError("temp_k must be finite and >= 0")
+    T = np.abs(T)  # -0.0 as +0.0: h f / kB T = -inf would give n = -1
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = H_OVER_KB_K_PER_GHZ * f / T          # T = 0 -> inf -> n = 0
@@ -152,11 +153,15 @@ def phonon_rates(f_split_ghz, temp_k, alpha):
 def _linewidth(p: EmitterParams, temp_k, transition):
     total = _terms(p, temp_k, transition)[2]
     if np.any(np.asarray(total) < 0):
-        warnings.warn(
-            f"total {transition.upper()}-linewidth negative for {p.name} "
-            f"(gamma_others = {p.gamma_others} MHz)",
-            NegativeLinewidthWarning, stacklevel=3)
+        _warn_negative(p, transition, stacklevel=4)
     return _scalar_like(total, temp_k)
+
+
+def _warn_negative(p: EmitterParams, transition, stacklevel):
+    warnings.warn(
+        f"total {transition.upper()}-linewidth negative for {p.name} "
+        f"(gamma_others = {p.gamma_others} MHz)",
+        NegativeLinewidthWarning, stacklevel=stacklevel)
 
 
 def linewidth_c(p: EmitterParams, temp_k):
@@ -186,29 +191,33 @@ def temperature_threshold(p: EmitterParams, ratio: float = 1.2) -> float:
     encloses the root. Returns 0.0 when the criterion is already violated
     at T = 0 (gamma_others >= (ratio-1) * gamma0) and ``math.inf`` when it
     can never be violated (both phonon couplings zero and gamma_others
-    below the margin).
+    below the margin). Warns once, as ``linewidth_c`` would, when the
+    C-linewidth at T = 0, the smallest the search evaluates, is negative.
     """
     if not ratio > 1.0:  # also rejects NaN
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     target = ratio * p.gamma0
 
-    def excess(T):
-        return linewidth_c(p, T) - target
+    def linewidth(T):  # linewidth_c(p, T) without its warning
+        return float(_terms(p, T, "c")[2])
 
-    if excess(0.0) >= 0.0:
+    total_0 = linewidth(0.0)
+    if total_0 < 0.0:  # the phonon terms are >= 0, and 0 at T = 0
+        _warn_negative(p, "c", stacklevel=3)
+    if total_0 >= target:
         return 0.0
     if p.alpha_gs == p.alpha_es == 0.0:
         return math.inf  # linewidth is temperature-independent
 
     hi = 400.0
-    while excess(hi) < 0.0:
+    while linewidth(hi) < target:
         hi *= 2.0
         if not math.isfinite(hi):
             return math.inf
     lo = 0.0
     while hi - lo > 1e-3 and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
+        if linewidth(mid) < target:
             lo = mid
         else:
             hi = mid

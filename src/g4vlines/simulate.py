@@ -352,8 +352,10 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     background at a time, and dropped once split, so the traced peak is
     about 17 B per photon (the sorted stream, one uniform draw per photon
     and its 1-byte detector choice) and 8 B per photon stay live while the
-    kernel runs. ``rate * duration`` is capped at _MAX_STREAM_PHOTONS, the
-    photons that fit _STREAM_BUDGET at that peak.
+    kernel runs. The kernel adds a bounded amount per block of 65536 rows,
+    not per photon: about 5 MB traced on an hbt_wide-size stream, where two
+    threads count a dense block's edges. ``rate * duration`` is capped at
+    _MAX_STREAM_PHOTONS, the photons that fit _STREAM_BUDGET at that peak.
     """
     _require_finite(rate=rate, lifetime=lifetime, purity_rho=purity_rho,
                     duration=duration)

@@ -432,6 +432,25 @@ class TestTemperatureSeries:
             g.fit_temperature_series([(6.0, 38.9), (8.0, 38.9)], PBV,
                                      free=("alpha_gs",))
 
+    def test_duplicate_check_matches_np_unique(self):
+        # np.unique counts every NaN as one value, and -0.0 == 0.0
+        pool = np.array([0.0, -0.0, 4.0, 6.0, 6.0 + 1e-15, 1e308, np.inf,
+                         -np.inf, np.nan, 5e-324])
+        cases = [[np.nan, np.nan], [np.nan, 6.0], [0.0, -0.0], [6.0, 4.0, 6.0],
+                 [np.inf, np.inf, 4.0]]
+        rng = np.random.default_rng(3)
+        cases += [rng.choice(pool, rng.integers(2, 8)) for _ in range(2000)]
+        for temps in map(np.array, cases):
+            assert fitting._has_duplicates(temps) \
+                == (np.unique(temps).size != temps.size), temps
+
+    @pytest.mark.parametrize("temps, message", [
+        ([np.nan, np.nan], "distinct"), ([0.0, -0.0], "distinct"),
+        ([np.nan, 6.0], "temp_k must be finite")])
+    def test_duplicate_temperatures_rejected(self, temps, message):
+        with pytest.raises(ValueError, match=message):
+            g.fit_temperature_series([(t, 38.9) for t in temps], PBV)
+
 
 class TestJacobians:
     @pytest.mark.parametrize("model,jac,p", [

@@ -1,5 +1,6 @@
 """The bundled fixtures are exactly what scripts/make_fixtures.py writes;
-scripts/report_digest.py digests every series_fit fit report."""
+scripts/report_digest.py digests every series_fit fit report and
+scripts/hbt_digest.py every benchmark and criterion-7 HBT histogram."""
 
 import importlib.util
 
@@ -33,3 +34,15 @@ def test_report_digest_covers_every_series_fit_report(fixtures_dir):
     hexdigest, n_reports = module.digest(range(3, 4))
     assert n_reports == 125  # one report per scan of the series_fit op
     assert len(hexdigest) == 64 and module.digest(range(3, 4))[0] == hexdigest
+
+
+def test_hbt_digest_covers_every_benchmark_histogram(fixtures_dir):
+    module = _script(fixtures_dir, "hbt_digest")
+    runs = list(module.runs(range(3, 5)))
+    assert [label for label, _ in runs] == [
+        "hbt_fine seed 3", "hbt_fine seed 4", "hbt_wide seed 3",
+        "hbt_wide seed 4", "criterion 7"]
+    hexdigest, n_hists = module.digest(runs[:1])
+    assert n_hists == 1
+    assert len(hexdigest) == 64 and module.digest(runs[:1])[0] == hexdigest
+    assert module.digest(runs[1:2])[0] != hexdigest

@@ -8,6 +8,8 @@ input, including separations a few ulps from an edge at large time tags.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -429,6 +431,128 @@ def test_degenerate_spans_match_reference():
 
     check()
     assert ran == {"pairs", "edges"}
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Every thread started, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+@pytest.fixture(scope="module")
+def wide_stream():
+    """An hbt_wide-size stream (5e5 + 5e5 photons, ~5 partners per bin
+    width of 1e4 ns, 21 bins) and its reference histogram."""
+    rng = np.random.default_rng(71)
+    a = poisson_stream(rng, 500_000, 5e-4, start=1e9)
+    b = poisson_stream(rng, 500_000, 5e-4, start=1e9)
+    return a, b, per_edge_reference(a, b, 1e4, 10)
+
+
+class TestThreadedEdges:
+    """A dense block's interior edges dealt out to ``_WORKERS`` threads: any
+    worker count gives the reference histogram, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_hbt_wide_stream(self, monkeypatch, wide_stream, edge_counts,
+                             thread_starts, workers):
+        # 3 workers on at most 2 cores, and a short switch interval, so
+        # that the threads interleave often
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        a, b, expected = wide_stream
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = coincidence_histogram(a, b, 1e4, 10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, expected)
+        blocks = -(-a.size // _kernels._BLOCK_ROWS)
+        assert len(thread_starts) == (workers - 1) * blocks
+        assert not any(thread.is_alive() for thread in thread_starts)
+        # each of a block's 20 interior edges is one count of all its
+        # rows' keys, whichever thread ran it
+        keys = [n for path, n in edge_counts if path == "bucket"]
+        assert len(keys) == 20 * blocks
+        assert all(keys.count(n) % 20 == 0 for n in keys)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_degenerate_spans(self, monkeypatch, thread_starts, workers):
+        # the degenerate streams below, every dense block threaded; m_max = 0
+        # leaves no interior edge to deal out
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        monkeypatch.setattr(_kernels, "_THREAD_MIN_ROWS", 1)
+
+        @settings(max_examples=100, deadline=None)
+        @given(streams=degenerate_streams())
+        @example(streams=(np.zeros(3), np.zeros(40), 1.0, 0))
+        @example(streams=(np.zeros(3), np.zeros(40), 1.0, 2))
+        @example(streams=(np.array([-1.5e308, 1.5e308]),
+                          np.array([-1.5e308] + [1.5e308] * 40), 1e293, 1))
+        def check(streams):
+            assert_matches_reference(*streams)
+
+        check()
+        assert (len(thread_starts) > 0) == (workers > 1)
+
+    @pytest.mark.parametrize("thread", ["helper", "caller"])
+    def test_exception_joins_every_thread(self, monkeypatch, thread):
+        # a count that fails in one thread: the caller raises it once every
+        # helper has been joined
+        monkeypatch.setattr(_kernels, "_WORKERS", 2)
+        caller = threading.current_thread()
+        below = _kernels._CellTable.below
+
+        def failing(table, keys):
+            if (threading.current_thread() is caller) == (thread == "caller"):
+                raise RuntimeError(f"{thread} failed")
+            return below(table, keys)
+
+        monkeypatch.setattr(_kernels._CellTable, "below", failing)
+        rng = np.random.default_rng(73)
+        a = poisson_stream(rng, 20_000, 5e-4, start=1e9)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^{thread} failed$"):
+            coincidence_histogram(a, a, 1e4, 10)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("rows, rate_per_ns, bin_width, m_max, branch", [
+        (50_000, 2e-3, 0.2, 250, "_add_pairs"),  # hbt_fine / criterion 7
+        (5_000, 5e-4, 1e4, 10, "_add_edges"),    # a small dense block
+    ], ids=["fine", "small"])
+    def test_no_thread_for_sparse_or_small_blocks(
+            self, monkeypatch, branches, thread_starts, rows, rate_per_ns,
+            bin_width, m_max, branch):
+        monkeypatch.setattr(_kernels, "_WORKERS", 2)
+        rng = np.random.default_rng(79)
+        a = poisson_stream(rng, rows, rate_per_ns, start=1e9)
+        b = poisson_stream(rng, rows, rate_per_ns, start=1e9)
+        assert coincidence_histogram(a, b, bin_width, m_max).sum() > 0
+        assert set(branches) == {branch}
+        assert thread_starts == []
+
+    def test_no_thread_for_sparse_block_of_dense_rows(
+            self, monkeypatch, table_calls, branches, thread_starts):
+        # two bursts far apart: a sparse block of many rows, each with many
+        # partners, counts its edges on the calling thread alone
+        monkeypatch.setattr(_kernels, "_WORKERS", 2)
+        rng = np.random.default_rng(83)
+        bursts = [np.sort(rng.uniform(t, t + 2000.0, 40_000)) for t in (0.0, 1e7)]
+        a = np.concatenate([burst[::2] for burst in bursts])
+        b = np.concatenate(bursts)
+        assert a.size >= _kernels._THREAD_MIN_ROWS
+        assert_matches_reference(a, b, 1.0, 20)
+        assert [name for name, _ in table_calls] == ["table"]
+        assert branches == ["_add_edges"]
+        assert thread_starts == []
 
 
 class TestCellTablePositions:

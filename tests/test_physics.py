@@ -193,6 +193,15 @@ class TestLinewidths:
         diff = g.linewidth_d(p, t) - g.linewidth_c(p, t)
         assert diff == pytest.approx(alpha * f_gs ** 3 * 1e3, rel=1e-9)
 
+    def test_negative_zero_temperature_is_zero(self):
+        # -0.0 K passes the T >= 0 check; h f / kB T was -inf there, n = -1,
+        # and the phonon terms negative
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for func in (g.linewidth_c, g.linewidth_d):
+                assert func(PBV, -0.0) == func(PBV, 0.0)
+            assert g.bose_occupation(3870.0, -0.0) == 0.0
+
     def test_negative_total_warns_but_reports(self):
         p = g.EmitterParams("bad", f_gs=100.0, f_es=500.0, gamma0=30.0,
                             gamma_others=-100.0)
@@ -304,6 +313,28 @@ class TestTemperatureThreshold:
     def test_nan_ratio_rejected(self):
         with pytest.raises(ValueError, match="ratio must exceed 1"):
             g.temperature_threshold(PBV, ratio=math.nan)
+
+    def test_negative_linewidth_warns_once(self):
+        # gamma_others far below -gamma0: the C-linewidth is negative at
+        # every temperature the bracket and the bisection try below the root
+        p = g.EmitterParams("bad", f_gs=100.0, f_es=500.0, gamma0=30.0,
+                            gamma_others=-3705.0, alpha_gs=1e-8, alpha_es=1e-8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            t_star = g.temperature_threshold(p)
+        assert [w.category for w in caught] == [NegativeLinewidthWarning]
+        assert caught[0].filename == __file__
+        assert str(caught[0].message) == ("total C-linewidth negative for bad "
+                                          "(gamma_others = -3705.0 MHz)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeLinewidthWarning)
+            assert g.linewidth_c(p, t_star - 1e-3) < 1.2 * 30.0 \
+                <= g.linewidth_c(p, t_star + 1e-3)
+
+    def test_no_warning_for_positive_linewidths(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.temperature_threshold(PBV) == pytest.approx(16.19, abs=0.01)
 
 
 def lorentzian_reference(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
