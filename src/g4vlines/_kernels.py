@@ -18,30 +18,34 @@ sliding-window pair counter used for TCSPC time tags; Wahl et al., Opt.
 Express 11, 3583 (2003)). Rows are taken a block at a time. Two scalar
 searches find the block's partners bs = b[first:last], from the first row's
 lower outer edge to the last row's upper one; they hold every window and
-every interior edge of the block. Where the partners average more than one
-per bin width (len(bs) * w > bs[-1] - bs[0]), the block builds its cell
-table (below) first and finds every window through it; otherwise two
-``searchsorted`` calls over bs find them. Rows with an empty window add the
-same count to every edge, so they are dropped. Each block then picks its
-branch from its own input: its exact pair total against (2*m_max + 2) x
-its rows, the number of edge searches the per-edge count would make.
+every interior edge of the block. Each block picks its branch from its own
+input: its exact pair total against (2*m_max + 2) x its rows, the number of
+edge searches the per-edge count would make.
 
 * few pairs: expand the pairs in chunks of ``_CHUNK_PAIRS`` and bincount
   them, O(N log N + pairs);
 * many pairs: count the b below every interior edge and take differences,
   O(N log N + M N) expected.
 
-The per-edge count searches only bs, through the block's bucket table: the
-one that found the windows, or, where the density rule took none but the
-pair total picks this branch, one built for the edges.
+Where the partners average more than one per bin width (len(bs) * w >
+bs[-1] - bs[0]), the block builds its cell table (below) and counts the b
+below its two outer edges through it: their difference is the pair total,
+and where that picks the per-edge count they are its outer counts. Any
+other block, sparse or with few pairs, finds its rows' windows with two
+``searchsorted`` calls over bs and drops the rows with an empty window,
+which add the same count to every edge; where the pair total of the rest
+picks the per-edge count, that counts through the block's table, built now
+if the density rule built none.
+
+The per-edge count searches only bs, through the block's cell table.
 ``_CELLS_PER_PARTNER`` x len(bs) equal cells span bs, cell(x) =
 clip((x - bs_0) * inv, 0, ncell - 1) cast to int, and start[c] = the number
 of bs in cells below c. cell is monotone non-decreasing (a rounded
 difference, a product with a positive inv, a clip and a truncation of values
 >= 0 each are), so every b in a lower cell than a key is below the key and
-every b in a higher cell is not. A key's count, a window end or an edge's,
-is start[cell(key)] plus a short advance over the b of its own cell that
-compare below it, the comparison evaluated exactly as written. The
+every b in a higher cell is not. A key's count is start[cell(key)] plus
+a short advance over the b of its own cell that compare below it, the
+comparison evaluated exactly as written. The
 argument holds for any positive finite inv, so every block's table is
 exact: inv = ncell / span only makes the advance short. Where the partners
 span zero time, or so little that the quotient overflows, inv is the
@@ -148,42 +152,36 @@ def _add_block(hist, a, b, w, m_max):
     if bs.size == 0:
         return
     dense = bs.size * w > float(bs[-1]) - float(bs[0])  # > 1 per bin width
-    table = _CellTable(bs, a.size) if dense else None
-    lo, hi = _windows(a, bs, w, m_max, table)
-    active = lo < hi
-    if not active.all():
-        a, lo, hi = a[active], lo[active], hi[active]
-    n_pairs = int((hi - lo).sum())
-    if n_pairs == 0:
-        return
-    if n_pairs <= (2 * m_max + 2) * a.size:
-        _add_pairs(hist, a, bs, lo, hi, w, m_max)
-        return
-    # the edge count needs only the sums of the window ends: drop the
-    # per-row arrays before it allocates its workers' buffers
-    below_lo, below_hi = int(lo.sum()), int(hi.sum())
-    del lo, hi, active
-    if table is None:
+    table = None
+    if dense:
         table = _CellTable(bs, a.size)
+        edge = _edge(a, -m_max, w)
+        below_lo = table.below(edge)
+        below_hi = table.below(_edge(a, m_max + 1, w, out=edge))
+        del edge
+    if not dense or below_hi - below_lo <= (2 * m_max + 2) * a.size:
+        edge = _edge(a, -m_max, w)
+        lo = np.searchsorted(bs, edge, side="left")
+        hi = np.searchsorted(bs, _edge(a, m_max + 1, w, out=edge), side="left")
+        del edge
+        active = lo < hi
+        if not active.all():
+            a, lo, hi = a[active], lo[active], hi[active]
+        n_pairs = int((hi - lo).sum())
+        if n_pairs == 0:
+            return
+        if n_pairs <= (2 * m_max + 2) * a.size:
+            _add_pairs(hist, a, bs, lo, hi, w, m_max)
+            return
+        # the edge count needs only the sums of the window ends: drop the
+        # per-row arrays before it allocates its workers' buffers
+        below_lo, below_hi = int(lo.sum()), int(hi.sum())
+        del lo, hi, active
+        if table is None:
+            table = _CellTable(bs, a.size)
     threaded = dense and a.size >= _THREAD_MIN_ROWS
     workers = max(1, min(_WORKERS, 2 * m_max)) if threaded else 1
     _add_edges(hist, a, below_lo, below_hi, w, m_max, table, workers)
-
-
-def _windows(a, bs, w, m_max, table):
-    """Each row's window [lo, hi) in bs, between its outer edges.
-
-    One edge array serves both ends and dies on return, before the block's
-    edges are counted.
-    """
-    edge = _edge(a, -m_max, w)
-    if table is None:
-        lo = np.searchsorted(bs, edge, side="left")
-        hi = np.searchsorted(bs, _edge(a, m_max + 1, w, out=edge), side="left")
-    else:
-        lo = table.positions(edge)
-        hi = table.positions(_edge(a, m_max + 1, w, out=edge))
-    return lo, hi
 
 
 def _add_pairs(hist, a, b, lo, hi, w, m_max):
@@ -340,28 +338,8 @@ class _CellTable:
         np.copyto(cell, y, casting="unsafe")
         return cell
 
-    def positions(self, keys):
-        """``np.searchsorted(bs, keys, side="left")`` through the table.
-
-        The lookup and comparison passes of ``below``, kept per key: each
-        pass moves the keys whose next b compares below them one b on, and
-        the keys still moving after the last pass finish by binary search.
-        Returns a new array.
-        """
-        y, less = self.y[:keys.size], self.less[:keys.size]
-        pos = np.take(self.start, self.cells(keys), mode="clip")
-        for _ in range(_ADVANCE_PASSES):
-            np.take(self.bs_inf, pos, out=y, mode="clip")
-            np.less(y, keys, out=less)
-            if not less.any():
-                return pos
-            pos += less
-        left = np.flatnonzero(less)
-        pos[left] = self._search(keys[left])
-        return pos
-
     def below(self, keys):
-        """The sum over the keys of ``positions(keys)``.
+        """``np.searchsorted(bs, keys, side="left").sum()``.
 
         Every b in a lower cell than a key is below it, so a key's count is
         pos = start[cell(key)] plus the number of b from bs[pos] on that

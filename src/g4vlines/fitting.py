@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import physics
 from .emitters import REGISTRY, EmitterParams, _integral, _require_finite
@@ -66,25 +65,40 @@ _LINALG = dict(call=_raise_singular, invalid="call", over="ignore",
                divide="ignore", under="ignore")
 
 
-@np.errstate(**_LINALG)
-def _solve(a, b):
-    """``np.linalg.solve(a, b)`` for a float64 (n, n) matrix and (n,) vector.
+# numpy's private LAPACK gufuncs, the ones np.linalg dispatches to. A numpy
+# release that has moved them gets np.linalg's wrappers around the same
+# gufuncs: the same bits, a few us more per call.
+try:
+    from numpy.linalg._umath_linalg import (
+        cholesky_lo as _cholesky_lo, inv as _inv, solve1 as _solve1)
+except ImportError:
+    _solve = np.linalg.solve
 
-    It calls the LAPACK gesv gufunc that ``np.linalg.solve`` dispatches to,
-    under the same error state, without its argument wrapping: the same
-    bits, and ``LinAlgError`` where gesv finds the matrix singular.
-    """
-    return _umath_linalg.solve1(a, b, signature="dd->d")
+    def _cholesky_inv(a):
+        """``np.linalg.inv(a)`` of a matrix that ``np.linalg.cholesky(a)``
+        accepts; ``LinAlgError`` where either fails."""
+        np.linalg.cholesky(a)  # positive-definite check
+        return np.linalg.inv(a)
+else:
+    @np.errstate(**_LINALG)
+    def _solve(a, b):
+        """``np.linalg.solve(a, b)`` for a float64 (n, n) matrix and (n,)
+        vector.
 
+        It calls the LAPACK gesv gufunc that ``np.linalg.solve`` dispatches
+        to, under the same error state, without its argument wrapping: the
+        same bits, and ``LinAlgError`` where gesv finds the matrix singular.
+        """
+        return _solve1(a, b, signature="dd->d")
 
-@np.errstate(**_LINALG)
-def _cholesky_inv(a):
-    """``np.linalg.inv(a)`` of a float64 (n, n) matrix that
-    ``np.linalg.cholesky(a)`` accepts, through the same gufuncs and error
-    state without their argument wrapping; ``LinAlgError`` where either
-    fails."""
-    _umath_linalg.cholesky_lo(a, signature="d->d")  # positive-definite check
-    return _umath_linalg.inv(a, signature="d->d")
+    @np.errstate(**_LINALG)
+    def _cholesky_inv(a):
+        """``np.linalg.inv(a)`` of a float64 (n, n) matrix that
+        ``np.linalg.cholesky(a)`` accepts, through the same gufuncs and error
+        state without their argument wrapping; ``LinAlgError`` where either
+        fails."""
+        _cholesky_lo(a, signature="d->d")  # positive-definite check
+        return _inv(a, signature="d->d")
 
 
 def _gn_covariance(jac: np.ndarray) -> np.ndarray | None:
@@ -356,7 +370,8 @@ def fit_decay(trace: DecayTrace, model: str = "exp1", *,
         raise ValueError(f"model must be 'exp1' or 'exp2', got {model!r}")
     if len(trace) < 8:
         raise ValueError(f"need at least 8 bins to fit, got {len(trace)}")
-    i0 = int(np.argmax(trace.counts)) if start_index is None else int(start_index)
+    i0 = (int(np.argmax(trace.counts)) if start_index is None
+          else _integral(start_index, "start_index"))
     if not 0 <= i0 < len(trace) - 4:
         raise ValueError(f"fit window start {i0} leaves too few bins")
     t = trace.bin_centers[i0:]
@@ -400,19 +415,21 @@ def fit_decay(trace: DecayTrace, model: str = "exp1", *,
 def fit_cubic_alpha(points, weights="delta") -> FitReport:
     """Weighted least squares of delta_gamma = alpha * f^3 through the origin.
 
-    ``points`` is a sequence of (f_gs_ghz, delta_gamma_mhz) pairs.
-    weights: "delta" (1/delta_gamma^2, the default), "equal", or an explicit
+    ``points`` is a sequence of (f_gs_ghz, delta_mhz) pairs.
+    weights: "delta" (1/delta_mhz^2, the default), "equal", or an explicit
     array of finite positive weights. The report predicts the differences
     for the SiV and SnV splittings from the fitted coupling. A ValueError
-    names a weight, sum or result that leaves the float range.
+    names a column that is not finite, and a weight, sum or result that
+    leaves the float range.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("no data points given")
     if pts.shape[1] != 2:
-        raise ValueError("points must be (f_gs_ghz, delta_gamma_mhz) pairs")
+        raise ValueError("points must be (f_gs_ghz, delta_mhz) pairs")
     f = pts[:, 0]
     dg = pts[:, 1]
+    _require_finite(f_gs_ghz=f, delta_mhz=dg)
     if np.any(f <= 0):
         raise ValueError("splittings must be positive")
     if np.any(dg <= 0):
@@ -476,7 +493,8 @@ def fit_temperature_series(points, emitter: EmitterParams,
     ``points`` is a sequence of (temperature_k, linewidth_mhz) pairs; gamma0
     and the remaining couplings are fixed from ``emitter``. Points above
     ``max_temp`` (K) are excluded when given, since the single-phonon model
-    is only trusted at low temperature.
+    is only trusted at low temperature. A ValueError names a column that is
+    not finite.
     """
     free = tuple(free)
     if free not in (("gamma_others",), ("gamma_others", "alpha_gs")):
@@ -486,7 +504,7 @@ def fit_temperature_series(points, emitter: EmitterParams,
     if pts.size == 0 or pts.shape[1] != 2:
         raise ValueError("points must be (temperature_k, linewidth_mhz) pairs")
     if max_temp is not None:
-        pts = pts[pts[:, 0] <= max_temp]
+        pts = pts[~(pts[:, 0] > max_temp)]  # NaN rows stay, to be named below
     temps = pts[:, 0]
     gammas = pts[:, 1]
     if temps.size < 2 or temps.size < len(free):
@@ -494,6 +512,7 @@ def fit_temperature_series(points, emitter: EmitterParams,
             f"need at least max(2, n_free) points, got {temps.size}")
     if _has_duplicates(temps):
         raise ValueError("temperatures must be distinct")
+    _require_finite(temp_k=temps, linewidth_mhz=gammas)
     if np.any(temps < 0):
         raise ValueError("temperatures must be >= 0")
 

@@ -193,10 +193,15 @@ def temperature_threshold(p: EmitterParams, ratio: float = 1.2) -> float:
     can never be violated (both phonon couplings zero and gamma_others
     below the margin). Warns once, as ``linewidth_c`` would, when the
     C-linewidth at T = 0, the smallest the search evaluates, is negative.
+    A ValueError names a ratio that is not above 1 or whose target
+    ratio * gamma0 is not finite.
     """
     if not ratio > 1.0:  # also rejects NaN
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     target = ratio * p.gamma0
+    if not math.isfinite(target):
+        raise ValueError(f"ratio * gamma0 must be finite, got ratio = {ratio} "
+                         f"and gamma0 = {p.gamma0} MHz")
 
     def linewidth(T):  # linewidth_c(p, T) without its warning
         return float(_terms(p, T, "c")[2])

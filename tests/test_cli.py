@@ -116,6 +116,14 @@ class TestThreshold:
         assert out == ""
         assert "ratio must exceed 1" in err
 
+    @pytest.mark.parametrize("ratio", ["inf", "1e307"])
+    def test_ratio_with_non_finite_target_exit_2(self, capsys, ratio):
+        code, out, err = run(capsys, "threshold", "--emitter", "PbV",
+                             "--ratio", ratio)
+        assert code == 2
+        assert out == ""
+        assert "ratio * gamma0 must be finite" in err
+
     @pytest.mark.parametrize("emitter, ratio", [
         ("PbV", 1e16), ({"name": "weak", "f_gs": 3870.0, "f_es": 6920.0,
                           "gamma0": 36.2, "alpha_gs": 1e-25, "alpha_es": 1e-25}, 1.2)])

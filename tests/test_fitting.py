@@ -11,12 +11,14 @@ bits, and ``fitting._solve`` the bits of ``np.linalg.solve``.
 
 import functools
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import g4vlines as g
-from g4vlines import fitting
+from g4vlines import dataio, fitting
 from g4vlines.fitting import (
     LAMBDA0, MAX_ITERATIONS, REL_STEP_TOL, _lm_fit,
     exp_jacobian, exp_model, lorentzian_jacobian, lorentzian_model,
@@ -315,6 +317,15 @@ class TestDecayFit:
         report = g.fit_decay(g.DecayTrace(t, y), "exp1", start_index=30)
         assert report.params["tau"] == pytest.approx(4.4, rel=1e-6)
 
+    @pytest.mark.parametrize("start_index", [2.7, np.inf, np.nan])
+    def test_start_index_not_integral(self, start_index):
+        # 2.7 used to fit from bin 2, inf to raise OverflowError
+        t = np.arange(0.1, 50.0, 0.2)
+        trace = g.DecayTrace(t, 5000.0 * np.exp(-t / 4.4) + 40.0)
+        with pytest.raises(ValueError,
+                           match=f"^start_index must be an integer, got {start_index}$"):
+            g.fit_decay(trace, "exp1", start_index=start_index)
+
     def test_bad_model_name(self):
         t = np.arange(0.1, 50.0, 0.2)
         with pytest.raises(ValueError, match="model"):
@@ -379,6 +390,16 @@ class TestCubicAlpha:
                 g.fit_cubic_alpha([(200.0, 44.7), (3870.0, 435300.0)],
                                   weights=np.array([w, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("column", ["f_gs_ghz", "delta_mhz"])
+    @pytest.mark.parametrize("weights", ["delta", "equal"])
+    def test_non_finite_column_named(self, bad, column, weights):
+        # an inf delta_mhz used to end in "alpha must be finite"
+        pts = np.array([(200.0, 44.7), (3870.0, 435300.0)])
+        pts[1, ["f_gs_ghz", "delta_mhz"].index(column)] = bad
+        with pytest.raises(ValueError, match=f"^{column} must be finite"):
+            g.fit_cubic_alpha(pts, weights=weights)
+
 
 class TestTemperatureSeries:
     def _series(self, emitter, temps):
@@ -431,6 +452,22 @@ class TestTemperatureSeries:
         with pytest.raises(ValueError, match="free"):
             g.fit_temperature_series([(6.0, 38.9), (8.0, 38.9)], PBV,
                                      free=("alpha_gs",))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("column", ["temp_k", "linewidth_mhz"])
+    def test_non_finite_column_named(self, bad, column):
+        # a NaN linewidth used to end in "reduced_chi2 must be finite"
+        pts = self._series(PBV, [6.0, 10.0, 14.0, 18.0])
+        pts[2, ["temp_k", "linewidth_mhz"].index(column)] = bad
+        with pytest.raises(ValueError, match=f"^{column} must be finite"):
+            g.fit_temperature_series(pts, PBV)
+
+    def test_nan_temperature_named_with_max_temp(self):
+        # a NaN temperature is not above max_temp: it is named, not dropped
+        pts = self._series(PBV, [6.0, 10.0, 14.0, 18.0])
+        pts[2, 0] = np.nan
+        with pytest.raises(ValueError, match="^temp_k must be finite"):
+            g.fit_temperature_series(pts, PBV, max_temp=20.0)
 
     def test_duplicate_check_matches_np_unique(self):
         # np.unique counts every NaN as one value, and -0.0 == 0.0
@@ -837,6 +874,50 @@ class TestSameBitsPerFit:
             got = fitting._damped_diagonal(h, lam)
             assert all(type(v) is float for v in got)
             assert _same_bits(got, expected), h
+
+
+# Fits fixtures/ple_pbv.csv in a fresh interpreter whose numpy lacks the
+# private linalg module, or has it without the gesv gufunc, and writes the
+# report; np.linalg's wrappers record that the fitter called them.
+_FALLBACK_FIT = """
+import sys, types
+import numpy as np
+
+missing, spectrum_path, report_path = sys.argv[1:]
+module = "numpy.linalg._umath_linalg"
+if missing == "module":
+    sys.modules[module] = None
+else:
+    fake = types.ModuleType(module)
+    fake.cholesky_lo, fake.inv = sys.modules[module].cholesky_lo, sys.modules[module].inv
+    sys.modules[module] = fake
+called = set()
+for name in ("solve", "cholesky", "inv"):
+    def spy(*args, _call=getattr(np.linalg, name), _name=name):
+        called.add(_name)
+        return _call(*args)
+    setattr(np.linalg, name, spy)
+
+from g4vlines import dataio, fitting
+dataio.emit_fit_report(fitting.fit_lorentzian(dataio.load_spectrum(spectrum_path)),
+                       report_path)
+assert called == {"solve", "cholesky", "inv"}, called
+"""
+
+
+class TestLinalgFallback:
+    @pytest.mark.parametrize("missing", ["module", "gufunc"])
+    def test_same_report_bytes(self, fixtures_dir, tmp_path, missing):
+        spectrum = fixtures_dir / "ple_pbv.csv"
+        dataio.emit_fit_report(g.fit_lorentzian(dataio.load_spectrum(spectrum)),
+                               tmp_path / "private.json")
+        proc = subprocess.run(
+            [sys.executable, "-c", _FALLBACK_FIT, missing, str(spectrum),
+             str(tmp_path / "fallback.json")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "fallback.json").read_bytes() \
+            == (tmp_path / "private.json").read_bytes()
 
 
 class TestReport:

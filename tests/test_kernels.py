@@ -68,7 +68,7 @@ def edge_counts(monkeypatch):
 
     "bucket" is an edge's count through the block's cell table, "search"
     the table's binary search of the keys still advancing after the last
-    pass, of an edge or of a window end.
+    pass.
     """
     ran = []
     for owner, name, path in ((_kernels._CellTable, "below", "bucket"),
@@ -86,21 +86,21 @@ def edge_counts(monkeypatch):
 @pytest.fixture
 def table_calls(monkeypatch):
     """("table", partners) of every ``_CellTable`` constructed and
-    ("positions", keys) of every window search through a table, in order."""
+    ("below", keys) of every edge counted through a table, in order."""
     ran = []
     init = _kernels._CellTable.__init__
-    positions = _kernels._CellTable.positions
+    below = _kernels._CellTable.below
 
     def init_spy(table, bs, n_keys):
         ran.append(("table", bs.size))
         init(table, bs, n_keys)
 
-    def positions_spy(table, keys):
-        ran.append(("positions", keys.size))
-        return positions(table, keys)
+    def below_spy(table, keys):
+        ran.append(("below", keys.size))
+        return below(table, keys)
 
     monkeypatch.setattr(_kernels._CellTable, "__init__", init_spy)
-    monkeypatch.setattr(_kernels._CellTable, "positions", positions_spy)
+    monkeypatch.setattr(_kernels._CellTable, "below", below_spy)
     return ran
 
 
@@ -268,8 +268,8 @@ class TestImplementationAgreement:
 
     def test_one_table_per_dense_block(self, table_calls, branches):
         # an hbt_wide-size stream, ~5 partners per bin width: each block
-        # builds one table, finds both window ends of its rows through it
-        # and counts its edges with it
+        # builds one table and counts all 2*m_max + 2 edges of all its rows
+        # through it, the two outer ones first
         rng = np.random.default_rng(41)
         a = poisson_stream(rng, 300_000, 5e-4, start=1e9)
         b = poisson_stream(rng, 300_000, 5e-4, start=1e9)
@@ -278,9 +278,9 @@ class TestImplementationAgreement:
                 for r in range(0, a.size, _kernels._BLOCK_ROWS)]
         assert len(rows) > 1
         assert [name for name, _ in table_calls] \
-            == ["table", "positions", "positions"] * len(rows)
-        assert [n for name, n in table_calls if name == "positions"] \
-            == [n for n in rows for _ in range(2)]
+            == (["table"] + ["below"] * (2 * 10 + 2)) * len(rows)
+        assert [n for name, n in table_calls if name == "below"] \
+            == [n for n in rows for _ in range(2 * 10 + 2)]
         assert branches == ["_add_edges"] * len(rows)
 
     def test_no_table_for_sparse_blocks(self, table_calls, branches):
@@ -298,7 +298,7 @@ class TestImplementationAgreement:
                                                          branches):
         # two bursts far apart: the block's partners average fewer than one
         # per bin width, but each row has many, so the edge branch runs and
-        # builds its table after the windows
+        # builds its table after the windows, for the interior edges alone
         rng = np.random.default_rng(47)
         bursts = [np.sort(rng.uniform(t, t + 50.0, 400)) for t in (0.0, 1e6)]
         a = np.concatenate([burst[::4] for burst in bursts])
@@ -307,7 +307,41 @@ class TestImplementationAgreement:
         bs = b[(b >= a[0] - (m_max + 0.5) * w) & (b < a[-1] + (m_max + 0.5) * w)]
         assert bs.size * w < bs[-1] - bs[0]
         assert_matches_reference(a, b, w, m_max)
-        assert table_calls == [("table", bs.size)]
+        assert table_calls == [("table", bs.size)] + [("below", a.size)] * (2 * m_max)
+        assert branches == ["_add_edges"]
+
+    def test_dense_block_with_few_pairs(self, table_calls, branches):
+        # a burst of partners between two groups of rows that it does not
+        # reach, and one partner near the second group: the block averages
+        # about 20 partners per bin width, but its outer counts give fewer
+        # pairs than its 12 edges x 20 rows, so its windows are searched and
+        # its pairs binned
+        rng = np.random.default_rng(89)
+        a = np.concatenate([np.sort(rng.uniform(0.0, 10.0, 10)),
+                            np.sort(rng.uniform(90.0, 100.0, 10))])
+        b = np.concatenate([np.sort(rng.uniform(45.0, 55.0, 200)), [101.0]])
+        w, m_max = 1.0, 5
+        bs = b[(b >= a[0] - (m_max + 0.5) * w) & (b < a[-1] + (m_max + 0.5) * w)]
+        assert bs.size * w > bs[-1] - bs[0]
+        hist = assert_matches_reference(a, b, w, m_max)
+        assert 0 < hist.sum() <= (2 * m_max + 2) * a.size
+        assert table_calls == [("table", bs.size)] + [("below", a.size)] * 2
+        assert branches == ["_add_pairs"]
+
+    def test_dense_block_of_few_rows_with_partners(self, table_calls, branches):
+        # a dense block whose pairs are fewer than its 12 edges x 100 rows
+        # but more than 12 x its 10 rows with a partner: after its windows
+        # it counts those rows' interior edges through the table it built
+        rng = np.random.default_rng(97)
+        a = np.concatenate([np.sort(rng.uniform(0.0, 45.0, 90)),
+                            np.sort(rng.uniform(100.0, 110.0, 10))])
+        b = np.sort(rng.uniform(100.0, 110.0, 50))
+        w, m_max = 1.0, 5
+        assert b.size * w > b[-1] - b[0]
+        hist = assert_matches_reference(a, b, w, m_max)
+        assert (2 * m_max + 2) * 10 < hist.sum() <= (2 * m_max + 2) * a.size
+        assert table_calls == ([("table", b.size)] + [("below", a.size)] * 2
+                               + [("below", 10)] * (2 * m_max))
         assert branches == ["_add_edges"]
 
     def test_validation(self):
@@ -331,7 +365,7 @@ class TestBucketedEdgeCount:
         a = np.linspace(-3.0, 3.0, 40)
         b = np.full(500, 0.25)
         assert_matches_reference(a, b, 1.0, 4)
-        assert edge_counts == [("bucket", a.size)] * (2 * 4)
+        assert edge_counts == [("bucket", a.size)] * (2 * 4 + 2)
 
     def test_cell_scale_overflow_searches(self, edge_counts):
         # partners 2 ulps of 0 apart: 2 cells per partner over that span
@@ -339,7 +373,7 @@ class TestBucketedEdgeCount:
         b = np.repeat([0.0, 5e-324, 1e-323], 300)
         a = np.linspace(-2.0, 2.0, 30)
         assert_matches_reference(a, b, 1.0, 3)
-        assert edge_counts == [("bucket", a.size)] * (2 * 3)
+        assert edge_counts == [("bucket", a.size)] * (2 * 3 + 2)
 
     def test_overflowing_products_clip(self, edge_counts):
         # a finite but huge scale: (key - bs[0]) * inv overflows to +-inf
@@ -478,11 +512,11 @@ class TestThreadedEdges:
         blocks = -(-a.size // _kernels._BLOCK_ROWS)
         assert len(thread_starts) == (workers - 1) * blocks
         assert not any(thread.is_alive() for thread in thread_starts)
-        # each of a block's 20 interior edges is one count of all its
-        # rows' keys, whichever thread ran it
+        # each of a block's 22 edges, 2 outer and 20 interior, is one count
+        # of all its rows' keys, whichever thread ran it
         keys = [n for path, n in edge_counts if path == "bucket"]
-        assert len(keys) == 20 * blocks
-        assert all(keys.count(n) % 20 == 0 for n in keys)
+        assert len(keys) == 22 * blocks
+        assert all(keys.count(n) % 22 == 0 for n in keys)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_degenerate_spans(self, monkeypatch, thread_starts, workers):
@@ -507,21 +541,31 @@ class TestThreadedEdges:
     def test_exception_joins_every_thread(self, monkeypatch, thread):
         # a count that fails in one thread: the caller raises it once every
         # helper has been joined
+        # (the caller counts the outer edges before any helper starts, so
+        # only the counts dealt out to the threads fail)
         monkeypatch.setattr(_kernels, "_WORKERS", 2)
         caller = threading.current_thread()
         below = _kernels._CellTable.below
+        run = _kernels._run
+        dealt = []
 
         def failing(table, keys):
-            if (threading.current_thread() is caller) == (thread == "caller"):
+            if dealt and (threading.current_thread() is caller) == (thread == "caller"):
                 raise RuntimeError(f"{thread} failed")
             return below(table, keys)
 
+        def run_spy(job, workers):
+            dealt.append(workers)
+            return run(job, workers)
+
         monkeypatch.setattr(_kernels._CellTable, "below", failing)
+        monkeypatch.setattr(_kernels, "_run", run_spy)
         rng = np.random.default_rng(73)
         a = poisson_stream(rng, 20_000, 5e-4, start=1e9)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"^{thread} failed$"):
             coincidence_histogram(a, a, 1e4, 10)
+        assert dealt == [2]
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("rows, rate_per_ns, bin_width, m_max, branch", [
@@ -550,21 +594,20 @@ class TestThreadedEdges:
         b = np.concatenate(bursts)
         assert a.size >= _kernels._THREAD_MIN_ROWS
         assert_matches_reference(a, b, 1.0, 20)
-        assert [name for name, _ in table_calls] == ["table"]
+        assert [name for name, _ in table_calls] == ["table"] + ["below"] * 40
         assert branches == ["_add_edges"]
         assert thread_starts == []
 
 
 class TestCellTablePositions:
-    """``_CellTable.positions`` is ``np.searchsorted(bs, keys, side="left")``."""
+    """``_CellTable.below`` sums the keys' positions in bs,
+    ``np.searchsorted(bs, keys, side="left")``."""
 
     @staticmethod
-    def assert_positions(bs, keys):
+    def assert_below(bs, keys):
         table = _kernels._CellTable(bs, keys.size + 100)
-        got = table.positions(keys)
         expected = np.searchsorted(bs, keys, side="left")
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
+        assert table.below(keys) == expected.sum()
         return table, expected
 
     def test_keys_outside_and_inside(self):
@@ -574,16 +617,16 @@ class TestCellTablePositions:
         keys[:4] = [bs[0], bs[-1], np.nextafter(bs[0], -np.inf),
                     np.nextafter(bs[-1], np.inf)]
         assert (keys < bs[0]).any() and (keys > bs[-1]).any()
-        self.assert_positions(bs, keys)
-        self.assert_positions(bs, np.sort(keys))
+        self.assert_below(bs, keys)
+        self.assert_below(bs, np.sort(keys))
 
     def test_duplicate_tags(self):
         rng = np.random.default_rng(59)
         bs = np.sort(rng.integers(0, 300, 2000)).astype(float)
         keys = np.concatenate([bs, bs + 0.5, bs - 0.5, [-1.0, 300.0]])
-        self.assert_positions(bs, keys)
+        self.assert_below(bs, keys)
 
-    def test_crowded_cell_finishes_by_binary_search(self):
+    def test_crowded_cell_finishes_by_binary_search(self, edge_counts):
         # 200 identical tags fill one cell: a key just above them lies more
         # than _ADVANCE_PASSES partners past its cell's start
         rng = np.random.default_rng(61)
@@ -591,12 +634,14 @@ class TestCellTablePositions:
                                      np.full(200, 500.0)]))
         keys = np.concatenate([[np.nextafter(500.0, np.inf), 500.0],
                                rng.uniform(-10.0, 1010.0, 500)])
-        table, expected = self.assert_positions(bs, keys)
+        table, expected = self.assert_below(bs, keys)
         advance = expected - table.start[table.cells(keys)]
         assert advance.max() > _kernels._ADVANCE_PASSES
+        assert ("search", np.count_nonzero(advance > _kernels._ADVANCE_PASSES - 1)) \
+            in edge_counts
 
     def test_negative_tags(self):
         rng = np.random.default_rng(67)
         bs = np.sort(rng.uniform(-2e4, -1e4, 3000))
         keys = rng.uniform(-2.5e4, -5e3, 4000)
-        self.assert_positions(bs, keys)
+        self.assert_below(bs, keys)

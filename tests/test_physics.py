@@ -6,6 +6,7 @@ assertions) and are frozen here.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import g4vlines as g
+from g4vlines import physics
 from g4vlines.physics import (
     FLAG_BEYOND_VALIDITY, FLAG_NEGATIVE_TOTAL, NegativeLinewidthWarning,
 )
@@ -313,6 +315,17 @@ class TestTemperatureThreshold:
     def test_nan_ratio_rejected(self):
         with pytest.raises(ValueError, match="ratio must exceed 1"):
             g.temperature_threshold(PBV, ratio=math.nan)
+
+    @pytest.mark.parametrize("ratio", [math.inf, 1e307])
+    def test_non_finite_target_rejected(self, monkeypatch, ratio):
+        # rejected before any linewidth is evaluated
+        def no_terms(*args):
+            raise AssertionError("linewidth evaluated")
+
+        monkeypatch.setattr(physics, "_terms", no_terms)
+        message = f"ratio * gamma0 must be finite, got ratio = {ratio} and gamma0"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            g.temperature_threshold(PBV, ratio=ratio)
 
     def test_negative_linewidth_warns_once(self):
         # gamma_others far below -gamma0: the C-linewidth is negative at
