@@ -31,11 +31,14 @@ Where the partners average more than one per bin width (len(bs) * w >
 bs[-1] - bs[0]), the block builds its cell table (below) and counts the b
 below its two outer edges through it: their difference is the pair total,
 and where that picks the per-edge count they are its outer counts. Any
-other block, sparse or with few pairs, finds its rows' windows with two
-``searchsorted`` calls over bs and drops the rows with an empty window,
-which add the same count to every edge; where the pair total of the rest
-picks the per-edge count, that counts through the block's table, built now
-if the density rule built none.
+other block, sparse or with few pairs, builds no table for its windows: one
+``searchsorted`` over bs finds each row's lo, and its hi is lo plus the
+partners from bs[lo] on that compare below its upper edge, found by
+advancing a chunk of rows at a time (``_advance``; a sparse row has at most
+a few). It then drops the rows with an empty window, which add the same
+count to every edge, by index rather than by a boolean mask; where the
+pair total of the rest picks the per-edge count, that counts through the
+block's table, built now if the density rule built none.
 
 The per-edge count searches only bs, through the block's cell table.
 ``_CELLS_PER_PARTNER`` x len(bs) equal cells span bs, cell(x) =
@@ -85,6 +88,11 @@ MAX_BINS = 1_000_001
 # chunks a stream of 8e6 pairs traced 87 MB instead of 7.5 MB.
 _BLOCK_ROWS = 1 << 16
 _CHUNK_PAIRS = 1 << 16
+
+# Rows whose window ends advance at once, and photons split between the
+# detectors at once: the per-row work arrays of a chunk (64 KB of float64)
+# stay in cache, and cost the memory of a chunk rather than of a block.
+_CHUNK = 1 << 13
 
 # Cells of a block's bucket table per partner, and the comparison
 # passes over all keys after which the keys still advancing finish by
@@ -162,11 +170,12 @@ def _add_block(hist, a, b, w, m_max):
     if not dense or below_hi - below_lo <= (2 * m_max + 2) * a.size:
         edge = _edge(a, -m_max, w)
         lo = np.searchsorted(bs, edge, side="left")
-        hi = np.searchsorted(bs, _edge(a, m_max + 1, w, out=edge), side="left")
-        del edge
-        active = lo < hi
-        if not active.all():
-            a, lo, hi = a[active], lo[active], hi[active]
+        hi = _advance(bs, lo, _edge(a, m_max + 1, w, out=edge))
+        del edge  # hi holds the keys' memory, freed below if rows drop out
+        rows = np.flatnonzero(lo < hi)
+        if rows.size < a.size:
+            a, lo, hi = a.take(rows), lo.take(rows), hi.take(rows)
+        del rows
         n_pairs = int((hi - lo).sum())
         if n_pairs == 0:
             return
@@ -176,12 +185,42 @@ def _add_block(hist, a, b, w, m_max):
         # the edge count needs only the sums of the window ends: drop the
         # per-row arrays before it allocates its workers' buffers
         below_lo, below_hi = int(lo.sum()), int(hi.sum())
-        del lo, hi, active
+        del lo, hi
         if table is None:
             table = _CellTable(bs, a.size)
     threaded = dense and a.size >= _THREAD_MIN_ROWS
     workers = max(1, min(_WORKERS, 2 * m_max)) if threaded else 1
     _add_edges(hist, a, below_lo, below_hi, w, m_max, table, workers)
+
+
+def _advance(bs, lo, keys):
+    """``np.searchsorted(bs, keys, side="left")``, given lo at or below it,
+    written over keys (as intp) and returned.
+
+    bs is sorted, so a key's position is lo plus the partners from bs[lo]
+    on that compare below it. A chunk of ``_CHUNK`` rows at a time, one
+    pass compares every row's bs[min(lo, last)] with its key and the next
+    passes only the rows still advancing; rows left after
+    ``_ADVANCE_PASSES`` passes finish by binary search. A row that reaches
+    bs.size has passed bs[-1], and its later passes compare with bs[-1]
+    again, so it too finishes by binary search, at bs.size.
+    """
+    hi = keys.view(np.intp)
+    y = np.empty(min(keys.size, _CHUNK))  # one chunk's partners bs[lo]
+    less = np.empty(y.size, dtype=bool)
+    for s in range(0, keys.size, _CHUNK):
+        pos, key = lo[s:s + _CHUNK], keys[s:s + _CHUNK]
+        np.take(bs, pos, out=y[:key.size], mode="clip")
+        rows = np.flatnonzero(np.less(y[:key.size], key, out=less[:key.size]))
+        key, pos = key.take(rows), pos.take(rows) + 1
+        hi[s:s + _CHUNK] = lo[s:s + _CHUNK]  # the chunk's keys are read
+        rows += s
+        for _ in range(1, _ADVANCE_PASSES):
+            hi[rows] = pos
+            step = np.flatnonzero(bs.take(pos, mode="clip") < key)
+            rows, key, pos = rows.take(step), key.take(step), pos.take(step) + 1
+        hi[rows] = np.searchsorted(bs, key, side="left")
+    return hi
 
 
 def _add_pairs(hist, a, b, lo, hi, w, m_max):

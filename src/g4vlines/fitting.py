@@ -510,9 +510,9 @@ def fit_temperature_series(points, emitter: EmitterParams,
     if temps.size < 2 or temps.size < len(free):
         raise ValueError(
             f"need at least max(2, n_free) points, got {temps.size}")
+    _require_finite(temp_k=temps, linewidth_mhz=gammas)
     if _has_duplicates(temps):
         raise ValueError("temperatures must be distinct")
-    _require_finite(temp_k=temps, linewidth_mhz=gammas)
     if np.any(temps < 0):
         raise ValueError("temperatures must be >= 0")
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import physics
-from ._kernels import MAX_BINS, coincidence_histogram
+from ._kernels import _CHUNK, MAX_BINS, coincidence_histogram
 from .emitters import EmitterParams, _integral, _require_finite
 from .records import CorrelationHistogram, DecayTrace, Spectrum
 
@@ -351,10 +351,13 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     Memory: the stream is built in place, one emitter batch and the
     background at a time, and dropped once split, so the traced peak is
     about 17 B per photon (the sorted stream, one uniform draw per photon
-    and its 1-byte detector choice) and 8 B per photon stay live while the
-    kernel runs. The kernel adds a bounded amount per block of 65536 rows,
-    not per photon: about 5 MB traced on an hbt_wide-size stream, where two
-    threads count a dense block's edges. ``rate * duration`` is capped at
+    and its 1-byte detector choice; then the stream, the choices and the
+    two detectors' arrays, filled a chunk at a time) and 8 B per photon
+    stay live while the kernel runs. A batch's decay waits are drawn
+    ``_CHUNK`` at a time into one buffer and added in place, so no
+    batch-size temporary is made. The kernel adds a bounded amount per
+    block of 65536 rows, not per photon: about 5 MB traced on an
+    hbt_wide-size stream, where two threads count a dense block's edges. ``rate * duration`` is capped at
     _MAX_STREAM_PHOTONS, the photons that fit _STREAM_BUDGET at that peak.
     """
     _require_finite(rate=rate, lifetime=lifetime, purity_rho=purity_rho,
@@ -392,16 +395,24 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     if emitter_rate > 0:
         t = 0.0
         mean_wait = 1.0 / excitation_rate + lifetime_s
+        decay = np.empty(_CHUNK)  # the decay waits of one chunk of a batch
         while t < duration:
             n = int((duration - t) / mean_wait * 1.05) + 16
             ts = rng.exponential(1.0 / excitation_rate, n)
             with np.errstate(over="ignore"):  # inf is past duration
-                ts += rng.exponential(lifetime_s, n)
+                # exponential(scale) draws scale * standard_exponential from
+                # the same stream, so the chunks draw the batch's decay waits
+                for i in range(0, n, _CHUNK):
+                    part = ts[i:i + _CHUNK]
+                    wait = rng.standard_exponential(out=decay[:part.size])
+                    wait *= lifetime_s
+                    part += wait
                 np.cumsum(ts, out=ts)
                 ts += t
             parts.append(ts[:np.searchsorted(ts, duration)])  # ts is sorted
             t = ts[-1]
-        del ts  # parts holds the only references to the batches
+        # parts holds the only references to the batches
+        del ts, part, wait, decay
     if bg_rate > 0:
         n_bg = rng.poisson(bg_rate * duration)
         parts.append(rng.uniform(0.0, duration, n_bg))
@@ -416,11 +427,8 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     if stream.size < 2:
         raise ValueError("stream contains fewer than 2 photons; "
                          "increase rate or duration")
-    to_b = rng.random(stream.size) < 0.5
-    det_b = stream[to_b]
-    np.logical_not(to_b, out=to_b)
-    det_a = stream[to_b]
-    del stream, to_b
+    det_a, det_b = _split(stream, rng.random(stream.size) < 0.5)
+    del stream
     det_a *= 1e9
     det_b *= 1e9
     normalization = _normalization(det_a.size, det_b.size, duration * 1e9,
@@ -428,6 +436,28 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
 
     counts = coincidence_histogram(det_a, det_b, bin_width, m_max)
     return _histogram(counts, normalization, bin_width)
+
+
+def _split(stream, to_b):
+    """(stream[~to_b], stream[to_b]), a chunk of ``_CHUNK`` photons at a time.
+
+    Each chunk's photons are taken by index into the detectors' arrays,
+    allocated once: boolean indexing with a random mask branches on every
+    photon. The indices are in range, so mode "clip" only skips the
+    buffered bounds check of ``np.take``.
+    """
+    n_b = int(np.count_nonzero(to_b))
+    det_a, det_b = np.empty(stream.size - n_b), np.empty(n_b)
+    i_a = i_b = 0
+    for s in range(0, stream.size, _CHUNK):
+        run, pick = stream[s:s + _CHUNK], to_b[s:s + _CHUNK]
+        idx = np.flatnonzero(pick)
+        np.take(run, idx, out=det_b[i_b:i_b + idx.size], mode="clip")
+        i_b += idx.size
+        idx = np.flatnonzero(~pick)
+        np.take(run, idx, out=det_a[i_a:i_a + idx.size], mode="clip")
+        i_a += idx.size
+    return det_a, det_b
 
 
 def _normalization(n_a: int, n_b: int, duration: float,
@@ -461,7 +491,8 @@ def correlate_stream(arrival_times, *, bin_width: float, tau_max: float,
     (self-pairs excluded); the per-bin normalization is
     rate^2 * duration * bin_width with rate = n_photons / duration.
     ``duration`` defaults to the last arrival time and may not end before
-    it.
+    it. A bin_width whose half rounds away when added to an arrival time
+    (below the float resolution of the tags) is a ValueError.
     """
     t = np.asarray(arrival_times, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -481,6 +512,13 @@ def correlate_stream(arrival_times, *, bin_width: float, tau_max: float,
         raise ValueError(f"duration {duration} is before the last arrival "
                          f"time {t[-1]}")
     normalization = _normalization(t.size, t.size, duration, bin_width)
+    # a photon pairs with itself in the centre bin, t - w/2 <= t < t + w/2,
+    # unless w/2 rounds away at t's magnitude
+    coarse = np.flatnonzero(t + 0.5 * bin_width <= t)
+    if coarse.size:
+        raise ValueError(f"bin_width {bin_width:g} is below the resolution of "
+                         f"the arrival time {float(t[coarse[0]])!r}: t + "
+                         "bin_width/2 rounds to t")
 
     counts = coincidence_histogram(t, t, bin_width, m_max)
     counts[m_max] -= t.size  # drop self-pairs

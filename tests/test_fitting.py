@@ -482,7 +482,7 @@ class TestTemperatureSeries:
                 == (np.unique(temps).size != temps.size), temps
 
     @pytest.mark.parametrize("temps, message", [
-        ([np.nan, np.nan], "distinct"), ([0.0, -0.0], "distinct"),
+        ([np.nan, np.nan], "temp_k must be finite"), ([0.0, -0.0], "distinct"),
         ([np.nan, 6.0], "temp_k must be finite")])
     def test_duplicate_temperatures_rejected(self, temps, message):
         with pytest.raises(ValueError, match=message):

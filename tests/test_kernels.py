@@ -266,6 +266,23 @@ class TestImplementationAgreement:
         assert hist.sum() > 50_000_000
         assert peak < 6e6, f"kernel peak {peak / 1e6:.1f} MB"
 
+    def test_peak_memory_bounded_sparse(self, table_calls, branches):
+        # an hbt_fine-size stream (5e4 + 5e4 photons, ~0.2 partners per
+        # row): one sparse block, windows advanced a chunk of rows at a
+        # time and its pairs binned, no table
+        rng = np.random.default_rng(43)
+        a = poisson_stream(rng, 50_000, 2e-3, start=1e6)
+        b = poisson_stream(rng, 50_000, 2e-3, start=1e6)
+        tracemalloc.start()
+        try:
+            hist = coincidence_histogram(a, b, 0.2, 250)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table_calls == [] and branches == ["_add_pairs"]
+        assert hist.sum() > 5_000
+        assert peak < 1.4e6, f"kernel peak {peak / 1e6:.2f} MB"
+
     def test_one_table_per_dense_block(self, table_calls, branches):
         # an hbt_wide-size stream, ~5 partners per bin width: each block
         # builds one table and counts all 2*m_max + 2 edges of all its rows
@@ -645,3 +662,108 @@ class TestCellTablePositions:
         bs = np.sort(rng.uniform(-2e4, -1e4, 3000))
         keys = rng.uniform(-2.5e4, -5e3, 4000)
         self.assert_below(bs, keys)
+
+
+class TestAdvance:
+    """``_advance(bs, lo, keys)`` is ``np.searchsorted(bs, keys, side="left")``
+    for any lo at or below those positions, written over keys."""
+
+    @staticmethod
+    def assert_advance(bs, keys, lo):
+        expected = np.searchsorted(bs, keys, side="left")
+        assert np.all(lo <= expected)
+        buffer = keys.copy()
+        got = _kernels._advance(bs, lo, buffer)
+        assert got.dtype == np.intp and np.shares_memory(got, buffer)
+        assert np.array_equal(got, expected)
+        return expected - lo
+
+    @staticmethod
+    def lows(rng, bs, keys):
+        """Every lo from 0 up to each key's position: at it, a few below
+        it and anywhere below it."""
+        pos = np.searchsorted(bs, keys, side="left")
+        return [pos, np.maximum(pos - rng.integers(0, 5, keys.size), 0),
+                rng.integers(0, pos + 1)]
+
+    def test_random_sorted_partners(self):
+        rng = np.random.default_rng(101)
+        for n_bs, n_keys in ((1, 7), (50, 300), (5000, 20_000)):
+            bs = np.sort(rng.uniform(1e9, 1e9 + 1e4, n_bs))
+            keys = np.sort(rng.uniform(bs[0] - 100.0, bs[-1] + 100.0, n_keys))
+            assert (keys < bs[0]).any() and (keys > bs[-1]).any()
+            for lo in self.lows(rng, bs, keys):
+                self.assert_advance(bs, keys, lo)
+                self.assert_advance(bs, keys[::-1].copy(), lo[::-1].copy())
+
+    def test_duplicate_tags(self):
+        rng = np.random.default_rng(103)
+        bs = np.sort(rng.integers(0, 40, 400)).astype(float)
+        keys = np.concatenate([bs, bs + 0.5, bs - 0.5, [-1.0, 40.0, 39.0]])
+        for lo in self.lows(rng, bs, keys):
+            self.assert_advance(bs, keys, lo)
+
+    def test_infinite_keys_and_partners(self):
+        rng = np.random.default_rng(107)
+        bs = np.array([-np.inf, -np.inf, -1.0, 0.0, 0.0, 2.0, np.inf, np.inf])
+        keys = np.array([-np.inf, -1.0, 0.0, 1.0, 2.0, 3.0, np.inf, -2.0])
+        for lo in self.lows(rng, bs, keys):
+            self.assert_advance(bs, keys, lo)
+        finite = np.array([0.0, 1.0, 2.0])
+        keys = np.array([-np.inf, np.inf, np.inf, 1.5])
+        for lo in self.lows(rng, finite, keys):
+            self.assert_advance(finite, keys, lo)
+
+    def test_keys_past_last_partner(self):
+        # lo == bs.size: every comparison is with bs[-1], below the key,
+        # so those rows pass every pass and the binary search keeps them
+        # at bs.size; rows that reach bs.size from below do the same
+        bs = np.array([1.0, 2.0, 3.0])
+        keys = np.array([3.5, 4.0, 1e300, np.inf, 3.5, 2.5])
+        lo = np.array([3, 3, 3, 3, 0, 1])
+        steps = self.assert_advance(bs, keys, lo)
+        assert steps.tolist() == [0, 0, 0, 0, 3, 1]
+
+    def test_windows_longer_than_passes(self, monkeypatch):
+        # rows advancing more than _ADVANCE_PASSES partners finish by
+        # binary search, of those rows' keys alone
+        rng = np.random.default_rng(109)
+        bs = np.sort(rng.uniform(0.0, 100.0, 2000))
+        keys = np.sort(rng.uniform(0.0, 100.0, 3000))
+        expected = np.searchsorted(bs, keys, side="left")
+        lo = np.maximum(expected - rng.integers(0, 8, keys.size), 0)
+        steps = expected - lo
+        assert steps.max() > _kernels._ADVANCE_PASSES
+        searched = []
+        search = np.searchsorted
+
+        def spy(bs, keys, side):
+            searched.append(np.size(keys))
+            return search(bs, keys, side=side)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        got = _kernels._advance(bs, lo, keys)
+        monkeypatch.undo()
+        assert np.array_equal(got, expected)
+        assert sum(searched) == np.count_nonzero(steps >= _kernels._ADVANCE_PASSES)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_rows_around_chunk_size(self, offset):
+        rng = np.random.default_rng(113)
+        n = _kernels._CHUNK + offset
+        bs = np.sort(rng.uniform(0.0, 1e4, n // 2))
+        keys = np.sort(rng.uniform(-10.0, 1e4 + 10.0, n))
+        for lo in self.lows(rng, bs, keys):
+            self.assert_advance(bs, keys, lo)
+
+    @pytest.mark.parametrize("rows", [8191, 8192, 8193])
+    def test_block_rows_around_chunk_size(self, branches, rows):
+        # sparse blocks of rows just under, at and over one chunk: with
+        # ~0.2 partners per window, and with ~10, beyond the passes
+        rng = np.random.default_rng(rows)
+        a = poisson_stream(rng, rows, 2e-3, start=1e6)
+        b = poisson_stream(rng, rows, 2e-3, start=1e6)
+        assert_matches_reference(a, b, 0.2, 250)
+        b = poisson_stream(rng, 60 * rows, 0.1, start=1e6)
+        assert_matches_reference(a, b, 0.2, 250)
+        assert branches == ["_add_pairs"] * 2

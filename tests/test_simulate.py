@@ -17,6 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import g4vlines as g
 from g4vlines._kernels import MAX_BINS, coincidence_histogram
@@ -62,6 +63,16 @@ def hbt_reference(rate, lifetime, purity_rho, duration, *, bin_width,
     normalization = (det_a.size / duration_ns) * (det_b.size / duration_ns) \
         * duration_ns * bin_width
     return counts, counts / normalization, normalization
+
+
+def bin_rule_counts(t, bin_width, m_max):
+    """Ordered pairs i != j of the stream t in each bin m = -m_max..m_max,
+    straight from the bin rule a + (m - 0.5)*w <= b < a + (m + 0.5)*w."""
+    m = np.arange(-m_max, m_max + 1)
+    a, b = t[:, None, None], t[None, :, None]
+    inside = (a + (m - 0.5) * bin_width <= b) & (b < a + (m + 0.5) * bin_width)
+    inside[np.arange(t.size), np.arange(t.size)] = False
+    return inside.sum(axis=(0, 1))
 
 
 def series_reference(cfg):
@@ -146,7 +157,8 @@ def documented_series(cfg):
 
 
 class _CountingGenerator:
-    """A Generator that counts its exponential draws (two per emitter batch)."""
+    """A Generator that counts its exponential draws (one per emitter batch:
+    the decay waits come from ``standard_exponential``)."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -820,7 +832,7 @@ class TestHbt:
         assert np.array_equal(hist.g2, g2)
         assert hist.normalization == normalization
         assert counts.sum() > 0
-        assert generators[0].exponential_calls == 2 * batches
+        assert generators[0].exponential_calls == batches
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, 0.5, 0.959],
                              ids=["background", "emitter", "mixed", "crit7"])
@@ -842,6 +854,18 @@ class TestHbt:
         assert det_a.size + det_b.size > 7000
         assert det_a.tobytes() == ref_a.tobytes()
         assert det_b.tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 100_000])
+    @pytest.mark.parametrize("p_b", [0.0, 0.5, 1.0])
+    def test_split_equals_mask_indexing(self, n, p_b):
+        rng = np.random.default_rng(n)
+        stream = np.sort(rng.uniform(0.0, 0.025, n))
+        to_b = rng.random(n) < p_b
+        mask = to_b.copy()
+        det_a, det_b = g.simulate._split(stream, to_b)
+        assert det_a.tobytes() == stream[~mask].tobytes()
+        assert det_b.tobytes() == stream[mask].tobytes()
+        assert np.array_equal(to_b, mask)
 
     def test_peak_memory_per_photon(self):
         # hbt_wide-like stream of 1e6 photons: built in place and dropped
@@ -905,6 +929,17 @@ class TestCorrelateStream:
         default = g.correlate_stream(t, bin_width=1.0, tau_max=5.0)
         assert np.array_equal(at_last.g2, default.g2)
 
+    def test_bin_width_below_tag_resolution_rejected(self):
+        # 2**50 + 0.1 rounds to 2**50: that photon's pair with itself fell
+        # outside the centre bin, which still subtracted it, and the centre
+        # bin read 8 instead of its 9 pairs of distinct photons
+        t = 2.0 ** 50 + np.array([-0.125] * 3 + [0.0])
+        with pytest.raises(ValueError, match=r"bin_width 0.2 is below the "
+                           r"resolution of the arrival time 1125899906842624\.0"):
+            g.correlate_stream(t, bin_width=0.2, tau_max=1.0)
+        hist = g.correlate_stream(t, bin_width=0.5, tau_max=1.0)
+        assert np.array_equal(hist.coincidence_counts, bin_rule_counts(t, 0.5, 2))
+
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             g.correlate_stream(np.array([0.0, 5.0, 3.0]), bin_width=1.0,
@@ -933,3 +968,55 @@ class TestCorrelateStream:
         m = len(hist) // 2
         assert hist.g2[m] < 0.5
         assert hist.g2[m] < hist.g2[0]
+
+
+@st.composite
+def arrival_streams(draw):
+    """(times, bin_width, tau_max): sorted arrival times >= 0 near an offset,
+    with duplicate tags, clusters narrower than a bin, and gaps of whole or
+    half bins that put separations on bin edges."""
+    w = draw(st.sampled_from([1e-3, 0.2, 1.0, 4.4, 1e4]))
+    tau_max = w * draw(st.floats(1.0, 12.0))
+    offset = draw(st.sampled_from([0.0, 3.0, 1e9, 2.0 ** 50]))
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(["same", "half_bins", "clusters", "uniform"]))
+    if kind == "same":
+        t = np.zeros(n)
+    elif kind == "half_bins":
+        t = np.cumsum(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))) \
+            * (w / 2.0)
+    elif kind == "clusters":
+        centers = draw(st.lists(st.floats(0.0, 3.0 * tau_max), min_size=1,
+                                max_size=3))
+        t = np.resize(centers, n) + np.array(
+            draw(st.lists(st.floats(0.0, w / 4.0), min_size=n, max_size=n)))
+    else:
+        t = np.array(draw(st.lists(st.floats(0.0, 2.0 * tau_max), min_size=n,
+                                   max_size=n)))
+    return np.sort(offset + t), w, tau_max
+
+
+def test_correlate_stream_fuzz():
+    # every stream either raises ValueError or counts each ordered pair of
+    # distinct photons in the bin its separation falls in by the bin rule
+    counted = []
+
+    @settings(max_examples=400, deadline=None)
+    @given(stream=arrival_streams())
+    @example(stream=(np.array([1.0, 1.0, 1.0]), 1.0, 3.0))   # duplicates only
+    @example(stream=(np.array([0.0, 1.0, 2.0, 3.0]), 1.0, 2.0))  # exact edges
+    # tags 2 ulps apart (0.25 ns above 2**50, 0.125 below), finer bins
+    @example(stream=(2.0 ** 50 + np.array([-0.125] * 3 + [0.0]), 0.2, 1.0))
+    def check(stream):
+        t, w, tau_max = stream
+        try:
+            hist = g.correlate_stream(t, bin_width=w, tau_max=tau_max)
+        except ValueError:
+            return
+        expected = bin_rule_counts(t, w, len(hist) // 2)
+        assert np.array_equal(hist.coincidence_counts, expected), \
+            (t.tolist(), w, tau_max)
+        counted.append(int(expected.sum()))
+
+    check()
+    assert len(counted) > 100 and sum(counted) > 0
