@@ -5,11 +5,14 @@ damping schedule: start 1e-3, x10 on a rejected step, /10 on an accepted
 one). The derivatives are taken once per accepted point and reused by the
 attempts from it; every attempt, accepted or not, counts as an iteration,
 and a run of rejections that drives the damping above 1e12 ends the fit.
-Count data is weighted with Poisson errors sigma^2 = max(count, 1);
-parameter uncertainties come from the Gauss-Newton covariance (J^T J)^-1 of
-the weighted Jacobian at the optimum, reported only when that matrix is
-positive-definite and its variances are positive. Every report is built
-by ``_report``, which rejects a value that is infinite or NaN.
+A step is rejected when the fit's guard refuses its trial parameters or
+its cost is higher or NaN; a singular damped system solves to a NaN step,
+rejected the same way. Count data is weighted with Poisson errors
+sigma^2 = max(count, 1); parameter uncertainties come from the Gauss-Newton
+covariance (J^T J)^-1 of the weighted Jacobian at the optimum, reported
+only when that matrix is positive-definite and its variances are positive.
+Every report is built by ``_report``, which rejects a value that is
+infinite or NaN.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ MAX_ITERATIONS = 200
 REL_STEP_TOL = 1e-8
 LAMBDA0 = 1e-3
 # Data at the edge of the float range can make a start value, the cost or a
-# parameter infinite or NaN. Those steps run under this error state; the
-# result keeps the value, and ``_report`` names it.
+# parameter infinite or NaN, and a singular system solves to NaN. Those
+# steps run under this error state; the result keeps the value, and
+# ``_report`` names it.
 _EDGE = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
@@ -55,60 +59,53 @@ class _LMResult:
     cost: float
 
 
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-# The error state np.linalg runs its LAPACK gufuncs under: a gufunc that
-# fails (a zero pivot, a matrix not positive-definite) raises LinAlgError.
-_LINALG = dict(call=_raise_singular, invalid="call", over="ignore",
-               divide="ignore", under="ignore")
-
-
-# numpy's private LAPACK gufuncs, the ones np.linalg dispatches to. A numpy
-# release that has moved them gets np.linalg's wrappers around the same
-# gufuncs: the same bits, a few us more per call.
+# numpy's private LAPACK gufuncs, the ones np.linalg dispatches to. Where
+# LAPACK fails (a zero pivot, a matrix not positive-definite) they fill the
+# result with NaN and raise the invalid flag, which ``_EDGE`` ignores. A
+# numpy release that has moved them gets np.linalg's wrappers around the
+# same gufuncs: the same bits, a few us more per call, and each failure
+# turned into the same NaN.
 try:
     from numpy.linalg._umath_linalg import (
         cholesky_lo as _cholesky_lo, inv as _inv, solve1 as _solve1)
 except ImportError:
-    _solve = np.linalg.solve
+    def _solve(a, b):
+        """``np.linalg.solve(a, b)``, NaN where it finds ``a`` singular."""
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return np.full_like(b, np.nan)
 
     def _cholesky_inv(a):
         """``np.linalg.inv(a)`` of a matrix that ``np.linalg.cholesky(a)``
-        accepts; ``LinAlgError`` where either fails."""
-        np.linalg.cholesky(a)  # positive-definite check
-        return np.linalg.inv(a)
+        accepts; NaN where either fails."""
+        try:
+            np.linalg.cholesky(a)  # positive-definite check
+            return np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            return np.full_like(a, np.nan)
 else:
-    @np.errstate(**_LINALG)
     def _solve(a, b):
         """``np.linalg.solve(a, b)`` for a float64 (n, n) matrix and (n,)
-        vector.
-
-        It calls the LAPACK gesv gufunc that ``np.linalg.solve`` dispatches
-        to, under the same error state, without its argument wrapping: the
-        same bits, and ``LinAlgError`` where gesv finds the matrix singular.
-        """
+        vector: the LAPACK gesv gufunc ``np.linalg.solve`` dispatches to,
+        without its argument wrapping or error state. The same bits, and
+        NaN where gesv finds the matrix singular."""
         return _solve1(a, b, signature="dd->d")
 
-    @np.errstate(**_LINALG)
     def _cholesky_inv(a):
         """``np.linalg.inv(a)`` of a float64 (n, n) matrix that
-        ``np.linalg.cholesky(a)`` accepts, through the same gufuncs and error
-        state without their argument wrapping; ``LinAlgError`` where either
-        fails."""
-        _cholesky_lo(a, signature="d->d")  # positive-definite check
-        return _inv(a, signature="d->d")
+        ``np.linalg.cholesky(a)`` accepts, through the same gufuncs without
+        their argument wrapping or error state; NaN where either fails."""
+        # a failed test is all NaN; a passed one has lower[0, 0] > 0
+        lower = _cholesky_lo(a, signature="d->d")
+        return lower if np.isnan(lower[0, 0]) else _inv(a, signature="d->d")
 
 
 def _gn_covariance(jac: np.ndarray) -> np.ndarray | None:
-    """(J^T J)^-1, or None where J^T J is not positive-definite. A matrix
-    singular up to rounding can pass the Cholesky test and still invert to
-    a variance <= 0 or NaN; that gives None too."""
-    try:
-        cov = _cholesky_inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        return None
+    """(J^T J)^-1, or None where J^T J is not positive-definite (a NaN
+    inverse). A matrix singular up to rounding can pass the Cholesky test
+    and still invert to a variance <= 0 or NaN; that gives None too."""
+    cov = _cholesky_inv(jac.T @ jac)
     return cov if (cov.diagonal() > 0).all() else None
 
 
@@ -155,26 +152,22 @@ def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
             np.matmul(jr.T, jr, out=damped)
             hess_diag = damped_diag.tolist()
         damped_diag[:] = _damped_diagonal(hess_diag, lam)
-        try:
-            step = _solve(damped, neg_grad)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None:
-            trial = p + step
-            if guard is None or guard(trial):
-                r_trial = residual(trial)
-                cost_trial = float(r_trial @ r_trial)
-                if cost_trial <= cost:
-                    # a NaN change fails the test, as it fails np.max(...) < tol
-                    small = all(abs(s) / (abs(q) + 1e-300) < REL_STEP_TOL
-                                for s, q in zip(step.tolist(), p.tolist()))
-                    p, r, cost, jr = trial, r_trial, cost_trial, None
-                    lam = max(lam / 10.0, 1e-14)
-                    if small:
-                        converged = True
-                        break
-                    continue
-        # the one rejection: singular solve, refused by guard, or higher cost
+        step = _solve(damped, neg_grad)  # NaN where the system is singular
+        trial = p + step
+        if guard is None or guard(trial):
+            r_trial = residual(trial)
+            cost_trial = float(r_trial @ r_trial)
+            if cost_trial <= cost:  # false for a NaN cost
+                # a NaN change fails the test, as it fails np.max(...) < tol
+                small = all(abs(s) / (abs(q) + 1e-300) < REL_STEP_TOL
+                            for s, q in zip(step.tolist(), p.tolist()))
+                p, r, cost, jr = trial, r_trial, cost_trial, None
+                lam = max(lam / 10.0, 1e-14)
+                if small:
+                    converged = True
+                    break
+                continue
+        # the one rejection: refused by guard, or a higher or NaN cost
         lam *= 10.0
         if lam > 1e12:
             break
@@ -425,7 +418,7 @@ def fit_cubic_alpha(points, weights="delta") -> FitReport:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("no data points given")
-    if pts.shape[1] != 2:
+    if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (f_gs_ghz, delta_mhz) pairs")
     f = pts[:, 0]
     dg = pts[:, 1]
@@ -501,7 +494,7 @@ def fit_temperature_series(points, emitter: EmitterParams,
         raise ValueError(
             "free must be ('gamma_others',) or ('gamma_others', 'alpha_gs')")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0 or pts.shape[1] != 2:
+    if pts.size == 0 or pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (temperature_k, linewidth_mhz) pairs")
     if max_temp is not None:
         pts = pts[~(pts[:, 0] > max_temp)]  # NaN rows stay, to be named below

@@ -256,8 +256,10 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
         num = amplitude * hwhm2
         den = d * d + hwhm2
         value = offset + num / den
-    # den is in [0, inf], never NaN: one test on its range and num's first
-    if not (0.0 < den.min() and den.max() < math.inf and np.isfinite(num).all()):
+    # den is in [0, inf], never NaN: one test on its range and num's first,
+    # none on an empty den
+    if den.size and not (0.0 < den.min() and den.max() < math.inf
+                         and np.isfinite(num).all()):
         out_of_range = ~(np.isfinite(num) & np.isfinite(den)) | (den == 0)
         # (d / hwhm)^2 = inf, also d / 0, gives the 0 tail; d = 0 the peak
         with np.errstate(over="ignore", divide="ignore"):

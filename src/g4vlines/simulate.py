@@ -61,10 +61,17 @@ REPUMP_POLICIES = ("none", "between_scans", "resonant")
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Documented split function: independent generator for (seed, index)."""
+    """Documented split function: independent generator for (seed, index).
+
+    A ValueError names a seed or index that is not an integer (2.0 counts
+    as 2), or an index below 0.
+    """
     seed = _integral(seed, "seed") & _MASK64
+    index = _integral(index, "index")
+    if index < 0:
+        raise ValueError(f"index must be >= 0, got {index}")
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((seed, int(index)))))
+        np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
 @dataclass(frozen=True)

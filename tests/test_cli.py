@@ -205,6 +205,17 @@ class TestFit:
         report = dataio.load_fit_report(out_path)
         assert report.params["gamma_others"] == pytest.approx(2.7, abs=1e-6)
 
+    def test_summary_without_std_errors_with_warnings(self, capsys):
+        report = g.FitReport(
+            model="lorentzian", params={"fwhm": 38.9}, units={"fwhm": "MHz"},
+            std_errors=None, reduced_chi2=1.25, n_iterations=7, converged=False,
+            warnings=["no prominent peak", "second"])
+        cli._print_fit_summary(report)
+        assert capsys.readouterr().out.splitlines() == [
+            "model      lorentzian", "converged  False  (7 iterations)",
+            "fwhm       38.9 MHz", "reduced_chi2 1.25",
+            "warning: no prominent peak", "warning: second"]
+
     def test_tempseries_requires_emitter(self, capsys, fixtures_dir, tmp_path):
         code, _, err = run(capsys, "fit", "tempseries",
                            "--in", str(fixtures_dir / "tempseries_pbv.csv"),
@@ -365,6 +376,9 @@ class TestSimulate:
         assert code == 0
         svg = (out_dir / "trace.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+        # a flat curve, one point wide, is drawn on a unit span
+        cli._svg_lineplot(tmp_path / "flat.svg", [2.0], [5.0], "x", "y")
+        assert 'points="56.00,364.00"' in (tmp_path / "flat.svg").read_text()
 
     def test_invalid_config_exit_2_names_field(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"

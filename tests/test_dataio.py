@@ -35,6 +35,7 @@ class TestRecords:
         ([0.0, -0.0], [1.0, 2.0], "detunings must be strictly increasing"),
         ([0.0, 1.0], [1.0, -2.0], "counts must be >= 0"),
         ([0.0, 1.0], [-5e-324, 0.0], "counts must be >= 0"),
+        ([[0.0, 1.0]], [1.0, 2.0], "detunings must be one-dimensional"),
     ])
     def test_spectrum_messages(self, detunings, counts, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -50,6 +51,9 @@ class TestRecords:
         g.DecayTrace([0.5, 1.5, 2.5], [3, 2, 1])
         with pytest.raises(ValueError, match="uniform"):
             g.DecayTrace([0.5, 1.5, 2.6], [3, 2, 1])
+        with pytest.raises(ValueError,
+                           match="^bin_centers and counts differ in length$"):
+            g.DecayTrace([0.5, 1.5], [3, 2, 1])
 
     def test_correlation_symmetric_bins(self):
         g.CorrelationHistogram([-1.0, 0.0, 1.0], [1.0, 0.1, 1.0],
@@ -60,6 +64,13 @@ class TestRecords:
         with pytest.raises(ValueError, match="normalization"):
             g.CorrelationHistogram([-1.0, 0.0, 1.0], [1.0, 0.1, 1.0],
                                    np.array([10, 1, 10]), 0.0)
+        with pytest.raises(ValueError, match="^tau_bins, g2 and coincidence_counts "
+                                             "differ in length$"):
+            g.CorrelationHistogram([-1.0, 0.0, 1.0], [1.0, 0.1, 1.0],
+                                   np.array([10, 1]), 10.0)
+        with pytest.raises(ValueError, match="^g2 must be >= 0$"):
+            g.CorrelationHistogram([-1.0, 0.0, 1.0], [1.0, -0.1, 1.0],
+                                   np.array([10, 1, 10]), 10.0)
 
 
 class TestSpectrumFiles:
@@ -82,6 +93,16 @@ class TestSpectrumFiles:
         assert back.meta["scan_index"] == 3
         assert back.meta["emitter"] == "PbV"
 
+    def test_blank_lines_and_uncast_meta(self, tmp_path):
+        # blank lines are skipped; a meta value its type cannot parse is
+        # kept as the string
+        path = tmp_path / "s.csv"
+        path.write_text("# temperature_k=warm\n\ndetuning_mhz,counts\n\n"
+                        "0.0,1\n1.0,2\n\n")
+        back = dataio.load_spectrum(path)
+        assert back.meta == {"temperature_k": "warm"}
+        assert back.detunings.tolist() == [0.0, 1.0]
+
     def test_non_monotonic_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("detuning_mhz,counts\n0.0,1\n2.0,1\n1.0,1\n")
@@ -99,11 +120,18 @@ class TestSpectrumFiles:
         path.write_text("detuning_mhz,counts\n0.0,1\nnot_a_number,2\n")
         with pytest.raises(DataFormatError, match="bad.csv:3"):
             dataio.load_spectrum(path)
+        path.write_text("detuning_mhz,counts\n0.0,1\n1.0,2,3\n")
+        with pytest.raises(DataFormatError, match="bad.csv:3: expected 2 "
+                                                  "comma-separated values, got 3$"):
+            dataio.load_spectrum(path)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("frequency,counts\n0.0,1\n")
         with pytest.raises(DataFormatError, match="expected header"):
+            dataio.load_spectrum(path)
+        path.write_text("# temperature_k=6.2\n\n")
+        with pytest.raises(DataFormatError, match="missing header line"):
             dataio.load_spectrum(path)
 
     def test_missing_file(self, tmp_path):
@@ -164,6 +192,13 @@ class TestCorrelationFiles:
         assert np.array_equal(back.g2, hist.g2)
         assert np.array_equal(back.coincidence_counts, hist.coincidence_counts)
         assert back.normalization == hist.normalization
+
+    def test_missing_normalization_rejected(self, tmp_path):
+        path = tmp_path / "g2.csv"
+        path.write_text(f"{dataio.CORRELATION_HEADER}\n-1.0,1.0,10\n"
+                        "0.0,0.1,1\n1.0,1.0,10\n")
+        with pytest.raises(DataFormatError, match="missing '# normalization=' line"):
+            dataio.load_correlation(path)
 
 
 class TestFitReports:

@@ -65,6 +65,10 @@ class TestEmitterParams:
         with pytest.raises(ValueError):
             g.EmitterParams("x", f_gs=100.0, f_es=300.0)
 
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError, match="^emitter name must be non-empty$"):
+            g.EmitterParams("", f_gs=100.0, f_es=300.0, gamma0=30.0)
+
     @pytest.mark.parametrize("kwargs", [
         dict(f_gs=-1.0, f_es=300.0, gamma0=30.0),
         dict(f_gs=100.0, f_es=0.0, gamma0=30.0),

@@ -6,7 +6,8 @@ accepted point and must give the same report, byte for byte, on every exit.
 ``lorentzian_model_reference`` and ``lorentzian_jacobian_reference`` are the
 earlier Lorentzian functions, on numpy scalars, and ``halfmax_width_reference``
 the earlier loop of the start width: the faster ones must give the same
-bits, and ``fitting._solve`` the bits of ``np.linalg.solve``.
+bits, and ``fitting._solve`` the bits of ``np.linalg.solve``, or NaN where
+``np.linalg.solve`` raises ``LinAlgError``.
 """
 
 import functools
@@ -78,9 +79,10 @@ def lm_reference(model, jac, x, y, sigma, p0, *, guard=None,
                 break
 
     jr = -jac(x, p) * w[:, None]
-    return fitting._LMResult(params=p, cov=fitting._gn_covariance(jr),
-                             n_iterations=n_iter, converged=converged,
-                             cost=cost)
+    with np.errstate(**fitting._EDGE):  # a failed Cholesky test is NaN
+        cov = fitting._gn_covariance(jr)
+    return fitting._LMResult(params=p, cov=cov, n_iterations=n_iter,
+                             converged=converged, cost=cost)
 
 
 def lorentzian_model_reference(x, p):
@@ -128,6 +130,11 @@ def gn_covariance_reference(jac):
     except np.linalg.LinAlgError:
         return None
     return cov if np.all(np.diag(cov) > 0) else None
+
+
+def _nan_solve(a, b):
+    """``fitting._solve`` of a singular system."""
+    return np.full_like(b, np.nan)
 
 
 def _same_bits(a, b):
@@ -217,12 +224,10 @@ class TestLorentzianFit:
         assert report.converged is False
 
     def test_singular_steps_bail_out(self, monkeypatch):
-        # every damped step fails to solve: the damping passes 1e12 after
-        # 16 tries and the fit stops there instead of at max_iter
-        def singular(*args):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(fitting, "_solve", singular)
+        # every damped system is singular and solves to NaN: the damping
+        # passes 1e12 after 16 tries and the fit stops there instead of at
+        # max_iter
+        monkeypatch.setattr(fitting, "_solve", _nan_solve)
         report = g.fit_lorentzian(_noiseless_spectrum())
         assert report.converged is False
         assert report.n_iterations < 20
@@ -317,6 +322,29 @@ class TestDecayFit:
         report = g.fit_decay(g.DecayTrace(t, y), "exp1", start_index=30)
         assert report.params["tau"] == pytest.approx(4.4, rel=1e-6)
 
+    def test_start_index_leaving_too_few_bins(self):
+        t = np.arange(0.1, 50.0, 0.2)
+        trace = g.DecayTrace(t, 5000.0 * np.exp(-t / 4.4) + 40.0)
+        with pytest.raises(ValueError, match=f"^fit window start {t.size - 4} "
+                                             "leaves too few bins$"):
+            g.fit_decay(trace, "exp1", start_index=t.size - 4)
+
+    def test_exp2_components_reordered_with_covariance(self, monkeypatch):
+        # a fit that ends with tau_fast > tau_slow is reported with the
+        # components swapped, and its covariance permuted the same way
+        params = np.array([100.0, 6.0, 300.0, 0.5, 2.0])
+        cov = np.arange(1.0, 26.0).reshape(5, 5)
+        res = fitting._LMResult(params=params.copy(), cov=cov.copy(),
+                                n_iterations=3, converged=True, cost=1.0)
+        monkeypatch.setattr(fitting, "_lm_fit", lambda *args, **kwargs: res)
+        report = g.fit_decay(_trace(2000, seed=4), "exp2")
+        order = [2, 3, 0, 1, 4]
+        assert list(report.params.values()) == params[order].tolist()
+        assert np.array_equal(res.cov, cov[np.ix_(order, order)])
+        assert list(report.std_errors.values()) \
+            == np.sqrt(cov.diagonal()[order]).tolist()
+        assert report.derived["transform_limit_mhz"] == g.transform_limit(6.0)
+
     @pytest.mark.parametrize("start_index", [2.7, np.inf, np.nan])
     def test_start_index_not_integral(self, start_index):
         # 2.7 used to fit from bin 2, inf to raise OverflowError
@@ -390,6 +418,15 @@ class TestCubicAlpha:
                 g.fit_cubic_alpha([(200.0, 44.7), (3870.0, 435300.0)],
                                   weights=np.array([w, 1.0]))
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 2, 2)])
+    def test_three_dimensional_points_rejected(self, shape):
+        # these passed the pair check and ended in a TypeError or a matmul
+        # ValueError
+        pts = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        with pytest.raises(ValueError,
+                           match=r"^points must be \(f_gs_ghz, delta_mhz\) pairs$"):
+            g.fit_cubic_alpha(pts)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("column", ["f_gs_ghz", "delta_mhz"])
     @pytest.mark.parametrize("weights", ["delta", "equal"])
@@ -452,6 +489,16 @@ class TestTemperatureSeries:
         with pytest.raises(ValueError, match="free"):
             g.fit_temperature_series([(6.0, 38.9), (8.0, 38.9)], PBV,
                                      free=("alpha_gs",))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 2, 2)])
+    def test_three_dimensional_points_rejected(self, shape):
+        # these passed the pair check and ended in an IndexError or in
+        # numpy's "truth value ... is ambiguous"
+        pts = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        with pytest.raises(
+                ValueError,
+                match=r"^points must be \(temperature_k, linewidth_mhz\) pairs$"):
+            g.fit_temperature_series(pts, PBV)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("column", ["temp_k", "linewidth_mhz"])
@@ -630,7 +677,7 @@ class TestDampingLoop:
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(fitting, "_solve", singular)
+        monkeypatch.setattr(fitting, "_solve", _nan_solve)
         monkeypatch.setattr(np.linalg, "solve", singular)  # for lm_reference
         report, counts = self._compare(
             monkeypatch, lambda: g.fit_lorentzian(_noiseless_spectrum()))
@@ -750,23 +797,32 @@ class TestSameBits:
     def test_solve_matches_linalg_solve(self, monkeypatch):
         systems = self._systems(monkeypatch)
         assert len(systems) > 2000 + 100  # the fits recorded their systems
+        singular = 0
         for a, b in systems:
             try:
                 expected = np.linalg.solve(a, b)
             except np.linalg.LinAlgError:
-                with pytest.raises(np.linalg.LinAlgError):
-                    fitting._solve(a, b)
+                singular += 1
+                with np.errstate(invalid="ignore"):
+                    got = fitting._solve(a, b)
+                assert got.shape == b.shape and np.isnan(got).all()
                 continue
             assert _same_bits(fitting._solve(a, b), expected)
+        assert singular > 0
 
     @pytest.mark.parametrize("a", [
         np.zeros((3, 3)), [[1.0, 2.0], [2.0, 4.0]], [[np.nan, 1.0], [1.0, 1.0]],
     ], ids=["zero", "rank-1", "nan"])
     def test_solve_singular_raises(self, a):
+        # np.linalg.solve raises; _solve returns NaN under the fitter's
+        # error state
         a = np.asarray(a, dtype=float)
-        for solve in (np.linalg.solve, fitting._solve):
-            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-                solve(a, np.ones(len(a)))
+        b = np.ones(len(a))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.solve(a, b)
+        with np.errstate(**fitting._EDGE):
+            got = fitting._solve(a, b)
+        assert got.shape == b.shape and np.isnan(got).all()
 
     def test_solve_all_nan_as_linalg_solve(self):
         # gesv finds no zero pivot here: both return NaN, and the fit
@@ -854,8 +910,9 @@ class TestSameBitsPerFit:
                 expected = np.linalg.inv(a)
             except np.linalg.LinAlgError:
                 refused += 1
-                with pytest.raises(np.linalg.LinAlgError):
-                    fitting._cholesky_inv(a)
+                with np.errstate(invalid="ignore"):
+                    got = fitting._cholesky_inv(a)
+                assert got.shape == a.shape and np.isnan(got).all(), a
                 continue
             assert _same_bits(fitting._cholesky_inv(a), expected), a
         assert 0 < refused < len(mats)
@@ -876,14 +933,14 @@ class TestSameBitsPerFit:
             assert _same_bits(got, expected), h
 
 
-# Fits fixtures/ple_pbv.csv in a fresh interpreter whose numpy lacks the
-# private linalg module, or has it without the gesv gufunc, and writes the
-# report; np.linalg's wrappers record that the fitter called them.
-_FALLBACK_FIT = """
+# The start of a script for a fresh interpreter whose numpy lacks the
+# private linalg module, or has it without the gesv gufunc; np.linalg's
+# wrappers record that the fitter called them.
+_HIDE_PRIVATE = """
 import sys, types
 import numpy as np
 
-missing, spectrum_path, report_path = sys.argv[1:]
+missing, *args = sys.argv[1:]
 module = "numpy.linalg._umath_linalg"
 if missing == "module":
     sys.modules[module] = None
@@ -899,9 +956,35 @@ for name in ("solve", "cholesky", "inv"):
     setattr(np.linalg, name, spy)
 
 from g4vlines import dataio, fitting
+"""
+
+# Fits fixtures/ple_pbv.csv and writes the report.
+_FALLBACK_FIT = _HIDE_PRIVATE + """
+spectrum_path, report_path = args
 dataio.emit_fit_report(fitting.fit_lorentzian(dataio.load_spectrum(spectrum_path)),
                        report_path)
 assert called == {"solve", "cholesky", "inv"}, called
+"""
+
+# A singular system and a matrix that fails the Cholesky test give NaN, not
+# LinAlgError; a fit whose every damped system np.linalg.solve finds
+# singular rejects each step until the damping passes 1e12.
+_FALLBACK_SINGULAR = _HIDE_PRIVATE + """
+with np.errstate(**fitting._EDGE):
+    step = fitting._solve(np.zeros((3, 3)), np.ones(3))
+    inverse = fitting._cholesky_inv(np.array([[1.0, 2.0], [2.0, 1.0]]))
+assert step.shape == (3,) and np.isnan(step).all(), step
+assert inverse.shape == (2, 2) and np.isnan(inverse).all(), inverse
+assert called == {"solve", "cholesky"}, called
+
+def singular(*args):
+    called.add("singular")
+    raise np.linalg.LinAlgError("Singular matrix")
+
+np.linalg.solve = singular
+report = fitting.fit_lorentzian(dataio.load_spectrum(args[0]))
+assert "singular" in called
+assert not report.converged and report.n_iterations == 16, report
 """
 
 
@@ -918,6 +1001,14 @@ class TestLinalgFallback:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "fallback.json").read_bytes() \
             == (tmp_path / "private.json").read_bytes()
+
+    @pytest.mark.parametrize("missing", ["module", "gufunc"])
+    def test_singular_systems_give_nan(self, fixtures_dir, missing):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FALLBACK_SINGULAR, missing,
+             str(fixtures_dir / "ple_pbv.csv")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestReport:

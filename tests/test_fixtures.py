@@ -1,6 +1,7 @@
 """The bundled fixtures are exactly what scripts/make_fixtures.py writes;
-scripts/report_digest.py digests every series_fit fit report and
-scripts/hbt_digest.py every benchmark and criterion-7 HBT histogram."""
+scripts/report_digest.py digests every series_fit fit report, then the
+decay, temperature-series and alpha fits, and scripts/hbt_digest.py every
+benchmark and criterion-7 HBT histogram."""
 
 import importlib.util
 
@@ -34,6 +35,23 @@ def test_report_digest_covers_every_series_fit_report(fixtures_dir):
     hexdigest, n_reports = module.digest(range(3, 4))
     assert n_reports == 125  # one report per scan of the series_fit op
     assert len(hexdigest) == 64 and module.digest(range(3, 4))[0] == hexdigest
+
+
+def test_report_digest_covers_the_other_fits(fixtures_dir):
+    module = _script(fixtures_dir, "report_digest")
+    fits = list(module.other_fits(range(3, 5)))
+    assert [label for label, _ in fits] == [
+        "cli trace seed 3 exp1", "cli trace seed 3 exp2",
+        "cli trace seed 4 exp1", "cli trace seed 4 exp2",
+        "fixture trace exp1", "fixture trace exp2",
+        "fixture tempseries 1 free", "fixture tempseries 2 free",
+        "fixture alpha delta", "fixture alpha equal"]
+    models = [fit().model for _, fit in fits]
+    assert models == ["exp1", "exp2"] * 3 + ["temp_series"] * 2 + ["cubic_alpha"] * 2
+    hexdigest, n_reports = module.fits_digest(fits[:1])
+    assert n_reports == 1
+    assert len(hexdigest) == 64 and module.fits_digest(fits[:1])[0] == hexdigest
+    assert module.fits_digest(fits[2:3])[0] != hexdigest
 
 
 def test_hbt_digest_covers_every_benchmark_histogram(fixtures_dir):

@@ -125,6 +125,14 @@ class TestPhononRates:
         r = g.phonon_rates(200.0, 15.0, 7.51e-9)
         assert r.gamma_down > r.gamma_up > 0.0
 
+    def test_array_temperatures(self):
+        temps = np.array([0.0, 6.0, 15.0])
+        r = g.phonon_rates(200.0, temps, 7.51e-9)
+        assert isinstance(r.gamma_up, np.ndarray) and r.gamma_up.shape == (3,)
+        for i, t in enumerate(temps):
+            one = g.phonon_rates(200.0, float(t), 7.51e-9)
+            assert (r.gamma_up[i], r.gamma_down[i]) == (one.gamma_up, one.gamma_down)
+
     @given(f=st.floats(1.0, 5000.0), t=st.floats(0.01, 500.0))
     @settings(max_examples=300, deadline=None)
     def test_detailed_balance(self, f, t):
@@ -308,6 +316,13 @@ class TestTemperatureThreshold:
         t_star = g.temperature_threshold(p)
         assert math.isfinite(t_star) and t_star > 400.0
 
+    def test_bracket_overflow_is_unbounded(self):
+        # a subnormal coupling: the bracket doubles past the float range
+        # before the linewidth reaches the target
+        p = g.EmitterParams("subnormal", f_gs=100.0, f_es=200.0, gamma0=30.0,
+                            alpha_gs=5e-324)
+        assert g.temperature_threshold(p) == math.inf
+
     def test_ratio_domain(self):
         with pytest.raises(ValueError):
             g.temperature_threshold(PBV, ratio=1.0)
@@ -389,6 +404,9 @@ class TestLorentzian:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             g.lorentzian(0.0, 0.0, -1.0, 10.0, 0.0)
+        for amplitude, offset in ((-1.0, 0.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="^amplitude and offset must be >= 0$"):
+                g.lorentzian(0.0, 0.0, 1.0, amplitude, offset)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position, name", enumerate(
@@ -460,6 +478,9 @@ class TestLorentzian:
         (np.arange(-300.0, 300.01, 4.0), 1.5, np.full(151, 40.3),
          np.full(151, 1e300), 0.0),
         ([1.0, 2.0], 0.0, [1e-320, 2.0], [1.0, 2.0], [0.0, 1.0]),
+        # empty detunings: an empty profile of their shape
+        (np.array([]), 0.0, 1.0, 1.0, 0.0),
+        (np.empty((0, 3)), 0.0, np.array([1.0, 2.0, 3.0]), 1.0, 0.0),
     ]
 
     @pytest.mark.parametrize("case", RANGE_CASES)

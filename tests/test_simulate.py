@@ -210,7 +210,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(dwell=0.0), dict(peak_rate=-1.0), dict(temperature=-1.0),
         dict(jump_prob=1.5), dict(ionization_coeff=-0.1),
-        dict(repump="sometimes"), dict(n_scans=0),
+        dict(repump="sometimes"), dict(n_scans=0), dict(repump_rate=-1.0),
     ])
     def test_bad_fields(self, bad):
         with pytest.raises(ValueError):
@@ -286,6 +286,20 @@ class TestPleScan:
                                             tau_max=60.0, seed=bad)):
             with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad}$"):
                 draw()
+
+    @pytest.mark.parametrize("index, message", [
+        (1.5, "index must be an integer, got 1.5"),
+        (math.nan, "index must be an integer, got nan"),
+        (-1, "index must be >= 0, got -1")])
+    def test_bad_substream_index(self, index, message):
+        # 1.5 used to draw the stream of index 1, and -1 ended in numpy's
+        # unnamed "expected non-negative integer"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            g.substream(1, index)
+
+    def test_integral_float_substream_index(self):
+        assert g.substream(1, 2.0).random(4).tobytes() \
+            == g.substream(1, 2).random(4).tobytes()
 
     def test_flat_background_when_peak_rate_zero(self):
         cfg = _cfg(peak_rate=0.0, background_rate=2000.0, seed=3)
@@ -611,7 +625,8 @@ class TestTrpl:
     @pytest.mark.parametrize("bin_width, t_max, error", [
         (0.2, float("inf"), "finite"), (float("nan"), 60.0, "finite"),
         (0.2, float("nan"), "finite"), (float("inf"), 60.0, "finite"),
-        (1e-7, 60.0, "bins"), (1e-320, 60.0, "bins")])
+        (1e-7, 60.0, "bins"), (1e-320, 60.0, "bins"),
+        (0.5, 0.5, "t_max must cover at least two bins")])
     def test_bin_count_checked_before_drawing(self, monkeypatch, bin_width,
                                               t_max, error):
         # the huge cases would size arrays of many GiB; the check must come
@@ -944,6 +959,11 @@ class TestCorrelateStream:
         with pytest.raises(ValueError, match="sorted"):
             g.correlate_stream(np.array([0.0, 5.0, 3.0]), bin_width=1.0,
                                tau_max=10.0)
+
+    @pytest.mark.parametrize("times", [[], [1.0], [[0.0, 1.0]]])
+    def test_fewer_than_two_times_rejected(self, times):
+        with pytest.raises(ValueError, match="^need at least two arrival times$"):
+            g.correlate_stream(np.array(times), bin_width=1.0, tau_max=10.0)
 
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
