@@ -47,6 +47,9 @@ def _integral(value, name: str) -> int:
 
 def _inverse(value: float, name: str) -> float:
     """1e3 / (2 pi value): a lifetime (ns) from a FWHM (MHz) and back."""
+    if np.ndim(value) != 0:
+        raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
+    value = float(value)  # 2 pi value overflows to inf without a numpy warning
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
     _require_finite(**{name: value})

@@ -238,7 +238,8 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
     underflows to 0, the profile is taken as
     offset + amplitude / (1 + ((detuning - center) / (w/2))^2) instead, and
     as offset + amplitude at detuning = center, also where w/2 rounds to 0.
-    A ValueError names an argument that is not finite.
+    A ValueError names an argument that is not finite, and the profile where
+    it leaves the float range (offset + amplitude beyond 1.8e308).
     """
     args = {"detuning_mhz": detuning_mhz, "center_mhz": center_mhz,
             "fwhm_mhz": fwhm_mhz, "amplitude": amplitude, "offset": offset}
@@ -250,8 +251,8 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
     if _any_below(amplitude, 0.0) or _any_below(offset, 0.0):
         raise ValueError("amplitude and offset must be >= 0")
     hwhm = np.asarray(fwhm_mhz, dtype=float) / 2.0
-    d = np.asarray(detuning_mhz, dtype=float) - center_mhz
     with np.errstate(over="ignore", invalid="ignore"):
+        d = np.asarray(detuning_mhz, dtype=float) - center_mhz  # inf: the tail
         hwhm2 = hwhm ** 2
         num = amplitude * hwhm2
         den = d * d + hwhm2
@@ -266,6 +267,9 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
             ratio = d / np.where(d == 0, 1.0, hwhm)
             value = np.where(out_of_range,
                              amplitude / (1.0 + ratio ** 2) + offset, value)
+    if not np.isfinite(value).all():
+        raise ValueError("lorentzian profile must be finite: offset + amplitude "
+                         "leaves the float range")
     # the result has the broadcast shape of the arguments: 0-d if all are
     return float(value) if value.ndim == 0 else value
 

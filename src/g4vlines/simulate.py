@@ -408,7 +408,9 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
             ts = rng.exponential(1.0 / excitation_rate, n)
             with np.errstate(over="ignore"):  # inf is past duration
                 # exponential(scale) draws scale * standard_exponential from
-                # the same stream, so the chunks draw the batch's decay waits
+                # the same stream, so the chunks draw the batch's decay waits;
+                # one batch-size draw leaves the traced peak where it is but
+                # raises VmHWM (by about 2 MB on an hbt_wide stream)
                 for i in range(0, n, _CHUNK):
                     part = ts[i:i + _CHUNK]
                     wait = rng.standard_exponential(out=decay[:part.size])
@@ -425,19 +427,16 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
         parts.append(rng.uniform(0.0, duration, n_bg))
         parts[-1].sort()
 
-    if len(parts) == 1:  # sorted already
-        stream = parts.pop()
-    else:
-        stream = np.concatenate(parts) if parts else np.empty(0)
-        parts.clear()
-        stream.sort(kind="stable")  # a merge of the sorted runs
+    # a copy, also of one run: a batch's unused tail dies with parts
+    stream = np.concatenate(parts) if parts else np.empty(0)
+    parts.clear()
+    stream.sort(kind="stable")  # a merge of the sorted runs
     if stream.size < 2:
         raise ValueError("stream contains fewer than 2 photons; "
                          "increase rate or duration")
+    stream *= 1e9
     det_a, det_b = _split(stream, rng.random(stream.size) < 0.5)
     del stream
-    det_a *= 1e9
-    det_b *= 1e9
     normalization = _normalization(det_a.size, det_b.size, duration * 1e9,
                                    bin_width)
 

@@ -1,7 +1,7 @@
 """The bundled fixtures are exactly what scripts/make_fixtures.py writes;
-scripts/report_digest.py digests every series_fit fit report, then the
-decay, temperature-series and alpha fits, and scripts/hbt_digest.py every
-benchmark and criterion-7 HBT histogram."""
+scripts/digest.py digests every series_fit fit report, then the decay,
+temperature-series, alpha and fixture PLE fits, then every benchmark and
+criterion-7 HBT histogram."""
 
 import importlib.util
 
@@ -28,39 +28,51 @@ def test_make_fixtures_reproduces_fixtures(fixtures_dir, tmp_path, monkeypatch,
             (fixtures_dir / name).read_bytes(), name
 
 
-def test_report_digest_covers_every_series_fit_report(fixtures_dir):
-    module = _script(fixtures_dir, "report_digest")
+def test_digest_covers_every_series_fit_report(fixtures_dir):
+    module = _script(fixtures_dir, "digest")
     assert module.seed_range("1-12") == range(1, 13)
     assert module.seed_range("7") == range(7, 8)
-    hexdigest, n_reports = module.digest(range(3, 4))
+    reports = list(module.series_fit_reports(range(3, 4)))
+    hexdigest, n_reports = module.digest(map(module.report_bytes, reports))
     assert n_reports == 125  # one report per scan of the series_fit op
-    assert len(hexdigest) == 64 and module.digest(range(3, 4))[0] == hexdigest
+    again = module.digest(map(module.report_bytes,
+                              module.series_fit_reports(range(3, 4))))
+    assert len(hexdigest) == 64 and again[0] == hexdigest
 
 
-def test_report_digest_covers_the_other_fits(fixtures_dir):
-    module = _script(fixtures_dir, "report_digest")
+def test_digest_covers_the_other_fits(fixtures_dir):
+    module = _script(fixtures_dir, "digest")
     fits = list(module.other_fits(range(3, 5)))
     assert [label for label, _ in fits] == [
         "cli trace seed 3 exp1", "cli trace seed 3 exp2",
         "cli trace seed 4 exp1", "cli trace seed 4 exp2",
         "fixture trace exp1", "fixture trace exp2",
         "fixture tempseries 1 free", "fixture tempseries 2 free",
-        "fixture alpha delta", "fixture alpha equal"]
+        "fixture alpha delta", "fixture alpha equal", "fixture ple"]
     models = [fit().model for _, fit in fits]
-    assert models == ["exp1", "exp2"] * 3 + ["temp_series"] * 2 + ["cubic_alpha"] * 2
-    hexdigest, n_reports = module.fits_digest(fits[:1])
+    assert models == ["exp1", "exp2"] * 3 + ["temp_series"] * 2 \
+        + ["cubic_alpha"] * 2 + ["lorentzian"]
+
+    def fits_digest(calls):
+        return module.digest(module.labelled(calls, module.report_bytes))
+
+    hexdigest, n_reports = fits_digest(fits[:1])
     assert n_reports == 1
-    assert len(hexdigest) == 64 and module.fits_digest(fits[:1])[0] == hexdigest
-    assert module.fits_digest(fits[2:3])[0] != hexdigest
+    assert len(hexdigest) == 64 and fits_digest(fits[:1])[0] == hexdigest
+    assert fits_digest(fits[2:3])[0] != hexdigest
 
 
-def test_hbt_digest_covers_every_benchmark_histogram(fixtures_dir):
-    module = _script(fixtures_dir, "hbt_digest")
+def test_digest_covers_every_benchmark_histogram(fixtures_dir):
+    module = _script(fixtures_dir, "digest")
     runs = list(module.runs(range(3, 5)))
     assert [label for label, _ in runs] == [
         "hbt_fine seed 3", "hbt_fine seed 4", "hbt_wide seed 3",
         "hbt_wide seed 4", "criterion 7"]
-    hexdigest, n_hists = module.digest(runs[:1])
+
+    def hbt_digest(calls):
+        return module.digest(module.labelled(calls, module.histogram_bytes))
+
+    hexdigest, n_hists = hbt_digest(runs[:1])
     assert n_hists == 1
-    assert len(hexdigest) == 64 and module.digest(runs[:1])[0] == hexdigest
-    assert module.digest(runs[1:2])[0] != hexdigest
+    assert len(hexdigest) == 64 and hbt_digest(runs[:1])[0] == hexdigest
+    assert hbt_digest(runs[1:2])[0] != hexdigest

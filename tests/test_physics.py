@@ -5,13 +5,14 @@ Reference values marked "oracle:" were computed beforehand with mpmath at
 assertions) and are frozen here.
 """
 
+import dataclasses
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import g4vlines as g
 from g4vlines import physics
@@ -273,6 +274,21 @@ class TestTransformLimit:
         with pytest.raises(ValueError, match=f"^{name} .* is out of range"):
             func(value)
 
+    @pytest.mark.parametrize("func, name", [(g.transform_limit, "lifetime"),
+                                            (g.lifetime_from_linewidth, "fwhm")])
+    @pytest.mark.parametrize("value, error", [
+        (np.float64(3e307), "is out of range"),
+        (np.array(3e307), "is out of range"),
+        # an array overflowed with a numpy warning (one element) or was
+        # refused as ambiguous (more)
+        (np.array([3e307]), r"must be a scalar, got shape \(1,\)"),
+        (np.array([1.0, 2.0]), r"must be a scalar, got shape \(2,\)")])
+    def test_numpy_values(self, func, name, value, error):
+        with warnings.catch_warnings(), \
+                pytest.raises(ValueError, match=f"^{name} .*{error}"):
+            warnings.simplefilter("error")
+            func(value)
+
     @pytest.mark.parametrize("func", [g.transform_limit, g.lifetime_from_linewidth])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, func, value):
@@ -437,6 +453,24 @@ class TestLorentzian:
                                   1.0, 0.0)
         assert np.array_equal(values, [1.0, 0.5, 1.0 / (1.0 + 1e46 ** 2)])
 
+    def test_detuning_difference_past_float_range_is_the_tail(self):
+        # detuning - center overflows to inf: the far tail, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.lorentzian(1.7e308, -1e308, 1.0, 1.0, 0.0) == 0.0
+            assert g.lorentzian(-1.7e308, 1e308, 1.0, 2.0, 0.5) == 0.5
+            values = g.lorentzian(np.array([1.7e308, 0.0, -1e308]), -1e308,
+                                  1.0, 1.0, 0.0)
+        assert np.array_equal(values, [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("detuning", [0.0, np.array([0.0, 1.0])])
+    def test_profile_past_float_range_named(self, detuning):
+        # offset + amplitude overflows at the peak: this returned inf
+        with warnings.catch_warnings(), pytest.raises(
+                ValueError, match="^lorentzian profile must be finite"):
+            warnings.simplefilter("error")
+            g.lorentzian(detuning, 0.0, 1.0, 1e308, 1e308)
+
     def test_width_rounding_to_zero_half(self):
         # w = 5e-324: w/2 rounds to 0, so the formula and its re-evaluation
         # would divide 0 by 0 at the peak; the peak is amplitude + offset,
@@ -576,3 +610,40 @@ class TestBreakdown:
             assert set(b.flags) == set().union(*(r.flags for r in rows))
         assert set(b.flags) == {FLAG_BEYOND_VALIDITY, FLAG_NEGATIVE_TOTAL}
         assert g.linewidth_breakdown(PBV, temps[:3], transition).flags == ()
+
+
+# the public functions of scalar (or array) numbers: (function, arity)
+ENTRY_POINTS = {
+    "lorentzian": (g.lorentzian, 5),
+    "bose_occupation": (g.bose_occupation, 2),
+    "phonon_rates": (g.phonon_rates, 3),
+    "transform_limit": (g.transform_limit, 1),
+    "lifetime_from_linewidth": (g.lifetime_from_linewidth, 1),
+    **{f"linewidth_breakdown {p.name} {t}": (
+        lambda temp_k, p=p, t=t: g.linewidth_breakdown(p, temp_k, t), 1)
+       for p in ALL_PRESETS for t in "cd"},
+}
+
+# any float (+-inf, NaN, subnormals, +-1.8e308) or an array of 1 to 3
+NUMBERS = st.one_of(st.floats(), st.lists(st.floats(), min_size=1,
+                                          max_size=3).map(np.array))
+
+
+class TestFuzzEntryPoints:
+    @given(name=st.sampled_from(sorted(ENTRY_POINTS)),
+           args=st.lists(NUMBERS, min_size=5, max_size=5))
+    @example(name="lorentzian", args=[1.7e308, -1e308, 1.0, 1.0, 0.0])
+    @example(name="lorentzian", args=[0.0, 0.0, 1.0, 1e308, 1e308])
+    @settings(max_examples=400, deadline=None)
+    def test_finite_result_or_value_error(self, name, args):
+        function, arity = ENTRY_POINTS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = function(*args[:arity])
+            except ValueError:
+                return
+        values = [v for v in vars(result).values()
+                  if not isinstance(v, (str, tuple))] \
+            if dataclasses.is_dataclass(result) else [result]
+        assert all(np.isfinite(v).all() for v in values), (name, result)

@@ -882,14 +882,17 @@ class TestHbt:
         assert det_b.tobytes() == stream[mask].tobytes()
         assert np.array_equal(to_b, mask)
 
-    def test_peak_memory_per_photon(self):
+    @pytest.mark.parametrize("rho", [0.0, 0.9, 1.0])
+    def test_peak_memory_per_photon(self, rho):
         # hbt_wide-like stream of 1e6 photons: built in place and dropped
         # before the kernel runs, so the traced peak (~17 B per photon) is
-        # the sorted stream plus the split's uniform draw and its mask
-        g.simulate_hbt(1e5, 4.4, 0.9, 1e-2, bin_width=1e4, tau_max=1e5)  # warm-up
+        # the sorted stream plus the split's uniform draw and its mask; a
+        # stream of one run (rho = 0 or 1) is copied too, so no batch
+        # overshoot stays alive beside it
+        g.simulate_hbt(1e5, 4.4, rho, 1e-2, bin_width=1e4, tau_max=1e5)  # warm-up
         tracemalloc.start()
         try:
-            g.simulate_hbt(1e6, 4.4, 0.9, 1.0, bin_width=1e4, tau_max=1e5, seed=7)
+            g.simulate_hbt(1e6, 4.4, rho, 1.0, bin_width=1e4, tau_max=1e5, seed=7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
