@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print three SHA-256 digests: of the fit reports and the HBT histograms.
+"""Print four SHA-256 digests: of the fit reports and the HBT histograms.
 
 1. For each seed, in order, the series_fit workload of
    ``perfbench/workloads.py`` (``make("series_fit")``, read, not changed)
@@ -11,11 +11,12 @@
    series with one and two free parameters, its alpha points with
    ``delta`` and ``equal`` weights, and ``fit_lorentzian`` on its PLE scan;
    each report's label, then its JSON.
-3. For each seed the hbt_fine, then for each seed the hbt_wide workload
-   simulates its HBT experiment; criterion 7's experiment
-   (``tests/test_acceptance.py``, 3e7 photons) comes last. The digest
-   covers each histogram's label, then its ``coincidence_counts``, ``g2``
-   and ``normalization`` as bytes.
+3. For each seed the hbt_fine workload simulates its HBT experiment, a
+   stream of one segment. The digest covers each histogram's label, then
+   its ``coincidence_counts``, ``g2`` and ``normalization`` as bytes.
+4. The same for each seed's hbt_wide experiment and then criterion 7's
+   (``tests/test_acceptance.py``, 3e7 photons): streams of many segments,
+   whose bytes change with the segment size.
 
 Two trees whose fitter, stream and coincidence kernel give the same bytes
 print the same digests:
@@ -124,14 +125,17 @@ def other_fits(seeds):
         g.fit_lorentzian, dataio.load_spectrum(FIXTURES / "ple_pbv.csv"))
 
 
-def runs(seeds):
-    """(label, call) of every histogram of line 3, in order."""
+def runs(seeds, name):
+    """(label, call) of the named workload's histogram for each seed."""
+    workload = load_workloads().make(name)
+    for seed in seeds:
+        yield f"{name} seed {seed}", functools.partial(workload.op, seed, 0)
+
+
+def long_runs(seeds):
+    """(label, call) of every histogram of line 4, in order."""
     from g4vlines import simulate
-    workloads = load_workloads()
-    for name in ("hbt_fine", "hbt_wide"):
-        workload = workloads.make(name)
-        for seed in seeds:
-            yield f"{name} seed {seed}", functools.partial(workload.op, seed, 0)
+    yield from runs(seeds, "hbt_wide")
     yield "criterion 7", functools.partial(simulate.simulate_hbt, **CRITERION_7)
 
 
@@ -145,8 +149,10 @@ def main():
         (map(report_bytes, series_fit_reports(seeds)), f"reports, {span}"),
         (labelled(other_fits(seeds), report_bytes),
          f"decay, temperature-series, alpha and PLE reports, {span} and fixtures"),
-        (labelled(runs(seeds), histogram_bytes),
-         f"histograms, {span} and criterion 7")]
+        (labelled(runs(seeds, "hbt_fine"), histogram_bytes),
+         f"hbt_fine histograms, {span}"),
+        (labelled(long_runs(seeds), histogram_bytes),
+         f"hbt_wide histograms, {span}, and criterion 7")]
     for items, what in lines:
         hexdigest, n_items = digest(items)
         print(f"{hexdigest}  {n_items} {what}")

@@ -65,10 +65,20 @@ allocates before the helper starts, and each writes only its own edges'
 counts. Every count is an exact integer, so the histogram is the same
 bytes for any number of threads and any order they run in. Sparse blocks,
 small blocks and the pair branch (hbt_fine, criterion 7) start no thread.
+
+The counter is incremental (``_Counter``): streams that arrive in pieces,
+such as the segments of ``simulate.simulate_hbt``, are counted as they
+come. A row is counted once its upper outer edge is at or below the end
+of what has arrived, in whole blocks of ``_BLOCK_ROWS`` rows, so the
+blocks are those of one call on the whole streams and so are the counts.
+``coincidence_histogram`` is one ``add`` of both streams to a new
+counter. A counter's work arrays (keys, the cell table's start, bs_inf
+and y/cell/less) live as long as it does and are reused by every block.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import sys
@@ -141,19 +151,121 @@ def coincidence_histogram(times_a, times_b, bin_width: float,
                          f"limit of {MAX_BINS}")
     a = np.ascontiguousarray(times_a, dtype=np.float64)
     b = np.ascontiguousarray(times_b, dtype=np.float64)
-
-    hist = np.zeros(2 * m_max + 1, dtype=np.int64)
-    for r in range(0, a.size, _BLOCK_ROWS):
-        _add_block(hist, a[r:r + _BLOCK_ROWS], b, w, m_max)
-    return hist
+    return _Counter(w, m_max).add(a, b)
 
 
-def _add_block(hist, a, b, w, m_max):
-    """Add the pairs of the rows a to hist.
+class _Counter:
+    """``coincidence_histogram`` of two sorted streams that arrive in pieces.
 
-    Every local dies on return, so no block's cell table or edge array is
-    still alive while the next block builds its own.
+    ``hist`` holds the pairs of the rows counted so far. ``rows`` are the
+    tags of a not yet counted, from the first row of a block on;
+    ``partners`` the tags of b from the lower outer edge of the first of
+    them (of the end of what has arrived, once every row is counted) on.
+    Later rows lie at or above both, so no later row pairs with a b below
+    them. Both lie at the front of the counter's work arrays of those
+    names, so a piece written there (``space``) is appended without a copy.
     """
+
+    def __init__(self, w, m_max):
+        self.w, self.m_max = w, m_max
+        self.hist = np.zeros(2 * m_max + 1, dtype=np.int64)
+        self.rows = self.partners = np.empty(0)
+        self._buffers = _Buffers()
+
+    def space(self, n_a, n_b):
+        """Arrays for the next n_a tags of a and n_b of b, which ``add``
+        takes without a copy."""
+        return self._tail("rows", self.rows, n_a), \
+            self._tail("partners", self.partners, n_b)
+
+    def _tail(self, name, head, n):
+        """n elements that follow head in the work array name."""
+        return self._buffers.get(name, head.size + n, keep=head.size,
+                                 spare=_BLOCK_ROWS)[head.size:]
+
+    def _append(self, name, head, tail):
+        """head followed by tail: tail itself where head is empty, else in
+        the work array name, at whose front head lies."""
+        if not head.size:
+            return tail
+        joined = self._buffers.get(name, head.size + tail.size,
+                                   keep=head.size, spare=_BLOCK_ROWS)
+        joined[head.size:] = tail  # in place where space() gave tail
+        return joined
+
+    def _keep(self, name, tags):
+        """tags, at the front of the work array name: the caller may reuse
+        the arrays it added, and tags may lie anywhere in name (a forward
+        copy within one array is safe)."""
+        kept = self._buffers.get(name, tags.size)
+        kept[:] = tags
+        return kept
+
+    def add(self, a, b, end=math.inf):
+        """Append the next tags of both streams and count every row whose
+        upper outer edge is at or below end, in whole blocks; with no end,
+        every row. Returns the histogram so far.
+
+        a and b are sorted, and every tag that arrives later is at or above
+        end and at or above every tag that has arrived.
+        """
+        rows = self._append("rows", self.rows, a)
+        partners = self._append("partners", self.partners, b)
+        n_rows = rows.size
+        if end < math.inf:
+            reach = (self.m_max + 1 - 0.5) * self.w  # as _edge adds it
+            n_rows = bisect.bisect_right(rows, end, key=lambda t: float(t) + reach)
+            n_rows -= n_rows % _BLOCK_ROWS
+        ready = rows[:n_rows]
+        for r in range(0, n_rows, _BLOCK_ROWS):
+            _add_block(self.hist, ready[r:r + _BLOCK_ROWS], partners, self.w,
+                       self.m_max, self._buffers)
+        if end == math.inf:
+            self.rows = self.partners = np.empty(0)
+        else:
+            lowest = rows[n_rows] if n_rows < rows.size else end
+            first = np.searchsorted(
+                partners, _edge(lowest, -self.m_max, self.w), side="left")
+            self.rows = self._keep("rows", rows[n_rows:])
+            self.partners = self._keep("partners", partners[first:])
+        return self.hist
+
+
+class _Buffers:
+    """Named work arrays of one call, reused by every block and segment.
+
+    ``get(name, n)`` hands out the first n elements of the array of that
+    name, made anew (rounded up by ``_capacity``) only when more is asked
+    for. Where each block or segment made its own arrays, the largest
+    arrays of a call on a segmented stream were about 1 MB, and glibc
+    returned their memory to the system as they were freed and took it
+    back for the next: the minor page faults of an hbt_wide op rose about
+    7-fold, and its time by 10-14 %.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name, n, dtype=np.float64, keep=0, spare=0):
+        """The first n elements of the array name, with room for spare more
+        when it is made. Where it is too small, it is made anew with room
+        for an eighth more, so that it grows seldom, and its first keep
+        elements are copied; where it keeps none, it is dropped first."""
+        array = self._arrays.get(name)
+        if array is None:
+            array = self._arrays[name] = np.empty(_capacity(n + spare), dtype)
+        elif array.size < n:
+            if not keep:
+                array = self._arrays[name] = None  # freed unless a view lives
+            grown = np.empty(_capacity(n + max(spare, n // 8)), dtype)
+            if keep:
+                grown[:keep] = array[:keep]
+            array = self._arrays[name] = grown
+        return array[:n]
+
+
+def _add_block(hist, a, b, w, m_max, buffers):
+    """Add the pairs of the rows a to hist, with the work arrays of buffers."""
     first = np.searchsorted(b, _edge(a[0], -m_max, w), side="left")
     last = np.searchsorted(b, _edge(a[-1], m_max + 1, w), side="left")
     bs = b[first:last]  # the partners of every row of the block
@@ -162,12 +274,12 @@ def _add_block(hist, a, b, w, m_max):
     dense = bs.size * w > float(bs[-1]) - float(bs[0])  # > 1 per bin width
     table = None
     if dense:
-        table = _CellTable(bs, a.size)
-        edge = _edge(a, -m_max, w)
-        below_lo = table.below(edge)
-        below_hi = table.below(_edge(a, m_max + 1, w, out=edge))
-        del edge
+        table = _CellTable(bs, a.size, buffers)
+        keys = buffers.get("keys0", a.size)
+        below_lo = table.below(_edge(a, -m_max, w, out=keys))
+        below_hi = table.below(_edge(a, m_max + 1, w, out=keys))
     if not dense or below_hi - below_lo <= (2 * m_max + 2) * a.size:
+        # arrays of their own, not buffers: they die as rows drop out
         edge = _edge(a, -m_max, w)
         lo = np.searchsorted(bs, edge, side="left")
         hi = _advance(bs, lo, _edge(a, m_max + 1, w, out=edge))
@@ -183,14 +295,14 @@ def _add_block(hist, a, b, w, m_max):
             _add_pairs(hist, a, bs, lo, hi, w, m_max)
             return
         # the edge count needs only the sums of the window ends: drop the
-        # per-row arrays before it allocates its workers' buffers
+        # per-row arrays before it takes its workers' buffers
         below_lo, below_hi = int(lo.sum()), int(hi.sum())
         del lo, hi
         if table is None:
-            table = _CellTable(bs, a.size)
+            table = _CellTable(bs, a.size, buffers)
     threaded = dense and a.size >= _THREAD_MIN_ROWS
     workers = max(1, min(_WORKERS, 2 * m_max)) if threaded else 1
-    _add_edges(hist, a, below_lo, below_hi, w, m_max, table, workers)
+    _add_edges(hist, a, below_lo, below_hi, w, m_max, table, workers, buffers)
 
 
 def _advance(bs, lo, keys):
@@ -258,22 +370,23 @@ def _settle(ta, tb, m, w):
     return m
 
 
-def _add_edges(hist, a, below_lo, below_hi, w, m_max, table, workers):
+def _add_edges(hist, a, below_lo, below_hi, w, m_max, table, workers,
+               buffers):
     """Count the partners below every interior edge through the block's
     cell table, summed over the rows a, and difference.
 
     below_lo and below_hi are the sums of the rows' window ends, the counts
     below the outer edges. The interior edges are dealt out to ``workers``
     threads, the calling one included: each has its own keys and work
-    buffers, allocated here before any helper starts, and writes its own
-    entries of ``below``; the table is only read. The counts are exact
-    integers, so the histogram does not depend on the threads' order.
+    buffers, taken from buffers here before any helper starts, and writes
+    its own entries of ``below``; the table is only read. The counts are
+    exact integers, so the histogram does not depend on the threads' order.
     """
     below = np.empty(2 * m_max + 2, dtype=np.int64)
     below[0] = below_lo
     below[-1] = below_hi
-    tables = [table] + [table.twin(a.size) for _ in range(1, workers)]
-    keys = [np.empty(_capacity(a.size))[:a.size] for _ in tables]
+    tables = [table] + [table.twin(a.size, buffers, i) for i in range(1, workers)]
+    keys = [buffers.get(f"keys{i}", a.size) for i in range(workers)]
 
     def count(i):
         for k in range(1 + i, 2 * m_max + 1, workers):
@@ -312,7 +425,7 @@ def _run(job, workers):
 
 
 def _capacity(n):
-    """n rounded up to a multiple of 4096, the size of a per-block array."""
+    """n rounded up to a multiple of 4096, the size of a work array."""
     return -(-n // 4096) * 4096
 
 
@@ -320,19 +433,19 @@ class _CellTable:
     """Cell table of a block's sorted partners bs, and its work buffers.
 
     Counting allocates no array per edge beyond those of the few keys left
-    for binary search: every per-key array lives in a buffer made once per
-    block, and the buffers' sizes are rounded by ``_capacity`` so that the
-    next block of about the same size reuses their memory. With fresh arrays
-    per edge and pass, or buffers of exact size, glibc's heap fragmented
-    over a run of hbt_wide benchmark ops, and the peak RSS rose by up to
-    7 MB above the earlier kernel's instead of 1 MB.
+    for binary search: every per-key array, and start and bs_inf, are the
+    counter's work arrays (``_Buffers``), whose sizes are rounded by
+    ``_capacity`` so that blocks of about the same size share them. With
+    fresh arrays per edge and pass, or buffers of exact size, glibc's heap
+    fragmented over a run of hbt_wide benchmark ops, and the peak RSS rose
+    by up to 7 MB above the earlier kernel's instead of 1 MB.
 
     The table proper (bs, its scale, start and bs_inf) is only read once
     built, so a ``twin`` shares it and brings its own buffers: two threads
     count through a table and its twin at once.
     """
 
-    def __init__(self, bs, n_keys):
+    def __init__(self, bs, n_keys, buffers):
         n_cells = _CELLS_PER_PARTNER * bs.size
         self.bs = bs
         self.base = float(bs[0])
@@ -340,31 +453,33 @@ class _CellTable:
         span = min(float(bs[-1]) - self.base, _FLOAT_MAX)
         self.inv = min(n_cells / span, _FLOAT_MAX) if span > 0 else _FLOAT_MAX
         self.top = float(n_cells - 1)
-        self._buffers(max(n_keys, bs.size))
+        self._buffers(max(n_keys, bs.size), buffers, 0)
         cell = self.cells(bs)
-        cell += 1
-        self.start = np.bincount(cell, minlength=_capacity(n_cells) + 1)
+        self.start = buffers.get("start", n_cells + 1, np.intp)
+        self.start.fill(0)
+        np.add.at(self.start[1:], cell, 1)  # in place, unlike bincount
         np.cumsum(self.start, out=self.start)  # bs in the cells below c
-        self.bs_inf = np.full(_capacity(bs.size + _ADVANCE_PASSES), np.inf)
+        self.bs_inf = buffers.get("bs_inf", bs.size + _ADVANCE_PASSES)
         self.bs_inf[:bs.size] = bs
+        self.bs_inf[bs.size:] = np.inf
 
-    def _buffers(self, n):
-        """Work buffers for n keys: 17 B per key.
+    def _buffers(self, n, buffers, i):
+        """Work buffers for n keys, those of worker i: 17 B per key.
 
         ``cells`` fills y and then cell; ``below`` takes the keys' positions
         into y's memory, dead once the cells are cast, and the partners it
         compares into cell's, dead once the positions are taken.
         """
-        self.y = np.empty(_capacity(n))
-        self.cell = np.empty(_capacity(n)).view(np.intp)
-        self.less = np.empty(_capacity(n), dtype=bool)
+        self.y = buffers.get(f"y{i}", n)
+        self.cell = buffers.get(f"cell{i}", n, np.intp)
+        self.less = buffers.get(f"less{i}", n, bool)
 
-    def twin(self, n_keys):
+    def twin(self, n_keys, buffers, i):
         """A table that shares this one's partners, cells and start, with
-        its own work buffers for n_keys keys."""
+        the work buffers of worker i for n_keys keys."""
         twin = object.__new__(_CellTable)
         twin.__dict__.update(self.__dict__)
-        twin._buffers(n_keys)
+        twin._buffers(n_keys, buffers, i)
         return twin
 
     def cells(self, x):

@@ -193,9 +193,12 @@ def temperature_threshold(p: EmitterParams, ratio: float = 1.2) -> float:
     can never be violated (both phonon couplings zero and gamma_others
     below the margin). Warns once, as ``linewidth_c`` would, when the
     C-linewidth at T = 0, the smallest the search evaluates, is negative.
-    A ValueError names a ratio that is not above 1 or whose target
-    ratio * gamma0 is not finite.
+    A ValueError names a ratio that is not a scalar, not above 1 or whose
+    target ratio * gamma0 is not finite.
     """
+    if np.ndim(ratio) != 0:
+        raise ValueError(f"ratio must be a scalar, got shape {np.shape(ratio)}")
+    ratio = float(ratio)  # ratio * gamma0 overflows to inf without a numpy warning
     if not ratio > 1.0:  # also rejects NaN
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     target = ratio * p.gamma0

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import physics
-from ._kernels import _CHUNK, MAX_BINS, coincidence_histogram
+from ._kernels import _CHUNK, MAX_BINS, _Buffers, _Counter, coincidence_histogram
 from .emitters import EmitterParams, _integral, _require_finite
 from .records import CorrelationHistogram, DecayTrace, Spectrum
 
@@ -48,11 +48,18 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 # Memory budget of one simulated photon stream, and the largest streams
-# that fit it at the traced peak bytes per photon (measured at 1e6 photons;
-# see simulate_hbt and simulate_trpl).
+# that fit it at the traced peak bytes per photon (measured at 1e6 photons).
+# simulate_hbt's memory, built in segments, no longer grows with the
+# stream; its cap keeps the value of 17 B per photon, where the whole
+# stream was built first, and now bounds the run time (see simulate_hbt).
 _STREAM_BUDGET = 1 << 30
 _MAX_STREAM_PHOTONS = _STREAM_BUDGET // 17  # simulate_hbt: ~6.3e7 photons
 _MAX_TRPL_COUNTS = _STREAM_BUDGET // 9      # simulate_trpl: ~1.2e8 counts
+
+# Expected photons of one segment of an HBT stream: rate * duration photons
+# are built and counted in max(1, floor(rate * duration / _SEGMENT_PHOTONS))
+# segments of equal duration, each of 1 to 2 times this many.
+_SEGMENT_PHOTONS = 1 << 17
 
 # The largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX).
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
@@ -355,17 +362,29 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     histogrammed (full correlation); ``bin_width``/``tau_max``/``lifetime``
     in ns, others in s.
 
-    Memory: the stream is built in place, one emitter batch and the
-    background at a time, and dropped once split, so the traced peak is
-    about 17 B per photon (the sorted stream, one uniform draw per photon
-    and its 1-byte detector choice; then the stream, the choices and the
-    two detectors' arrays, filled a chunk at a time) and 8 B per photon
-    stay live while the kernel runs. A batch's decay waits are drawn
-    ``_CHUNK`` at a time into one buffer and added in place, so no
-    batch-size temporary is made. The kernel adds a bounded amount per
-    block of 65536 rows, not per photon: about 5 MB traced on an
-    hbt_wide-size stream, where two threads count a dense block's edges. ``rate * duration`` is capped at
-    _MAX_STREAM_PHOTONS, the photons that fit _STREAM_BUDGET at that peak.
+    Stream: the n = max(1, floor(rate * duration / _SEGMENT_PHOTONS))
+    segments [duration * k/n, duration * (k+1)/n) are built one after the
+    other, each from the substream in this order: the emitter's waits (in
+    batches from its last emission until one passes the segment's end; the
+    photons past it go to the next segment, and past duration they are
+    dropped), then a Poisson number of background photons of mean
+    (1 - purity_rho) * rate * segment duration, uniform on the segment;
+    they are merged, scaled to ns, and one uniform per photon, below 0.5,
+    sends it to detector b. A stream of one segment (below 2 x 131072
+    expected photons) is the stream cut at duration in one piece.
+
+    Memory: each segment is built in place in one work array and split
+    into the coincidence counter's arrays, which counts every whole block
+    of 65536 rows whose pair windows the segment has closed and carries
+    the rest, with the partners they need, into the next segment; one
+    ``coincidence_histogram`` call counts what the last segment leaves (a
+    stream of one segment is that one call). The work arrays are made
+    once per call. So memory does not grow with the stream: the traced
+    peak is about 8.7 MB on an hbt_wide stream of 1e6 photons and of 4e6
+    (it was 17 B per photon with the whole stream built first), and
+    criterion 7's 3e7 photons peak at 40 MB of RSS instead of 531 MB.
+    ``rate * duration`` is still capped at _MAX_STREAM_PHOTONS, which now
+    bounds the run time (criterion 7 takes about 2.5 s on a 2-core Xeon VM).
     """
     _require_finite(rate=rate, lifetime=lifetime, purity_rho=purity_rho,
                     duration=duration)
@@ -398,62 +417,134 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
                              "of range")
 
     rng = substream(seed, 0)
-    parts = []
-    if emitter_rate > 0:
-        t = 0.0
-        mean_wait = 1.0 / excitation_rate + lifetime_s
-        decay = np.empty(_CHUNK)  # the decay waits of one chunk of a batch
-        while t < duration:
-            n = int((duration - t) / mean_wait * 1.05) + 16
-            ts = rng.exponential(1.0 / excitation_rate, n)
-            with np.errstate(over="ignore"):  # inf is past duration
-                # exponential(scale) draws scale * standard_exponential from
-                # the same stream, so the chunks draw the batch's decay waits;
-                # one batch-size draw leaves the traced peak where it is but
-                # raises VmHWM (by about 2 MB on an hbt_wide stream)
-                for i in range(0, n, _CHUNK):
-                    part = ts[i:i + _CHUNK]
-                    wait = rng.standard_exponential(out=decay[:part.size])
-                    wait *= lifetime_s
-                    part += wait
-                np.cumsum(ts, out=ts)
-                ts += t
-            parts.append(ts[:np.searchsorted(ts, duration)])  # ts is sorted
-            t = ts[-1]
-        # parts holds the only references to the batches
-        del ts, part, wait, decay
-    if bg_rate > 0:
-        n_bg = rng.poisson(bg_rate * duration)
-        parts.append(rng.uniform(0.0, duration, n_bg))
-        parts[-1].sort()
-
-    # a copy, also of one run: a batch's unused tail dies with parts
-    stream = np.concatenate(parts) if parts else np.empty(0)
-    parts.clear()
-    stream.sort(kind="stable")  # a merge of the sorted runs
-    if stream.size < 2:
+    n_segments = max(1, int(rate * duration / _SEGMENT_PHOTONS))
+    emitter = _Emitter(rng, excitation_rate, lifetime_s) \
+        if emitter_rate > 0 else None
+    counter = _Counter(bin_width, m_max)
+    buffers = _Buffers()
+    n_a = n_b = 0
+    start = 0.0
+    for k in range(n_segments):
+        end = duration * ((k + 1) / n_segments)
+        stream = _segment(rng, buffers, emitter, bg_rate, start, end)
+        stream *= 1e9
+        to_b = _choices(rng, stream.size)
+        picked = int(np.count_nonzero(to_b))
+        det_a, det_b = counter.space(stream.size - picked, picked)
+        _split(stream, to_b, det_a, det_b)
+        del stream, to_b
+        n_a, n_b = n_a + det_a.size, n_b + det_b.size
+        if n_segments > 1:  # else one call counts the stream, as before
+            counter.add(det_a, det_b, end * 1e9)
+            det_a, det_b = counter.rows, counter.partners  # what is left
+        start = end
+    del emitter, buffers
+    if n_a + n_b < 2:
         raise ValueError("stream contains fewer than 2 photons; "
                          "increase rate or duration")
-    stream *= 1e9
-    det_a, det_b = _split(stream, rng.random(stream.size) < 0.5)
-    del stream
-    normalization = _normalization(det_a.size, det_b.size, duration * 1e9,
-                                   bin_width)
+    normalization = _normalization(n_a, n_b, duration * 1e9, bin_width)
 
+    # the rows within reach of the end, and those short of a whole block
+    counted = counter.hist
+    del counter  # its work arrays, before the last count makes its own
     counts = coincidence_histogram(det_a, det_b, bin_width, m_max)
+    counts += counted
     return _histogram(counts, normalization, bin_width)
 
 
-def _split(stream, to_b):
-    """(stream[~to_b], stream[to_b]), a chunk of ``_CHUNK`` photons at a time.
+def _segment(rng, buffers, emitter, bg_rate, start, end):
+    """The photons of the segment [start, end) in s, sorted, as a view of
+    the work array "stream" of buffers: the emitter's, then a Poisson number
+    of background photons, uniform over the segment (drawn as
+    ``rng.uniform(start, end, n)`` draws them: start + (end - start) * u),
+    merged by a stable sort, which finds the two sorted runs."""
+    n = emitter.fill(buffers, end) if emitter else 0
+    if bg_rate > 0:
+        n_bg = int(rng.poisson(bg_rate * (end - start)))
+        background = buffers.get("stream", n + n_bg, keep=n)[n:]
+        rng.random(out=background)
+        background *= end - start
+        background += start
+        background.sort()
+        n += n_bg
+    stream = buffers.get("stream", n)
+    stream.sort(kind="stable")
+    return stream
 
-    Each chunk's photons are taken by index into the detectors' arrays,
-    allocated once: boolean indexing with a random mask branches on every
-    photon. The indices are in range, so mode "clip" only skips the
-    buffered bounds check of ``np.take``.
+
+class _Emitter:
+    """The emitter's photons in s, a renewal process from t = 0: each wait
+    is an excitation wait plus a decay wait.
+
+    ``fill`` writes the photons from the last end it was given (from 0, the
+    first time) up to the next. Waits are drawn in batches, from the last
+    emission on, until one passes the end; the batch's photons at or past
+    it carry over to the next call. So one call with end = duration draws
+    the batches of a stream cut at duration.
     """
-    n_b = int(np.count_nonzero(to_b))
-    det_a, det_b = np.empty(stream.size - n_b), np.empty(n_b)
+
+    def __init__(self, rng, excitation_rate, lifetime_s):
+        self.rng, self.lifetime_s = rng, lifetime_s
+        self.scale = 1.0 / excitation_rate
+        self.mean_wait = self.scale + lifetime_s
+        self.t, self.carry = 0.0, np.empty(0)
+        self.decay = np.empty(_CHUNK)  # the decay waits of one chunk of a batch
+
+    def fill(self, buffers, end):
+        """Write the photons below end, sorted, to the front of the work
+        array "stream" of buffers; return their number."""
+        n = int(np.searchsorted(self.carry, end))
+        buffers.get("stream", n)[:] = self.carry[:n]
+        self.carry = self.carry[n:]
+        while self.t < end:
+            size = int((end - self.t) / self.mean_wait * 1.05) + 16
+            ts = buffers.get("stream", n + size, keep=n)[n:]
+            self._draw(ts)
+            cut = int(np.searchsorted(ts, end))  # ts is sorted
+            self.carry, self.t = ts[cut:].copy(), float(ts[-1])
+            n += cut
+        return n
+
+    def _draw(self, ts):
+        """Fill ts with the emissions after the one at t: the running sum of
+        excitation waits, drawn as ``rng.exponential(scale, ts.size)`` draws
+        them (scale * standard_exponential), and decay waits, drawn
+        ``_CHUNK`` at a time into decay and added in place. One batch-size
+        draw of the decay waits leaves the traced peak where it is but
+        raises VmHWM (by about 2 MB on an hbt_wide stream)."""
+        self.rng.standard_exponential(out=ts)
+        with np.errstate(over="ignore"):  # inf is past every end
+            ts *= self.scale
+            for i in range(0, ts.size, _CHUNK):
+                part = ts[i:i + _CHUNK]
+                wait = self.rng.standard_exponential(out=self.decay[:part.size])
+                wait *= self.lifetime_s
+                part += wait
+            np.cumsum(ts, out=ts)
+            ts += self.t
+
+
+def _choices(rng, n):
+    """``rng.random(n) < 0.5``, the detector of each of n photons: the same
+    uniforms, drawn ``_CHUNK`` at a time into one buffer."""
+    to_b = np.empty(n, dtype=bool)
+    u = np.empty(min(n, _CHUNK))
+    for s in range(0, n, _CHUNK):
+        part = u[:min(_CHUNK, n - s)]
+        rng.random(out=part)
+        np.less(part, 0.5, out=to_b[s:s + part.size])
+    return to_b
+
+
+def _split(stream, to_b, det_a, det_b):
+    """stream[~to_b] into det_a and stream[to_b] into det_b, a chunk of
+    ``_CHUNK`` photons at a time.
+
+    Each chunk's photons are taken by index into the detectors' arrays:
+    boolean indexing with a random mask branches on every photon. The
+    indices are in range, so mode "clip" only skips the buffered bounds
+    check of ``np.take``.
+    """
     i_a = i_b = 0
     for s in range(0, stream.size, _CHUNK):
         run, pick = stream[s:s + _CHUNK], to_b[s:s + _CHUNK]
@@ -463,7 +554,6 @@ def _split(stream, to_b):
         idx = np.flatnonzero(~pick)
         np.take(run, idx, out=det_a[i_a:i_a + idx.size], mode="clip")
         i_a += idx.size
-    return det_a, det_b
 
 
 def _normalization(n_a: int, n_b: int, duration: float,

@@ -1,7 +1,7 @@
 """The bundled fixtures are exactly what scripts/make_fixtures.py writes;
 scripts/digest.py digests every series_fit fit report, then the decay,
-temperature-series, alpha and fixture PLE fits, then every benchmark and
-criterion-7 HBT histogram."""
+temperature-series, alpha and fixture PLE fits, then the hbt_fine HBT
+histograms, then the hbt_wide and criterion-7 ones."""
 
 import importlib.util
 
@@ -63,16 +63,20 @@ def test_digest_covers_the_other_fits(fixtures_dir):
 
 
 def test_digest_covers_every_benchmark_histogram(fixtures_dir):
+    # line 3: the one-segment hbt_fine streams; line 4: the many-segment
+    # hbt_wide and criterion-7 streams
     module = _script(fixtures_dir, "digest")
-    runs = list(module.runs(range(3, 5)))
-    assert [label for label, _ in runs] == [
-        "hbt_fine seed 3", "hbt_fine seed 4", "hbt_wide seed 3",
-        "hbt_wide seed 4", "criterion 7"]
+    fine = list(module.runs(range(3, 5), "hbt_fine"))
+    assert [label for label, _ in fine] == ["hbt_fine seed 3", "hbt_fine seed 4"]
+    long = list(module.long_runs(range(3, 5)))
+    assert [label for label, _ in long] == [
+        "hbt_wide seed 3", "hbt_wide seed 4", "criterion 7"]
 
     def hbt_digest(calls):
         return module.digest(module.labelled(calls, module.histogram_bytes))
 
-    hexdigest, n_hists = hbt_digest(runs[:1])
+    hexdigest, n_hists = hbt_digest(fine[:1])
     assert n_hists == 1
-    assert len(hexdigest) == 64 and hbt_digest(runs[:1])[0] == hexdigest
-    assert hbt_digest(runs[1:2])[0] != hexdigest
+    assert len(hexdigest) == 64 and hbt_digest(fine[:1])[0] == hexdigest
+    assert hbt_digest(fine[1:2])[0] != hexdigest
+    assert hbt_digest(long[:1])[0] not in (hexdigest, hbt_digest(long[1:2])[0])

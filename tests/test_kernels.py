@@ -91,9 +91,9 @@ def table_calls(monkeypatch):
     init = _kernels._CellTable.__init__
     below = _kernels._CellTable.below
 
-    def init_spy(table, bs, n_keys):
+    def init_spy(table, bs, *args):
         ran.append(("table", bs.size))
-        init(table, bs, n_keys)
+        init(table, bs, *args)
 
     def below_spy(table, keys):
         ran.append(("below", keys.size))
@@ -616,13 +616,79 @@ class TestThreadedEdges:
         assert thread_starts == []
 
 
+class TestCounter:
+    """``_Counter``: two streams added in pieces, each up to an end at or
+    below every later tag, give ``coincidence_histogram`` of the whole
+    streams, bit for bit."""
+
+    @staticmethod
+    def pieces(rng, a, b, n_pieces):
+        """(a piece, b piece, end) up to random ends, the last with no end:
+        some pieces empty, some tags on an end (they belong to the next)."""
+        ends = np.sort(rng.choice(np.concatenate([a, b]), n_pieces - 1))
+        ends[1] = ends[2] = ends[3]  # two empty pieces
+        lo = -np.inf
+        for end in list(ends) + [np.inf]:
+            yield (a[(a >= lo) & (a < end)], b[(b >= lo) & (b < end)],
+                   float(end))
+            lo = end
+
+    @pytest.mark.parametrize("block_rows", [7, 64, 1 << 16])
+    @pytest.mark.parametrize("bin_width, m_max", [
+        (0.5, 3),       # sparse: the pair branch
+        (20.0, 40),     # windows over many pieces
+        (1e3, 10)])     # dense: the per-edge branch
+    @pytest.mark.parametrize("space", [False, True])
+    def test_pieces_equal_whole(self, monkeypatch, block_rows, bin_width,
+                                m_max, space):
+        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(block_rows + m_max)
+        a = np.sort(np.round(rng.uniform(0.0, 2e4, 3000), 1))
+        b = np.sort(np.concatenate([a[::3], np.round(rng.uniform(0.0, 2e4, 2000), 1)]))
+        counter = _kernels._Counter(bin_width, m_max)
+        for piece_a, piece_b, end in self.pieces(rng, a, b, 40):
+            if space:  # written where the counter takes it without a copy
+                into_a, into_b = counter.space(piece_a.size, piece_b.size)
+                into_a[:], into_b[:] = piece_a, piece_b
+                piece_a, piece_b = into_a, into_b
+            else:  # the caller's arrays, overwritten once added
+                piece_a, piece_b = piece_a.copy(), piece_b.copy()
+            counter.add(piece_a, piece_b, end)
+            if not space:
+                piece_a.fill(-1.0)
+                piece_b.fill(-1.0)
+        assert counter.rows.size == counter.partners.size == 0
+        expected = per_edge_reference(a, b, bin_width, m_max)
+        assert expected.sum() > 0
+        assert np.array_equal(counter.hist, expected)
+        assert np.array_equal(coincidence_histogram(a, b, bin_width, m_max),
+                              expected)
+
+    def test_rows_counted_in_whole_blocks(self, monkeypatch, branches):
+        # rows are counted once their upper outer edge is at or below the
+        # end, a whole block at a time: by the end 25.5 rows 0..23 are
+        # ready, 2 blocks of 10 rows; the rest with no end
+        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 10)
+        a = np.arange(40.0)
+        counter = _kernels._Counter(1.0, 2)
+        counter.add(a[:30], a[:30], 25.5)
+        assert counter.rows.tolist() == a[20:30].tolist()
+        assert counter.partners[0] == 18.0  # the first at or above 17.5,
+        # the lower outer edge of row 20
+        assert counter.hist.sum() == 20 * 5 - 3  # rows 0..19, 5 bins each
+        counter.add(a[30:], a[30:])
+        assert len(branches) == 4
+        assert np.array_equal(counter.hist,
+                              coincidence_histogram(a, a, 1.0, 2))
+
+
 class TestCellTablePositions:
     """``_CellTable.below`` sums the keys' positions in bs,
     ``np.searchsorted(bs, keys, side="left")``."""
 
     @staticmethod
     def assert_below(bs, keys):
-        table = _kernels._CellTable(bs, keys.size + 100)
+        table = _kernels._CellTable(bs, keys.size + 100, _kernels._Buffers())
         expected = np.searchsorted(bs, keys, side="left")
         assert table.below(keys) == expected.sum()
         return table, expected

@@ -347,6 +347,14 @@ class TestTemperatureThreshold:
         with pytest.raises(ValueError, match="ratio must exceed 1"):
             g.temperature_threshold(PBV, ratio=math.nan)
 
+    @pytest.mark.parametrize("ratio", [np.array([1e308]), np.array([1.2, 1.3]),
+                                       [1.2]], ids=["overflow", "pair", "list"])
+    def test_array_ratio_rejected(self, ratio):
+        # they ended in a numpy overflow warning, numpy's unnamed "truth
+        # value ... ambiguous" and a TypeError
+        with pytest.raises(ValueError, match=r"^ratio must be a scalar, got shape"):
+            g.temperature_threshold(PBV, ratio=ratio)
+
     @pytest.mark.parametrize("ratio", [math.inf, 1e307])
     def test_non_finite_target_rejected(self, monkeypatch, ratio):
         # rejected before any linewidth is evaluated

@@ -1,8 +1,10 @@
 """Simulation engines: determinism, statistics, and fit-closure checks.
 
 ``hbt_reference`` is the earlier stream builder of ``simulate_hbt``, which
-kept every stage of the photon stream as its own array: ``simulate_hbt``
-builds the stream in place and must agree with it bit for bit.
+kept every stage of the photon stream as its own array, taken segment by
+segment in the documented order, and counted the concatenated detectors in
+one ``coincidence_histogram`` call: ``simulate_hbt`` builds the stream in
+place, counts it as it goes and must agree with it bit for bit.
 
 ``series_reference`` is the earlier point-by-point loop of
 ``simulate_scan_series``. Without ionization it draws only Poisson counts,
@@ -25,39 +27,52 @@ from g4vlines._kernels import MAX_BINS, coincidence_histogram
 PBV = g.REGISTRY.get("PbV")
 
 
-def reference_detectors(rate, lifetime, purity_rho, duration, seed):
+def reference_detectors(rate, lifetime, purity_rho, duration, seed,
+                        segment_photons=1 << 17):
     """(det_a, det_b) in ns of simulate_hbt's earlier stream builder, which
-    sorts the concatenated parts with numpy's default sort."""
+    sorts the concatenated parts with numpy's default sort, taken segment by
+    segment: max(1, floor(rate * duration / segment_photons)) segments of
+    equal duration, each drawing the emitter's waits (its photons past the
+    segment's end carry over), then its background, then its detectors."""
     lifetime_s = lifetime * 1e-9
     emitter_rate = purity_rho * rate
     bg_rate = (1.0 - purity_rho) * rate
     rng = g.substream(seed, 0)
-    parts = []
-    if emitter_rate > 0:
-        excitation_rate = 1.0 / (1.0 / emitter_rate - lifetime_s)
-        t = 0.0
-        mean_wait = 1.0 / excitation_rate + lifetime_s
-        while t < duration:
-            n = int((duration - t) / mean_wait * 1.05) + 16
-            waits = rng.exponential(1.0 / excitation_rate, n) \
-                + rng.exponential(lifetime_s, n)
-            ts = t + np.cumsum(waits)
-            parts.append(ts[ts < duration])
-            t = ts[-1]
-    if bg_rate > 0:
-        n_bg = rng.poisson(bg_rate * duration)
-        parts.append(np.sort(rng.uniform(0.0, duration, n_bg)))
-    stream = np.sort(np.concatenate(parts))
-    to_b = rng.random(stream.size) < 0.5
-    return stream[~to_b] * 1e9, stream[to_b] * 1e9
+    n_segments = max(1, int(rate * duration / segment_photons))
+    t, carry, start = 0.0, np.empty(0), 0.0
+    det_a, det_b = [], []
+    for k in range(n_segments):
+        end = duration * ((k + 1) / n_segments)
+        parts = [carry[carry < end]]
+        carry = carry[carry >= end]
+        if emitter_rate > 0:
+            excitation_rate = 1.0 / (1.0 / emitter_rate - lifetime_s)
+            mean_wait = 1.0 / excitation_rate + lifetime_s
+            while t < end:
+                n = int((end - t) / mean_wait * 1.05) + 16
+                waits = rng.exponential(1.0 / excitation_rate, n) \
+                    + rng.exponential(lifetime_s, n)
+                ts = t + np.cumsum(waits)
+                parts.append(ts[ts < end])
+                carry = ts[ts >= end]
+                t = ts[-1]
+        if bg_rate > 0:
+            n_bg = rng.poisson(bg_rate * (end - start))
+            parts.append(np.sort(rng.uniform(start, end, n_bg)))
+        stream = np.sort(np.concatenate(parts))
+        to_b = rng.random(stream.size) < 0.5
+        det_a.append(stream[~to_b] * 1e9)
+        det_b.append(stream[to_b] * 1e9)
+        start = end
+    return np.concatenate(det_a), np.concatenate(det_b)
 
 
 def hbt_reference(rate, lifetime, purity_rho, duration, *, bin_width,
-                  tau_max, seed):
+                  tau_max, seed, segment_photons=1 << 17):
     """(counts, g2, normalization) of simulate_hbt's earlier stream builder."""
     m_max = int(round(tau_max / bin_width))
     det_a, det_b = reference_detectors(rate, lifetime, purity_rho, duration,
-                                       seed)
+                                       seed, segment_photons)
     counts = coincidence_histogram(det_a, det_b, bin_width, m_max)
     duration_ns = duration * 1e9
     normalization = (det_a.size / duration_ns) * (det_b.size / duration_ns) \
@@ -154,22 +169,6 @@ def documented_series(cfg):
         counts.append(expected if cfg.noiseless
                       else rng.poisson(expected).astype(float))
     return counts, events
-
-
-class _CountingGenerator:
-    """A Generator that counts its exponential draws (one per emitter batch:
-    the decay waits come from ``standard_exponential``)."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.exponential_calls = 0
-
-    def exponential(self, *args):
-        self.exponential_calls += 1
-        return self.rng.exponential(*args)
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
 
 
 def _stream_reached(*args):
@@ -793,6 +792,18 @@ class TestHbt:
             g.simulate_hbt(rate, lifetime, rho, duration, bin_width=bin_width,
                            tau_max=bin_width, seed=seed)
 
+    @pytest.mark.parametrize("bin_width", [5e-324, 1e-320])
+    def test_subnormal_bin_width_across_segments(self, monkeypatch, bin_width):
+        # the counter reaches (m_max + 1/2) * bin_width past a segment end,
+        # a subnormal or 0; 10 segments are counted before the normalization
+        # is named, with no numpy warning and no ZeroDivisionError
+        monkeypatch.setattr(g.simulate, "_SEGMENT_PHOTONS", 100)
+        with warnings.catch_warnings(), \
+                pytest.raises(ValueError, match="normalization = .* is out of range"):
+            warnings.simplefilter("error")
+            g.simulate_hbt(1e5, 4.4, 0.5, 0.01, bin_width=bin_width,
+                           tau_max=bin_width)
+
     def test_emitter_waits_past_float_range(self):
         # rate * purity_rho = 4.5e-308 /s: the emitter's waits overflow to
         # inf, past duration, with no numpy warning; the background remains
@@ -831,23 +842,67 @@ class TestHbt:
             (1e4, 0.5, 0.02, 1e5, 1e6, 81, 2)])
     def test_stream_matches_reference(self, monkeypatch, rate, rho, duration,
                                       bin_width, tau_max, seed, batches):
-        generators = []
+        # streams of one segment
+        assert rate * duration < 2 * g.simulate._SEGMENT_PHOTONS
+        self.assert_matches_reference(monkeypatch, rate, rho, duration,
+                                      bin_width, tau_max, seed, 1 << 17,
+                                      batches)
 
-        def counting_substream(*args):
-            generators.append(_CountingGenerator(g.substream(*args)))
-            return generators[-1]
+    @pytest.mark.parametrize(
+        "rate, rho, duration, bin_width, tau_max, seed, segment, batches", [
+            # two segments of the real size
+            (1e6, 0.0, 0.3, 1e4, 1e5, 7, 1 << 17, 0),
+            (1e6, 0.5, 0.3, 1e4, 1e5, 8, 1 << 17, 2),
+            (1e6, 1.0, 0.3, 1e4, 1e5, 9, 1 << 17, 2),
+            # 33 segments, blocks of 3000 rows that span segment ends
+            (4e6, 0.0, 0.025, 0.2, 50.0, 10, 3000, 0),
+            (4e6, 0.5, 0.025, 0.2, 50.0, 11, 3000, 33),
+            (4e6, 1.0, 0.025, 0.2, 50.0, 12, 3000, 33),
+            # tau_max of 4 segments (2e7 ns each), a window of ~400 rows
+            (1e4, 0.5, 0.5, 2e5, 8e7, 13, 200, 26),
+            # 60 segments of one expected photon: many hold none
+            (30.0, 0.5, 2.0, 1e8, 5e8, 14, 1, 2),
+            (30.0, 1.0, 2.0, 1e8, 5e8, 15, 1, 4)])
+    def test_segmented_stream_matches_reference(
+            self, monkeypatch, rate, rho, duration, bin_width, tau_max, seed,
+            segment, batches):
+        # the histogram is coincidence_histogram of the concatenated
+        # detectors: every pair across a segment end is counted once
+        self.assert_matches_reference(monkeypatch, rate, rho, duration,
+                                      bin_width, tau_max, seed, segment,
+                                      batches)
+        if segment == 1:
+            ends = [duration * (k / 60) * 1e9 for k in range(61)]
+            stream = np.concatenate(reference_detectors(
+                rate, 4.4, rho, duration, seed, segment))
+            assert 0 in np.histogram(stream, ends)[0]
 
-        monkeypatch.setattr(g.simulate, "substream", counting_substream)
+    @staticmethod
+    def assert_matches_reference(monkeypatch, rate, rho, duration, bin_width,
+                                 tau_max, seed, segment, batches):
+        """simulate_hbt with segments of ``segment`` expected photons and
+        kernel blocks of at most as many rows gives hbt_reference's
+        histogram, bit for bit, from ``batches`` emitter batches."""
+        drawn = []  # the size of each emitter batch
+        draw = g.simulate._Emitter._draw
+
+        def counting_draw(emitter, ts):
+            drawn.append(ts.size)
+            draw(emitter, ts)
+
+        monkeypatch.setattr(g.simulate._Emitter, "_draw", counting_draw)
+        monkeypatch.setattr(g.simulate, "_SEGMENT_PHOTONS", segment)
+        monkeypatch.setattr(g._kernels, "_BLOCK_ROWS", min(segment, 1 << 16))
         hist = g.simulate_hbt(rate, 4.4, rho, duration, bin_width=bin_width,
                               tau_max=tau_max, seed=seed)
         counts, g2, normalization = hbt_reference(
             rate, 4.4, rho, duration, bin_width=bin_width, tau_max=tau_max,
-            seed=seed)
+            seed=seed, segment_photons=segment)
         assert np.array_equal(hist.coincidence_counts, counts)
         assert np.array_equal(hist.g2, g2)
         assert hist.normalization == normalization
         assert counts.sum() > 0
-        assert generators[0].exponential_calls == batches
+        assert len(drawn) == batches
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, 0.5, 0.959],
                              ids=["background", "emitter", "mixed", "crit7"])
@@ -856,12 +911,13 @@ class TestHbt:
         # the sorted emitter and background runs are merged by a stable
         # sort; the stream is positive floats, so it is the default sort's
         detectors = []
+        split = g.simulate._split
 
-        def capture(det_a, det_b, *args):
+        def capture(stream, to_b, det_a, det_b):
+            split(stream, to_b, det_a, det_b)
             detectors.append((det_a.copy(), det_b.copy()))
-            return coincidence_histogram(det_a, det_b, *args)
 
-        monkeypatch.setattr(g.simulate, "coincidence_histogram", capture)
+        monkeypatch.setattr(g.simulate, "_split", capture)
         g.simulate_hbt(4e6, 4.4, rho, 2e-3, bin_width=0.2, tau_max=50.0,
                        seed=seed)
         (det_a, det_b), = detectors
@@ -877,26 +933,30 @@ class TestHbt:
         stream = np.sort(rng.uniform(0.0, 0.025, n))
         to_b = rng.random(n) < p_b
         mask = to_b.copy()
-        det_a, det_b = g.simulate._split(stream, to_b)
+        det_a, det_b = np.empty(n - np.count_nonzero(mask)), np.empty(np.count_nonzero(mask))
+        g.simulate._split(stream, to_b, det_a, det_b)
         assert det_a.tobytes() == stream[~mask].tobytes()
         assert det_b.tobytes() == stream[mask].tobytes()
         assert np.array_equal(to_b, mask)
 
     @pytest.mark.parametrize("rho", [0.0, 0.9, 1.0])
-    def test_peak_memory_per_photon(self, rho):
-        # hbt_wide-like stream of 1e6 photons: built in place and dropped
-        # before the kernel runs, so the traced peak (~17 B per photon) is
-        # the sorted stream plus the split's uniform draw and its mask; a
-        # stream of one run (rho = 0 or 1) is copied too, so no batch
-        # overshoot stays alive beside it
+    def test_peak_memory_flat_in_stream_length(self, rho):
+        # hbt_wide-like streams of 1e6 and 4e6 photons: built and counted a
+        # segment (~1.4e5 photons) at a time, so the traced peak (~8.7 MB)
+        # does not grow with the stream; at 17 B per photon it grew by 51 MB
         g.simulate_hbt(1e5, 4.4, rho, 1e-2, bin_width=1e4, tau_max=1e5)  # warm-up
-        tracemalloc.start()
-        try:
-            g.simulate_hbt(1e6, 4.4, rho, 1.0, bin_width=1e4, tau_max=1e5, seed=7)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 1e6, f"peak {peak / 1e6:.1f} B per photon"
+        peaks = []
+        for duration in (1.0, 4.0):
+            tracemalloc.start()
+            try:
+                g.simulate_hbt(1e6, 4.4, rho, duration, bin_width=1e4,
+                               tau_max=1e5, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 1e6, f"peaks {peaks[0] / 1e6:.1f} MB " \
+            f"at 1e6 photons, {peaks[1] / 1e6:.1f} MB at 4e6"
+        assert peaks[0] < 12e6, f"peak {peaks[0] / 1e6:.1f} MB at 1e6 photons"
 
 
 class TestCorrelateStream:
