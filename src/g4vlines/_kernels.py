@@ -59,12 +59,13 @@ time tags, crowded cells) finish with the table's one binary search.
 A dense block of at least ``_THREAD_MIN_ROWS`` rows deals its interior
 edges out to ``_WORKERS`` threads (2 where the process may run on two
 cores): the calling thread counts edges 1, 3, 5, ... and one helper
-thread edges 2, 4, 6, .... Both read the one table; each counts through
-its own keys and work buffers (25 B per row), which the calling thread
-allocates before the helper starts, and each writes only its own edges'
-counts. Every count is an exact integer, so the histogram is the same
-bytes for any number of threads and any order they run in. Sparse blocks,
-small blocks and the pair branch (hbt_fine, criterion 7) start no thread.
+thread edges 2, 4, 6, .... Both read the one table, read-only once
+built; each counts through its own keys and work arrays (25 B per row),
+which the calling thread allocates before the helper starts, and each
+writes only its own edges' counts. Every count is an exact integer, so
+the histogram is the same bytes for any number of threads and any order
+they run in. Sparse blocks, small blocks and the pair branch (hbt_fine,
+criterion 7) start no thread.
 
 The counter is incremental (``_Counter``): streams that arrive in pieces,
 such as the segments of ``simulate.simulate_hbt``, are counted as they
@@ -275,9 +276,9 @@ def _add_block(hist, a, b, w, m_max, buffers):
     table = None
     if dense:
         table = _CellTable(bs, a.size, buffers)
-        keys = buffers.get("keys0", a.size)
-        below_lo = table.below(_edge(a, -m_max, w, out=keys))
-        below_hi = table.below(_edge(a, m_max + 1, w, out=keys))
+        keys, work = buffers.get("keys0", a.size), _work(buffers, 0, a.size)
+        below_lo = table.below(_edge(a, -m_max, w, out=keys), work)
+        below_hi = table.below(_edge(a, m_max + 1, w, out=keys), work)
     if not dense or below_hi - below_lo <= (2 * m_max + 2) * a.size:
         # arrays of their own, not buffers: they die as rows drop out
         edge = _edge(a, -m_max, w)
@@ -378,19 +379,19 @@ def _add_edges(hist, a, below_lo, below_hi, w, m_max, table, workers,
     below_lo and below_hi are the sums of the rows' window ends, the counts
     below the outer edges. The interior edges are dealt out to ``workers``
     threads, the calling one included: each has its own keys and work
-    buffers, taken from buffers here before any helper starts, and writes
-    its own entries of ``below``; the table is only read. The counts are
+    arrays, taken from buffers here before any helper starts, and writes
+    its own entries of ``below``; the table is read-only. The counts are
     exact integers, so the histogram does not depend on the threads' order.
     """
     below = np.empty(2 * m_max + 2, dtype=np.int64)
     below[0] = below_lo
     below[-1] = below_hi
-    tables = [table] + [table.twin(a.size, buffers, i) for i in range(1, workers)]
+    work = [_work(buffers, i, a.size) for i in range(workers)]
     keys = [buffers.get(f"keys{i}", a.size) for i in range(workers)]
 
     def count(i):
         for k in range(1 + i, 2 * m_max + 1, workers):
-            below[k] = tables[i].below(_edge(a, k - m_max, w, out=keys[i]))
+            below[k] = table.below(_edge(a, k - m_max, w, out=keys[i]), work[i])
 
     _run(count, workers)
     hist += np.diff(below)
@@ -430,31 +431,31 @@ def _capacity(n):
 
 
 class _CellTable:
-    """Cell table of a block's sorted partners bs, and its work buffers.
+    """Cell table of a block's sorted partners bs: bs, its scale, start and
+    bs_inf, read-only once built.
 
     Counting allocates no array per edge beyond those of the few keys left
-    for binary search: every per-key array, and start and bs_inf, are the
+    for binary search: start, bs_inf and every per-key array are the
     counter's work arrays (``_Buffers``), whose sizes are rounded by
     ``_capacity`` so that blocks of about the same size share them. With
     fresh arrays per edge and pass, or buffers of exact size, glibc's heap
     fragmented over a run of hbt_wide benchmark ops, and the peak RSS rose
     by up to 7 MB above the earlier kernel's instead of 1 MB.
 
-    The table proper (bs, its scale, start and bs_inf) is only read once
-    built, so a ``twin`` shares it and brings its own buffers: two threads
-    count through a table and its twin at once.
+    The per-key arrays are not the table's: each thread that counts through
+    it passes its own (``_work``) to ``cells`` and ``below``. A thread that
+    wrote into the table would raise instead of racing with the others.
     """
 
     def __init__(self, bs, n_keys, buffers):
         n_cells = _CELLS_PER_PARTNER * bs.size
-        self.bs = bs
+        self.bs = bs.view()
         self.base = float(bs[0])
         # any positive finite inv keeps the count exact (module docstring)
         span = min(float(bs[-1]) - self.base, _FLOAT_MAX)
         self.inv = min(n_cells / span, _FLOAT_MAX) if span > 0 else _FLOAT_MAX
         self.top = float(n_cells - 1)
-        self._buffers(max(n_keys, bs.size), buffers, 0)
-        cell = self.cells(bs)
+        cell = self.cells(bs, _work(buffers, 0, max(n_keys, bs.size)))
         self.start = buffers.get("start", n_cells + 1, np.intp)
         self.start.fill(0)
         np.add.at(self.start[1:], cell, 1)  # in place, unlike bincount
@@ -462,29 +463,12 @@ class _CellTable:
         self.bs_inf = buffers.get("bs_inf", bs.size + _ADVANCE_PASSES)
         self.bs_inf[:bs.size] = bs
         self.bs_inf[bs.size:] = np.inf
+        for array in (self.bs, self.start, self.bs_inf):
+            array.flags.writeable = False
 
-    def _buffers(self, n, buffers, i):
-        """Work buffers for n keys, those of worker i: 17 B per key.
-
-        ``cells`` fills y and then cell; ``below`` takes the keys' positions
-        into y's memory, dead once the cells are cast, and the partners it
-        compares into cell's, dead once the positions are taken.
-        """
-        self.y = buffers.get(f"y{i}", n)
-        self.cell = buffers.get(f"cell{i}", n, np.intp)
-        self.less = buffers.get(f"less{i}", n, bool)
-
-    def twin(self, n_keys, buffers, i):
-        """A table that shares this one's partners, cells and start, with
-        the work buffers of worker i for n_keys keys."""
-        twin = object.__new__(_CellTable)
-        twin.__dict__.update(self.__dict__)
-        twin._buffers(n_keys, buffers, i)
-        return twin
-
-    def cells(self, x):
+    def cells(self, x, work):
         """clip((x - base) * inv, 0, top) truncated to int: monotone in x."""
-        y, cell = self.y[:x.size], self.cell[:x.size]
+        y, cell = work[0][:x.size], work[1][:x.size]
         with np.errstate(over="ignore"):  # +-inf is clipped like any x
             np.subtract(x, self.base, out=y)
             np.multiply(y, self.inv, out=y)
@@ -492,8 +476,9 @@ class _CellTable:
         np.copyto(cell, y, casting="unsafe")
         return cell
 
-    def below(self, keys):
-        """``np.searchsorted(bs, keys, side="left").sum()``.
+    def below(self, keys, work):
+        """``np.searchsorted(bs, keys, side="left").sum()``, with the work
+        arrays of the calling thread.
 
         Every b in a lower cell than a key is below it, so a key's count is
         pos = start[cell(key)] plus the number of b from bs[pos] on that
@@ -503,10 +488,10 @@ class _CellTable:
         bs_inf, so mode "clip" never moves one: it only skips the buffered
         bounds check of ``np.take``.
         """
-        cell = self.cells(keys)
-        pos = self.y.view(np.intp)[:keys.size]
+        cell = self.cells(keys, work)
+        pos = work[0].view(np.intp)[:keys.size]
         np.take(self.start, cell, out=pos, mode="clip")
-        y, less = self.cell.view(np.float64)[:keys.size], self.less[:keys.size]
+        y, less = work[1].view(np.float64)[:keys.size], work[2][:keys.size]
         total = int(pos.sum())
         for j in range(_ADVANCE_PASSES):
             np.take(self.bs_inf[j:], pos, out=y, mode="clip")
@@ -523,3 +508,14 @@ class _CellTable:
         """``np.searchsorted(bs, keys, side="left")``: the table's one binary
         search, for the keys still advancing after the last pass."""
         return np.searchsorted(self.bs, keys, side="left")
+
+
+def _work(buffers, i, n):
+    """Work arrays (y, cell, less) of worker i for n keys: 17 B per key.
+
+    ``cells`` fills y and then cell; ``below`` takes the keys' positions
+    into y's memory, dead once the cells are cast, and the partners it
+    compares into cell's, dead once the positions are taken.
+    """
+    return (buffers.get(f"y{i}", n), buffers.get(f"cell{i}", n, np.intp),
+            buffers.get(f"less{i}", n, bool))

@@ -158,10 +158,15 @@ def save_correlation(hist: CorrelationHistogram, path) -> None:
 
 
 def load_correlation(path) -> CorrelationHistogram:
-    meta, (tau, g2, counts), _ = _parse_csv(path, CORRELATION_HEADER, 3)
+    meta, (tau, g2, counts), linenos = _parse_csv(path, CORRELATION_HEADER, 3)
     if "normalization" not in meta:
         raise DataFormatError(f"{path}: missing '# normalization=' line")
-    return _record(path, CorrelationHistogram, tau, g2, counts.astype(np.int64),
+    fractional = np.flatnonzero(counts != np.floor(counts))
+    if fractional.size:  # named here: the record sees only the column
+        i = fractional[0]
+        raise DataFormatError(f"{path}:{linenos[i]}: coincidence count "
+                              f"{float(counts[i])!r} is not an integer")
+    return _record(path, CorrelationHistogram, tau, g2, counts,
                    meta["normalization"])
 
 

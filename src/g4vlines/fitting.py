@@ -486,8 +486,8 @@ def fit_temperature_series(points, emitter: EmitterParams,
     ``points`` is a sequence of (temperature_k, linewidth_mhz) pairs; gamma0
     and the remaining couplings are fixed from ``emitter``. Points above
     ``max_temp`` (K) are excluded when given, since the single-phonon model
-    is only trusted at low temperature. A ValueError names a column that is
-    not finite.
+    is only trusted at low temperature; a NaN ``max_temp`` is a ValueError.
+    A ValueError names a column that is not finite.
     """
     free = tuple(free)
     if free not in (("gamma_others",), ("gamma_others", "alpha_gs")):
@@ -497,6 +497,8 @@ def fit_temperature_series(points, emitter: EmitterParams,
     if pts.size == 0 or pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (temperature_k, linewidth_mhz) pairs")
     if max_temp is not None:
+        if math.isnan(max_temp):  # compares false: would keep every point
+            raise ValueError("max_temp must be a temperature or None, got nan")
         pts = pts[~(pts[:, 0] > max_temp)]  # NaN rows stay, to be named below
     temps = pts[:, 0]
     gammas = pts[:, 1]

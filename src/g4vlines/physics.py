@@ -118,7 +118,7 @@ def _phonon_mhz(f_ghz, temp_k, alpha, emission=False, *, name):
         n = _occupation(f_ghz, temp_k)  # a NaN or inf n makes the term NaN or inf
         if emission:
             n = n + 1.0
-        term = alpha * np.asarray(f_ghz, dtype=float) ** 3 * 1e3 * n
+        term = a * np.asarray(f_ghz, dtype=float) ** 3 * 1e3 * n
     _require_finite(**{name: term})
     return term
 
@@ -309,9 +309,9 @@ def linewidth_breakdown(p: EmitterParams, temp_k,
     For an array of temperatures the terms are arrays, and a flag is set
     when any element qualifies.
     """
-    transition = transition.lower()
-    if transition not in ("c", "d"):
+    if not isinstance(transition, str) or transition.lower() not in ("c", "d"):
         raise ValueError(f"transition must be 'c' or 'd', got {transition!r}")
+    transition = transition.lower()
     gs, es, total = _terms(p, temp_k, transition)
     flags = []
     if np.any(np.asarray(temp_k) > VALIDITY_TEMP_LIMIT_K):

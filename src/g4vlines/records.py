@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -18,6 +20,22 @@ def _column(values, name) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
+
+
+def _counts(values, name) -> np.ndarray:
+    """values as int64 counts: one-dimensional, integral and >= 0."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be numbers, got dtype {arr.dtype}")
+    with np.errstate(invalid="ignore"):  # nan, inf and beyond int64 miscast
+        counts = arr.astype(np.int64, copy=False)
+    if not (counts == arr).all():
+        raise ValueError(f"{name} must be integers below 2**63")
+    if (counts < 0).any():
+        raise ValueError(f"{name} must be >= 0")
+    return counts
 
 
 @dataclass
@@ -68,9 +86,12 @@ class DecayTrace:
         if self.bin_centers.size != self.counts.size:
             raise ValueError("bin_centers and counts differ in length")
         if self.bin_centers.size >= 2:
-            steps = np.diff(self.bin_centers)
+            with np.errstate(over="ignore"):  # a step past the float range is inf
+                steps = np.diff(self.bin_centers)
             if np.any(steps <= 0):
                 raise ValueError("bin_centers must be strictly increasing")
+            if not np.isfinite(steps).all():
+                raise ValueError("bin spacing must be finite")
             width = steps[0]
             if np.any(np.abs(steps - width) > 1e-9 * width):
                 raise ValueError("bin spacing must be uniform to 1e-9 relative")
@@ -86,8 +107,9 @@ class CorrelationHistogram:
     """Normalized intensity autocorrelation g2(tau).
 
     tau_bins: bin centers in ns, symmetric about zero.
-    coincidence_counts: raw pair counts per bin.
-    normalization: expected uncorrelated pair count per bin.
+    coincidence_counts: raw pair counts per bin, integers >= 0 (int64).
+    normalization: expected uncorrelated pair count per bin, a finite
+    positive real number.
     """
 
     tau_bins: np.ndarray
@@ -98,15 +120,21 @@ class CorrelationHistogram:
     def __post_init__(self):
         self.tau_bins = _column(self.tau_bins, "tau_bins")
         self.g2 = _column(self.g2, "g2")
-        self.coincidence_counts = np.asarray(self.coincidence_counts)
+        self.coincidence_counts = _counts(self.coincidence_counts,
+                                          "coincidence_counts")
         if not (self.tau_bins.size == self.g2.size == self.coincidence_counts.size):
             raise ValueError("tau_bins, g2 and coincidence_counts differ in length")
-        if not np.allclose(self.tau_bins, -self.tau_bins[::-1]):
+        with np.errstate(over="ignore"):  # an overflowing sum is not symmetric
+            symmetric = np.allclose(self.tau_bins, -self.tau_bins[::-1])
+        if not symmetric:
             raise ValueError("tau_bins must be symmetric about zero")
         if np.any(self.g2 < 0):
             raise ValueError("g2 must be >= 0")
-        if self.normalization <= 0:
-            raise ValueError("normalization must be positive")
+        norm = self.normalization
+        if isinstance(norm, bool) or not isinstance(norm, numbers.Real) \
+                or not 0 < norm < math.inf:
+            raise ValueError(
+                f"normalization must be positive and finite, got {norm!r}")
 
     def __len__(self) -> int:
         return self.tau_bins.size

@@ -216,6 +216,17 @@ class TestFit:
             "fwhm       38.9 MHz", "reduced_chi2 1.25",
             "warning: no prominent peak", "warning: second"]
 
+    def test_tempseries_nan_max_temp_exit_2(self, capsys, fixtures_dir, tmp_path):
+        # NaN compares false: --max-temp nan kept all 7 points and exited 0
+        out_path = tmp_path / "rep.json"
+        code, _, err = run(capsys, "fit", "tempseries",
+                           "--in", str(fixtures_dir / "tempseries_pbv.csv"),
+                           "--emitter", "PbV", "--max-temp", "nan",
+                           "--out", str(out_path))
+        assert code == 2
+        assert "max_temp" in err
+        assert not out_path.exists()
+
     def test_tempseries_requires_emitter(self, capsys, fixtures_dir, tmp_path):
         code, _, err = run(capsys, "fit", "tempseries",
                            "--in", str(fixtures_dir / "tempseries_pbv.csv"),

@@ -1,9 +1,11 @@
 """Record validation and file-format round trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import g4vlines as g
 from g4vlines import dataio
@@ -55,6 +57,13 @@ class TestRecords:
                            match="^bin_centers and counts differ in length$"):
             g.DecayTrace([0.5, 1.5], [3, 2, 1])
 
+    def test_overflowing_spacing_rejected(self):
+        # both ended in an overflow RuntimeWarning (an error in this suite)
+        with pytest.raises(ValueError, match="^bin spacing must be finite$"):
+            g.DecayTrace([-1.7e308, 1.7e308], [1.0, 1.0])
+        with pytest.raises(ValueError, match="^tau_bins must be symmetric about zero$"):
+            g.CorrelationHistogram([1.7e308, 0.0, 1.7e308], [1.0] * 3, [1] * 3, 1.0)
+
     def test_correlation_symmetric_bins(self):
         g.CorrelationHistogram([-1.0, 0.0, 1.0], [1.0, 0.1, 1.0],
                                np.array([10, 1, 10]), 10.0)
@@ -71,6 +80,118 @@ class TestRecords:
         with pytest.raises(ValueError, match="^g2 must be >= 0$"):
             g.CorrelationHistogram([-1.0, 0.0, 1.0], [1.0, -0.1, 1.0],
                                    np.array([10, 1, 10]), 10.0)
+
+
+    @pytest.mark.parametrize("counts, normalization, message", [
+        ([10, 1, 10], np.nan, "normalization must be positive and finite, got nan"),
+        ([10, 1, 10], np.inf, "normalization must be positive and finite, got inf"),
+        ([10, 1, 10], "1", "normalization must be positive and finite, got '1'"),
+        ([10, 1, 10], True, "normalization must be positive and finite, got True"),
+        ([10, 3.5, 10], 10.0, "coincidence_counts must be integers below 2\\*\\*63"),
+        ([10, np.nan, 10], 10.0, "coincidence_counts must be integers below 2\\*\\*63"),
+        ([10, 2.0 ** 63, 10], 10.0, "coincidence_counts must be integers below 2\\*\\*63"),
+        ([10, -2, 10], 10.0, "coincidence_counts must be >= 0"),
+        ([[10, 1, 10]], 10.0, "coincidence_counts must be one-dimensional"),
+        (["10", "1", "10"], 10.0, "coincidence_counts must be numbers, got dtype <U2"),
+    ])
+    def test_correlation_messages(self, counts, normalization, message):
+        # each of these was kept (3.5 too), or ended in a TypeError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            g.CorrelationHistogram([-1.0, 0.0, 1.0], [1.0, 0.1, 1.0], counts,
+                                   normalization)
+
+    def test_correlation_counts_as_int64(self):
+        hist = g.CorrelationHistogram([-1.0, 0.0, 1.0], [1.0, 0.1, 1.0],
+                                      [10.0, 1.0, 2.0 ** 62], 10)
+        assert hist.coincidence_counts.dtype == np.int64
+        assert hist.coincidence_counts.tolist() == [10, 1, 2 ** 62]
+
+
+# any float, including the fractional, negative and past-int64 counts
+FLOATS = st.one_of(st.floats(), st.sampled_from([0.5, -2.0, 3.0, 2.0 ** 63, 1e300]))
+
+
+@st.composite
+def columns(draw, n_columns):
+    """n_columns columns of one length: any floats, integers, a grid
+    symmetric about zero (tau_bins) or a 2-D array."""
+    n = draw(st.integers(1, 5))
+    out = []
+    for _ in range(n_columns):
+        kind = draw(st.sampled_from(["floats", "integers", "grid", "2-D"]))
+        if kind == "integers":
+            column = np.array(draw(st.lists(st.integers(-3, 2 ** 62),
+                                            min_size=n, max_size=n)))
+        elif kind == "grid":
+            column = draw(st.floats(allow_nan=False, allow_infinity=False)) \
+                * np.linspace(-1.0, 1.0, n)
+        else:
+            column = np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)))
+            if kind == "2-D":
+                column = column.reshape(1, n)
+        out.append(column)
+    return out
+
+
+NORMALIZATIONS = st.one_of(FLOATS, st.integers(-2, 5), st.just("1"))
+
+
+def assert_finite_record(record):
+    """Every array of record is one-dimensional and finite, and so is a
+    correlation's normalization; its counts are int64 and >= 0."""
+    arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(a.ndim == 1 and np.isfinite(a).all() for a in arrays)
+    if isinstance(record, g.CorrelationHistogram):
+        assert record.coincidence_counts.dtype == np.int64
+        assert (record.coincidence_counts >= 0).all()
+        assert 0 < record.normalization < np.inf
+
+
+def finite_or_value_error(build):
+    """build() with warnings as errors: a finite record, or a ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            record = build()
+        except ValueError:
+            return
+    assert_finite_record(record)
+
+
+class TestFuzzRecords:
+    @given(kind=st.sampled_from(["Spectrum", "DecayTrace"]), cols=columns(2))
+    @example(kind="DecayTrace", cols=[np.array([-1.7e308, 1.7e308]), np.ones(2)])
+    @settings(max_examples=300, deadline=None)
+    def test_spectrum_and_decay_trace(self, kind, cols):
+        finite_or_value_error(lambda: getattr(g, kind)(*cols))
+
+    @given(cols=columns(3), normalization=NORMALIZATIONS)
+    @example(cols=[np.array([-1.0, 0.0, 1.0]), np.ones(3), np.array([1, 3.5, 1])],
+             normalization=1.0)
+    @example(cols=[np.array([1.7e308, 0.0, 1.7e308]), np.ones(3), np.ones(3)],
+             normalization=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_correlation_histogram(self, cols, normalization):
+        finite_or_value_error(lambda: g.CorrelationHistogram(*cols, normalization))
+
+    def test_load_correlation(self, tmp_path):
+        # the same columns and normalizations, written as a file
+        path = tmp_path / "g2.csv"
+
+        @given(cols=columns(3), normalization=NORMALIZATIONS)
+        @example(cols=[np.array([-1.0, 0.0, 1.0]), np.ones(3),
+                       np.array([1, 3.5, 1])], normalization=1.0)
+        @example(cols=[np.array([-1.0, 0.0, 1.0]), np.ones(3), np.ones(3)],
+                 normalization=np.nan)
+        @settings(max_examples=300, deadline=None)
+        def check(cols, normalization):
+            rows = zip(*(c.ravel().tolist() for c in cols))
+            path.write_text(f"# normalization={normalization}\n"
+                            f"{dataio.CORRELATION_HEADER}\n"
+                            + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+            finite_or_value_error(lambda: dataio.load_correlation(path))
+
+        check()
 
 
 class TestSpectrumFiles:
@@ -192,6 +313,32 @@ class TestCorrelationFiles:
         assert np.array_equal(back.g2, hist.g2)
         assert np.array_equal(back.coincidence_counts, hist.coincidence_counts)
         assert back.normalization == hist.normalization
+
+    @pytest.mark.parametrize("normalization, count, message", [
+        ("nan", "1", "normalization must be positive and finite, got nan"),
+        ("inf", "1", "normalization must be positive and finite, got inf"),
+        ("1e400", "1", "normalization must be positive and finite, got inf"),
+        ("ten", "1", "normalization must be positive and finite, got 'ten'"),
+        ("10.0", "-2", "coincidence_counts must be >= 0"),
+        ("10.0", "1e300", "coincidence_counts must be integers below 2\\*\\*63"),
+    ])
+    def test_bad_values_rejected(self, tmp_path, normalization, count, message):
+        # nan, inf and -2 used to load; 'ten' ended in a TypeError
+        path = tmp_path / "g2.csv"
+        path.write_text(f"# normalization={normalization}\n"
+                        f"{dataio.CORRELATION_HEADER}\n-1.0,1.0,10\n"
+                        f"0.0,0.1,{count}\n1.0,1.0,10\n")
+        with pytest.raises(DataFormatError, match=f"^{path}: {message}$"):
+            dataio.load_correlation(path)
+
+    def test_fractional_count_named_with_line(self, tmp_path):
+        # 3.5 used to load as 3, truncated by the int64 cast
+        path = tmp_path / "g2.csv"
+        path.write_text(f"# normalization=10.0\n{dataio.CORRELATION_HEADER}\n"
+                        "-1.0,1.0,10\n0.0,0.1,3.5\n1.0,1.0,10\n")
+        with pytest.raises(DataFormatError,
+                           match=f"^{path}:4: coincidence count 3.5 is not an integer$"):
+            dataio.load_correlation(path)
 
     def test_missing_normalization_rejected(self, tmp_path):
         path = tmp_path / "g2.csv"

@@ -516,6 +516,14 @@ class TestTemperatureSeries:
         with pytest.raises(ValueError, match="^temp_k must be finite"):
             g.fit_temperature_series(pts, PBV, max_temp=20.0)
 
+    @pytest.mark.parametrize("max_temp", [np.nan, float("nan"), np.float64("nan")])
+    def test_nan_max_temp_rejected(self, max_temp):
+        # NaN compares false, so every point was kept and fitted
+        pts = self._series(PBV, [6.0, 10.0, 14.0, 18.0])
+        with pytest.raises(ValueError, match="^max_temp must be a temperature "
+                                             "or None, got nan$"):
+            g.fit_temperature_series(pts, PBV, max_temp=max_temp)
+
     def test_duplicate_check_matches_np_unique(self):
         # np.unique counts every NaN as one value, and -0.0 == 0.0
         pool = np.array([0.0, -0.0, 4.0, 6.0, 6.0 + 1e-15, 1e308, np.inf,

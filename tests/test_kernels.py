@@ -75,9 +75,9 @@ def edge_counts(monkeypatch):
                               (_kernels._CellTable, "_search", "search")):
         count = getattr(owner, name)
 
-        def spy(*args, _count=count, _path=path):
-            ran.append((_path, args[-1].size))
-            return _count(*args)
+        def spy(table, keys, *work, _count=count, _path=path):
+            ran.append((_path, keys.size))
+            return _count(table, keys, *work)
 
         monkeypatch.setattr(owner, name, spy)
     return ran
@@ -95,9 +95,9 @@ def table_calls(monkeypatch):
         ran.append(("table", bs.size))
         init(table, bs, *args)
 
-    def below_spy(table, keys):
+    def below_spy(table, keys, work):
         ran.append(("below", keys.size))
-        return below(table, keys)
+        return below(table, keys, work)
 
     monkeypatch.setattr(_kernels._CellTable, "__init__", init_spy)
     monkeypatch.setattr(_kernels._CellTable, "below", below_spy)
@@ -566,10 +566,10 @@ class TestThreadedEdges:
         run = _kernels._run
         dealt = []
 
-        def failing(table, keys):
+        def failing(table, keys, work):
             if dealt and (threading.current_thread() is caller) == (thread == "caller"):
                 raise RuntimeError(f"{thread} failed")
-            return below(table, keys)
+            return below(table, keys, work)
 
         def run_spy(job, workers):
             dealt.append(workers)
@@ -688,10 +688,12 @@ class TestCellTablePositions:
 
     @staticmethod
     def assert_below(bs, keys):
-        table = _kernels._CellTable(bs, keys.size + 100, _kernels._Buffers())
+        buffers = _kernels._Buffers()
+        table = _kernels._CellTable(bs, keys.size + 100, buffers)
+        work = _kernels._work(buffers, 0, keys.size)
         expected = np.searchsorted(bs, keys, side="left")
-        assert table.below(keys) == expected.sum()
-        return table, expected
+        assert table.below(keys, work) == expected.sum()
+        return table, work, expected
 
     def test_keys_outside_and_inside(self):
         rng = np.random.default_rng(53)
@@ -717,8 +719,8 @@ class TestCellTablePositions:
                                      np.full(200, 500.0)]))
         keys = np.concatenate([[np.nextafter(500.0, np.inf), 500.0],
                                rng.uniform(-10.0, 1010.0, 500)])
-        table, expected = self.assert_below(bs, keys)
-        advance = expected - table.start[table.cells(keys)]
+        table, work, expected = self.assert_below(bs, keys)
+        advance = expected - table.start[table.cells(keys, work)]
         assert advance.max() > _kernels._ADVANCE_PASSES
         assert ("search", np.count_nonzero(advance > _kernels._ADVANCE_PASSES - 1)) \
             in edge_counts
@@ -728,6 +730,16 @@ class TestCellTablePositions:
         bs = np.sort(rng.uniform(-2e4, -1e4, 3000))
         keys = rng.uniform(-2.5e4, -5e3, 4000)
         self.assert_below(bs, keys)
+
+    def test_table_is_read_only(self):
+        # the threads of a block share its table: a write into it raises
+        # instead of racing, and the caller's partners stay writeable
+        bs = np.arange(10.0)
+        table, _, _ = self.assert_below(bs, bs + 0.5)
+        for array in (table.bs, table.start, table.bs_inf):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert bs.flags.writeable
 
 
 class TestAdvance:

@@ -148,6 +148,17 @@ class TestPhononRates:
         with pytest.raises(ValueError):
             g.phonon_rates(100.0, 5.0, -1e-9)
 
+    @pytest.mark.parametrize("alpha", [[1e-9, 2e-9], (1e-9, 2e-9),
+                                       np.array([1e-9, 2e-9])],
+                             ids=["list", "tuple", "array"])
+    def test_alpha_sequence(self, alpha):
+        # a list alpha ended in "can't multiply sequence by non-int"
+        r = g.phonon_rates(100.0, 5.0, alpha)
+        for i, one in enumerate((1e-9, 2e-9)):
+            rate = g.phonon_rates(100.0, 5.0, one)
+            assert (r.gamma_up[i], r.gamma_down[i]) \
+                == (rate.gamma_up, rate.gamma_down)
+
     @pytest.mark.parametrize("f, alpha, message", [
         (100.0, math.nan, "alpha must be finite"),
         (100.0, math.inf, "alpha must be finite"),
@@ -589,6 +600,16 @@ class TestBreakdown:
         with pytest.raises(ValueError):
             g.linewidth_breakdown(PBV, 5.0, "a")
 
+    @pytest.mark.parametrize("transition", ["", 1, None, b"c", ["c"]])
+    def test_bad_transition_named(self, transition):
+        # a non-string ended in "'int' object has no attribute 'lower'"
+        with pytest.raises(ValueError, match="^transition must be 'c' or 'd', "
+                                             f"got {re.escape(repr(transition))}$"):
+            g.linewidth_breakdown(PBV, 5.0, transition)
+
+    def test_transition_case(self):
+        assert g.linewidth_breakdown(PBV, 5.0, "D") == g.linewidth_breakdown(PBV, 5.0, "d")
+
     def test_scalar_fields_are_python_floats(self):
         b = g.linewidth_breakdown(PBV, 6)
         for name in ("temperature_k", "gamma0_mhz", "gamma_others_mhz",
@@ -637,6 +658,26 @@ NUMBERS = st.one_of(st.floats(), st.lists(st.floats(), min_size=1,
                                           max_size=3).map(np.array))
 
 
+# the entry points that take arrays: (three numbers, transition) -> result
+ARRAY_ENTRY_POINTS = {
+    "phonon_rates": lambda x, transition: g.phonon_rates(*x),
+    **{f"{function.__name__} {p.name}": (
+        lambda x, transition, p=p, function=function: function(p, x[0]))
+       for p in ALL_PRESETS for function in (g.linewidth_c, g.linewidth_d)},
+    **{f"linewidth_breakdown {p.name}": (
+        lambda x, transition, p=p: g.linewidth_breakdown(p, x[0], transition))
+       for p in ALL_PRESETS},
+}
+
+# any float, half of them in the physical range, or a list or an array of
+# 1 to 3 of them: without the second half few calls get past the checks
+FLOAT = st.one_of(st.floats(), st.floats(0.0, 1e3))
+ARRAYS = st.one_of(FLOAT, st.lists(FLOAT, min_size=1, max_size=3),
+                   st.lists(FLOAT, min_size=1, max_size=3).map(np.array))
+TRANSITIONS = st.one_of(st.sampled_from(["c", "d", "C", "D", "x", ""]),
+                        st.integers(), st.floats(), st.none())
+
+
 class TestFuzzEntryPoints:
     @given(name=st.sampled_from(sorted(ENTRY_POINTS)),
            args=st.lists(NUMBERS, min_size=5, max_size=5))
@@ -651,7 +692,30 @@ class TestFuzzEntryPoints:
                 result = function(*args[:arity])
             except ValueError:
                 return
-        values = [v for v in vars(result).values()
-                  if not isinstance(v, (str, tuple))] \
-            if dataclasses.is_dataclass(result) else [result]
-        assert all(np.isfinite(v).all() for v in values), (name, result)
+        assert_finite(name, result)
+
+    # phonon_rates, the one entry point of three arrays, half of the time
+    @given(name=st.one_of(st.just("phonon_rates"),
+                          st.sampled_from(sorted(ARRAY_ENTRY_POINTS))),
+           args=st.lists(ARRAYS, min_size=3, max_size=3),
+           transition=TRANSITIONS)
+    @example(name="phonon_rates", args=[100.0, 5.0, [1.0, 2.0]], transition="c")
+    @example(name="linewidth_breakdown PbV", args=[5.0, 0.0, 0.0], transition=1)
+    @settings(max_examples=400, deadline=None)
+    def test_array_entry_points(self, name, args, transition):
+        # scalars, lists and arrays of any floats; any transition
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = ARRAY_ENTRY_POINTS[name](args, transition)
+            except ValueError:
+                return
+        assert_finite(name, result)
+
+
+def assert_finite(name, result):
+    """Every number of result (a dataclass's too) is finite."""
+    values = [v for v in vars(result).values()
+              if not isinstance(v, (str, tuple))] \
+        if dataclasses.is_dataclass(result) else [result]
+    assert all(np.isfinite(v).all() for v in values), (name, result)
