@@ -51,9 +51,13 @@ CRITERION_7 = dict(rate=4e6, lifetime=4.4, purity_rho=0.959, duration=7.5,
 
 
 def seed_range(text: str) -> range:
-    """``"1-12"`` -> 1..12, ``"7"`` -> 7."""
+    """``"1-12"`` -> 1..12, ``"7"`` -> 7; an empty range such as ``"5-3"``
+    is an error, which argparse reports as a usage error."""
     lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
+    seeds = range(int(lo), int(hi or lo) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
 
 
 def load_workloads():

@@ -251,7 +251,11 @@ class _Buffers:
         """The first n elements of the array name, with room for spare more
         when it is made. Where it is too small, it is made anew with room
         for an eighth more, so that it grows seldom, and its first keep
-        elements are copied; where it keeps none, it is dropped first."""
+        elements are copied; where it keeps none, it is dropped first.
+
+        The counter's carried rows and partners ask for a block's spare
+        room: without it they are made anew as the next segment is appended,
+        and hbt_wide's peak RSS read 2.2-2.5 MB higher (50.3-50.6 MB)."""
         array = self._arrays.get(name)
         if array is None:
             array = self._arrays[name] = np.empty(_capacity(n + spare), dtype)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio, fitting, physics, simulate
-from .dataio import _boolean, _integer, _nested, _real, _text
+from .dataio import _boolean, _fields, _integer, _nested, _real, _text
 from .emitters import PRESET_NOTES, REGISTRY, EmitterParams
 from .records import FitReport
 
@@ -160,8 +160,7 @@ def _cmd_fit(args) -> int:
 _SCAN_KEYS = {
     "emitter": ("emitter", _resolve_emitter),
     "temperature_k": ("temperature", _real),
-    "grid_mhz": ("grid", _nested(simulate.FrequencyGrid, {
-        "start": ("start", _real), "stop": ("stop", _real), "step": ("step", _real)})),
+    "grid_mhz": ("grid", _fields(simulate.FrequencyGrid)),
     "dwell_s": ("dwell", _real), "peak_rate": ("peak_rate", _real),
     "background_rate": ("background_rate", _real), "n_scans": ("n_scans", _integer),
     "center0_mhz": ("center0", _real),

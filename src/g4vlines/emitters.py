@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -26,30 +26,46 @@ LIFETIME_CONSISTENCY_RTOL = 0.01
 
 
 def _require_finite(**values) -> None:
-    """ValueError naming the first of ``values`` (scalar or array) not finite."""
+    """ValueError naming the first of ``values`` (scalar or array) that is
+    not finite, or not a number (None, a string)."""
     for name, value in values.items():
-        if not (math.isfinite(value) if type(value) is float
-                else np.all(np.isfinite(value))):
+        try:
+            finite = (math.isfinite(value) if type(value) is float
+                      else np.all(np.isfinite(value)))
+        except TypeError:  # np.isfinite of None, a str or an object array
+            raise ValueError(
+                f"{name} must be a finite number, got {value!r}") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _integral(value, name: str) -> int:
     """value as an int, where it is integral (2 or 2.0); a ValueError names
-    a value that int() would truncate or refuse (2.5, NaN, inf)."""
+    a value that int() would truncate or refuse (2.5, NaN, inf, None)."""
     try:
         integral = int(value) == value
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         integral = False
     if not integral:
         raise ValueError(f"{name} must be an integer, got {value}")
     return int(value)
 
 
-def _inverse(value: float, name: str) -> float:
-    """1e3 / (2 pi value): a lifetime (ns) from a FWHM (MHz) and back."""
+def _scalar(value, name: str) -> float:
+    """float(value); a ValueError names an array or sequence (by its shape)
+    and a value that float() refuses (None, "x")."""
     if np.ndim(value) != 0:
         raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
-    value = float(value)  # 2 pi value overflows to inf without a numpy warning
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _inverse(value: float, name: str) -> float:
+    """1e3 / (2 pi value): a lifetime (ns) from a FWHM (MHz) and back."""
+    # a Python float: 2 pi value overflows to inf without a numpy warning
+    value = _scalar(value, name)
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
     _require_finite(**{name: value})
@@ -113,8 +129,11 @@ class EmitterParams:
     def __post_init__(self):
         if not self.name:
             raise ValueError("emitter name must be non-empty")
-        _require_finite(**{k: v for k, v in asdict(self).items()
-                           if k != "name" and v is not None})
+        # None means "not given" only in a field whose default is None
+        _require_finite(**{
+            f.name: getattr(self, f.name) for f in fields(self)
+            if f.name != "name"
+            and (getattr(self, f.name) is not None or f.default is not None)})
         if self.f_gs <= 0:
             raise ValueError(f"f_gs must be positive, got {self.f_gs}")
         if self.f_es <= 0:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import H_OVER_KB_K_PER_GHZ
-from .emitters import (EmitterParams, _require_finite, lifetime_from_linewidth,
-                       transform_limit)
+from .emitters import (EmitterParams, _require_finite, _scalar,
+                       lifetime_from_linewidth, transform_limit)
 
 __all__ = [
     "bose_occupation", "phonon_rates", "PhononRates",
@@ -193,12 +193,11 @@ def temperature_threshold(p: EmitterParams, ratio: float = 1.2) -> float:
     can never be violated (both phonon couplings zero and gamma_others
     below the margin). Warns once, as ``linewidth_c`` would, when the
     C-linewidth at T = 0, the smallest the search evaluates, is negative.
-    A ValueError names a ratio that is not a scalar, not above 1 or whose
-    target ratio * gamma0 is not finite.
+    A ValueError names a ratio that is not a scalar or not a number, not
+    above 1 or whose target ratio * gamma0 is not finite.
     """
-    if np.ndim(ratio) != 0:
-        raise ValueError(f"ratio must be a scalar, got shape {np.shape(ratio)}")
-    ratio = float(ratio)  # ratio * gamma0 overflows to inf without a numpy warning
+    # a Python float: ratio * gamma0 overflows to inf without a numpy warning
+    ratio = _scalar(ratio, "ratio")
     if not ratio > 1.0:  # also rejects NaN
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     target = ratio * p.gamma0
@@ -241,14 +240,12 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
     underflows to 0, the profile is taken as
     offset + amplitude / (1 + ((detuning - center) / (w/2))^2) instead, and
     as offset + amplitude at detuning = center, also where w/2 rounds to 0.
-    A ValueError names an argument that is not finite, and the profile where
-    it leaves the float range (offset + amplitude beyond 1.8e308).
+    A ValueError names an argument that is not a finite number, and the
+    profile where it leaves the float range (offset + amplitude beyond
+    1.8e308).
     """
-    args = {"detuning_mhz": detuning_mhz, "center_mhz": center_mhz,
-            "fwhm_mhz": fwhm_mhz, "amplitude": amplitude, "offset": offset}
-    if not all(math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()
-               for v in args.values()):  # one test, then the name
-        _require_finite(**args)
+    _require_finite(detuning_mhz=detuning_mhz, center_mhz=center_mhz,
+                    fwhm_mhz=fwhm_mhz, amplitude=amplitude, offset=offset)
     if _any_below(fwhm_mhz, 0.0, or_equal=True):
         raise ValueError(f"fwhm must be positive, got {fwhm_mhz}")
     if _any_below(amplitude, 0.0) or _any_below(offset, 0.0):
@@ -261,7 +258,8 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
         den = d * d + hwhm2
         value = offset + num / den
     # den is in [0, inf], never NaN: one test on its range and num's first,
-    # none on an empty den
+    # none on an empty den; building the mask on every call, with numpy
+    # checks in place of _any_below, took 28.5 us per call against 14.6 us
     if den.size and not (0.0 < den.min() and den.max() < math.inf
                          and np.isfinite(num).all()):
         out_of_range = ~(np.isfinite(num) & np.isfinite(den)) | (den == 0)
@@ -279,7 +277,8 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
 
 def _any_below(value, bound: float, or_equal: bool = False) -> bool:
     """Whether an element of ``value`` is below ``bound`` (or equal to it);
-    a Python float is compared without numpy."""
+    a Python float, each argument of a scan's call to ``lorentzian``, is
+    compared without numpy (see the range test there)."""
     if type(value) is not float:
         value = np.asarray(value)
     below = value <= bound if or_equal else value < bound

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -90,6 +91,22 @@ class TestEmitterParams:
         kwargs = dict(f_gs=100.0, f_es=300.0, gamma0=30.0)
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            g.EmitterParams("x", **kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        *((field, None) for field in ("f_gs", "f_es", "alpha_gs", "alpha_es",
+                                      "gamma_others")),
+        *((field, "5") for field in ("f_gs", "f_es", "lifetime", "gamma0",
+                                     "alpha_gs", "alpha_es", "gamma_others",
+                                     "dw_fraction"))])
+    def test_non_numeric_field_named(self, field, value):
+        # "5" ended in np.isfinite's TypeError; None skipped the finiteness
+        # check and ended in a comparison's TypeError, or was kept
+        # (gamma_others); None stays "not given" where it is the default
+        kwargs = dict(f_gs=100.0, f_es=300.0, gamma0=30.0)
+        kwargs[field] = value
+        message = f"^{field} must be a finite number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
             g.EmitterParams("x", **kwargs)
 
     def test_infinite_lifetime_alone_rejected(self):

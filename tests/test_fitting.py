@@ -12,11 +12,15 @@ bits, and ``fitting._solve`` the bits of ``np.linalg.solve``, or NaN where
 
 import functools
 import json
+import math
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import g4vlines as g
 from g4vlines import dataio, fitting
@@ -345,13 +349,15 @@ class TestDecayFit:
             == np.sqrt(cov.diagonal()[order]).tolist()
         assert report.derived["transform_limit_mhz"] == g.transform_limit(6.0)
 
-    @pytest.mark.parametrize("start_index", [2.7, np.inf, np.nan])
+    @pytest.mark.parametrize("start_index", [2.7, np.inf, np.nan, []])
     def test_start_index_not_integral(self, start_index):
-        # 2.7 used to fit from bin 2, inf to raise OverflowError
+        # 2.7 used to fit from bin 2, inf to raise OverflowError, [] int()'s
+        # TypeError
         t = np.arange(0.1, 50.0, 0.2)
         trace = g.DecayTrace(t, 5000.0 * np.exp(-t / 4.4) + 40.0)
         with pytest.raises(ValueError,
-                           match=f"^start_index must be an integer, got {start_index}$"):
+                           match=f"^start_index must be an integer, got "
+                                 f"{re.escape(str(start_index))}$"):
             g.fit_decay(trace, "exp1", start_index=start_index)
 
     def test_bad_model_name(self):
@@ -524,6 +530,28 @@ class TestTemperatureSeries:
                                              "or None, got nan$"):
             g.fit_temperature_series(pts, PBV, max_temp=max_temp)
 
+    @pytest.mark.parametrize("max_temp, message", [
+        (np.array([5.0, 6.0]), r"max_temp must be a scalar, got shape \(2,\)"),
+        ([5.0], r"max_temp must be a scalar, got shape \(1,\)"),
+        ("x", "max_temp must be a number, got 'x'"),
+        (object, "max_temp must be a number, got <class 'object'>")])
+    def test_max_temp_not_a_real_scalar_named(self, max_temp, message):
+        # each ended in a TypeError from math.isnan
+        pts = self._series(PBV, [6.0, 10.0, 14.0, 18.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            g.fit_temperature_series(pts, PBV, max_temp=max_temp)
+
+    @pytest.mark.parametrize("max_temp, same_as", [
+        ("20", 20.0), (np.float64(20.0), 20.0), (np.array(20.0), 20.0),
+        (math.inf, None)])
+    def test_max_temp_as_float(self, max_temp, same_as):
+        # float(max_temp) is the cut; inf keeps every point
+        pts = np.vstack([self._series(PBV, [6.0, 10.0, 14.0, 18.0]),
+                         [30.0, 500.0]])
+        report = g.fit_temperature_series(pts, PBV, max_temp=max_temp)
+        assert report.to_dict() == \
+            g.fit_temperature_series(pts, PBV, max_temp=same_as).to_dict()
+
     def test_duplicate_check_matches_np_unique(self):
         # np.unique counts every NaN as one value, and -0.0 == 0.0
         pool = np.array([0.0, -0.0, 4.0, 6.0, 6.0 + 1e-15, 1e308, np.inf,
@@ -649,9 +677,9 @@ class TestDampingLoop:
             with pytest.raises(ValueError, match=f"^max_iter must be >= 1, got {max_iter}$"):
                 fit()
 
-    @pytest.mark.parametrize("max_iter", [2.5, np.nan, np.inf])
+    @pytest.mark.parametrize("max_iter", [2.5, np.nan, np.inf, None])
     def test_non_integral_max_iter_rejected(self, max_iter):
-        # range() used to end these in a TypeError
+        # range() used to end these in a TypeError, and None int()'s
         for fit in (lambda: g.fit_lorentzian(_scan(5000.0, seed=5), max_iter=max_iter),
                     lambda: g.fit_decay(_trace(2000, seed=4), "exp2",
                                         max_iter=max_iter)):
@@ -1040,3 +1068,144 @@ class TestReport:
                                 n_iterations=1, converged=True, cost=cost)
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             fitting._report("m", ("a",), {"a": ""}, res, 3, derived=derived)
+
+
+def _mostly(valid, other):
+    """valid three times in four, else other: without the first, few
+    inputs get past the records' and the fitters' checks. (st.one_of
+    would draw each distinct strategy about as often.)"""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else other)
+
+
+def _near(low, high):
+    """A float in [low, high], or any float."""
+    return _mostly(st.floats(low, high), st.floats())
+
+
+# what is not a real scalar: None, text, a sequence, an array
+NOT_REAL = st.one_of(st.none(), st.text(max_size=3),
+                     st.lists(st.floats(), max_size=2),
+                     st.lists(st.floats(), min_size=1, max_size=2).map(np.array))
+# a max_iter: not above 300, since a fit whose step test never passes takes
+# as many as it is given (a noiseless decay whose offset stays near 0)
+ITERATIONS = _mostly(st.integers(1, 300), st.one_of(
+    st.integers(-1, 0), st.floats(max_value=300.0), st.just(math.inf),
+    st.just(math.nan), NOT_REAL))
+
+
+def _spoil(draw, cols):
+    """In a quarter of the draws, one value of one of cols set to any float."""
+    n = cols[0].size
+    if n and draw(st.integers(0, 3)) == 0:
+        draw(st.sampled_from(cols))[draw(st.integers(0, n - 1))] = draw(st.floats())
+    return cols
+
+
+@st.composite
+def columns(draw, *ranges):
+    """0 to 24 rows of floats, each column within its (low, high) range,
+    one value spoiled (any float) in a quarter of the draws."""
+    n = draw(_mostly(st.integers(2, 24), st.integers(0, 1)))
+    return _spoil(draw, [np.array(draw(st.lists(st.floats(low, high), min_size=n,
+                                                max_size=n)))
+                         for low, high in ranges])
+
+
+@st.composite
+def grid_data(draw, shape, params):
+    """(x, y): x = start + step * arange(n), and y ``shape(x, *params)``,
+    rounded, or n values in [0, 1e3]; one value spoiled (any float) in a
+    quarter of the draws."""
+    n = draw(_mostly(st.integers(8, 24), st.integers(0, 7)))
+    start, step = draw(_near(-100.0, 100.0)), draw(_near(1e-3, 20.0))
+    with np.errstate(all="ignore"):  # inf or NaN: refused by the record
+        x = start + step * np.arange(n)
+        if draw(st.booleans()):
+            y = np.round(shape(x, *(draw(p) for p in params)))
+        else:
+            y = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=n,
+                                       max_size=n)))
+    return tuple(_spoil(draw, [x, y]))
+
+
+def _lorentzian_shape(x, center, fwhm, amplitude, offset):
+    return offset + amplitude / (1.0 + ((x - center) / (fwhm / 2.0)) ** 2)
+
+
+def _decay_shape(t, amplitude, tau, offset):
+    return amplitude * np.exp(-t / tau) + offset
+
+
+def finite_report_or_value_error(call):
+    """call(), with warnings as errors: a report whose every number is
+    finite, or None where it raises ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = call()
+        except ValueError:
+            return None
+    values = [*report.params.values(), *(report.std_errors or {}).values(),
+              report.reduced_chi2, *report.derived.values()]
+    assert all(type(v) is float and math.isfinite(v) for v in values), report
+    return report
+
+
+class TestFuzzFitters:
+    @given(data=grid_data(_lorentzian_shape, [
+               _near(-100.0, 100.0), _near(0.1, 200.0), _near(0.0, 1e5),
+               _near(0.0, 100.0)]),
+           max_iter=ITERATIONS)
+    @example(data=(np.arange(10.0), np.array([0, 1, 3, 9, 20, 9, 3, 1, 0, 0.0])),
+             max_iter="3")
+    @settings(max_examples=200, deadline=None)
+    def test_fit_lorentzian(self, data, max_iter):
+        finite_report_or_value_error(
+            lambda: g.fit_lorentzian(g.Spectrum(*data), max_iter=max_iter))
+
+    @given(data=grid_data(_decay_shape, [
+               _near(0.0, 1e5), _near(0.1, 100.0), _near(0.0, 100.0)]),
+           model=_mostly(st.sampled_from(["exp1", "exp2"]),
+                         st.one_of(st.just("exp3"), NOT_REAL)),
+           start_index=_mostly(st.one_of(st.none(), st.integers(0, 20)),
+                               st.one_of(st.integers(-2, 30), st.floats(), NOT_REAL)),
+           max_iter=ITERATIONS)
+    @example(data=(np.arange(10.0), 100.0 * np.exp(-np.arange(10.0) / 3.0)),
+             model="exp2", start_index="1", max_iter=50)
+    @settings(max_examples=200, deadline=None)
+    def test_fit_decay(self, data, model, start_index, max_iter):
+        finite_report_or_value_error(lambda: g.fit_decay(
+            g.DecayTrace(*data), model, start_index=start_index,
+            max_iter=max_iter))
+
+    # (f_gs_ghz, delta_mhz) points, and explicit weights in the third column
+    @given(cols=columns((1.0, 1e4), (1e-3, 1e3), (1e-3, 1e3)),
+           weights=_mostly(st.sampled_from(["delta", "equal", "explicit"]),
+                           st.one_of(st.just("x"), NOT_REAL)))
+    @example(cols=[np.array([200.0, 3870.0]), np.array([60.0, 435.0]),
+                   np.ones(2)], weights=[1.0, None])
+    @settings(max_examples=200, deadline=None)
+    def test_fit_cubic_alpha(self, cols, weights):
+        if isinstance(weights, str) and weights == "explicit":
+            weights = cols[2]
+        points = np.column_stack(cols[:2])
+        finite_report_or_value_error(lambda: g.fit_cubic_alpha(points, weights))
+
+    @given(cols=columns((0.0, 30.0), (30.0, 60.0)),
+           emitter=st.sampled_from([g.REGISTRY.get(name)
+                                    for name in ("SiV", "GeV", "SnV", "PbV")]),
+           free=_mostly(st.sampled_from([("gamma_others",),
+                                         ("gamma_others", "alpha_gs"),
+                                         ["gamma_others", "alpha_gs"]]),
+                        st.sampled_from([("alpha_gs",), (), "gamma_others"])),
+           max_temp=_mostly(st.one_of(st.none(), st.floats(0.0, 30.0)),
+                            st.one_of(st.floats(), NOT_REAL)))
+    @example(cols=[np.array([6.0, 10.0, 14.0]), np.array([38.9, 39.0, 39.8])],
+             emitter=PBV, free=("gamma_others",), max_temp=np.array([20.0, 30.0]))
+    @example(cols=[np.array([6.0, 10.0, 14.0]), np.array([38.9, 39.0, 39.8])],
+             emitter=PBV, free=("gamma_others", "alpha_gs"), max_temp="x")
+    @settings(max_examples=200, deadline=None)
+    def test_fit_temperature_series(self, cols, emitter, free, max_temp):
+        points = np.column_stack(cols)
+        finite_report_or_value_error(lambda: g.fit_temperature_series(
+            points, emitter, free=free, max_temp=max_temp))

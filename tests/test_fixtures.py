@@ -3,7 +3,12 @@ scripts/digest.py digests every series_fit fit report, then the decay,
 temperature-series, alpha and fixture PLE fits, then the hbt_fine HBT
 histograms, then the hbt_wide and criterion-7 ones."""
 
+import argparse
 import importlib.util
+import subprocess
+import sys
+
+import pytest
 
 
 def _script(fixtures_dir, name):
@@ -32,6 +37,13 @@ def test_digest_covers_every_series_fit_report(fixtures_dir):
     module = _script(fixtures_dir, "digest")
     assert module.seed_range("1-12") == range(1, 13)
     assert module.seed_range("7") == range(7, 8)
+    # an empty range ended in an IndexError at seeds[0]; now a usage error
+    with pytest.raises(argparse.ArgumentTypeError, match="empty seed range '5-3'"):
+        module.seed_range("5-3")
+    script = fixtures_dir.parent / "scripts" / "digest.py"
+    run = subprocess.run([sys.executable, str(script), "--seeds", "5-3"],
+                         capture_output=True, text=True)
+    assert run.returncode == 2 and "empty seed range '5-3'" in run.stderr
     reports = list(module.series_fit_reports(range(3, 4)))
     hexdigest, n_reports = module.digest(map(module.report_bytes, reports))
     assert n_reports == 125  # one report per scan of the series_fit op

@@ -306,6 +306,15 @@ class TestTransformLimit:
         with pytest.raises(ValueError):
             func(value)
 
+    @pytest.mark.parametrize("func, name", [(g.transform_limit, "lifetime"),
+                                            (g.lifetime_from_linewidth, "fwhm")])
+    @pytest.mark.parametrize("value", [None, "x", 1j])
+    def test_non_number_named(self, func, name, value):
+        # they ended in float()'s TypeError or its unnamed ValueError
+        message = f"^{name} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            func(value)
+
 
 class TestTemperatureThreshold:
     # oracle bisection values at ratio 1.2 (1 mK tolerance)
@@ -364,6 +373,13 @@ class TestTemperatureThreshold:
         # they ended in a numpy overflow warning, numpy's unnamed "truth
         # value ... ambiguous" and a TypeError
         with pytest.raises(ValueError, match=r"^ratio must be a scalar, got shape"):
+            g.temperature_threshold(PBV, ratio=ratio)
+
+    @pytest.mark.parametrize("ratio", [None, "x"])
+    def test_non_number_ratio_named(self, ratio):
+        # None ended in float()'s TypeError
+        message = f"^ratio must be a number, got {re.escape(repr(ratio))}$"
+        with pytest.raises(ValueError, match=message):
             g.temperature_threshold(PBV, ratio=ratio)
 
     @pytest.mark.parametrize("ratio", [math.inf, 1e307])
@@ -456,6 +472,17 @@ class TestLorentzian:
                     pytest.raises(ValueError, match=f"^{name} must be finite"):
                 warnings.simplefilter("error")
                 g.lorentzian(*args)
+
+    @pytest.mark.parametrize("bad", [None, "1"])
+    @pytest.mark.parametrize("position, name", enumerate(
+        ["detuning_mhz", "center_mhz", "fwhm_mhz", "amplitude", "offset"]))
+    def test_non_numeric_argument_named(self, position, name, bad):
+        # each ended in np.isfinite's TypeError before the check could name it
+        args = [0.0, 0.0, 1.0, 1.0, 0.0]
+        args[position] = bad
+        message = f"^{name} must be a finite number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            g.lorentzian(*args)
 
     def test_terms_out_of_range_take_the_profile(self):
         # (detuning)^2 + (w/2)^2 or amplitude * (w/2)^2 overflows, or the
@@ -711,6 +738,57 @@ class TestFuzzEntryPoints:
             except ValueError:
                 return
         assert_finite(name, result)
+
+
+def _field(low, high, other=st.floats()):
+    """A float in [low, high] three times in four, else a value of other
+    (any float): without the first, few emitters pass their own checks."""
+    return st.integers(0, 3).flatmap(
+        lambda k: st.floats(low, high) if k else other)
+
+
+# the numeric fields of an emitter, at the presets' scale or anywhere
+EMITTER_FIELDS = st.fixed_dictionaries({
+    "f_gs": _field(1.0, 1e4), "f_es": _field(1.0, 1e4),
+    "gamma0": _field(1.0, 200.0), "alpha_gs": _field(0.0, 1e-7),
+    "alpha_es": _field(0.0, 1e-7), "gamma_others": _field(-100.0, 100.0)})
+
+# what is not a real scalar: None, text, a sequence, an array, a complex
+NOT_REAL = st.one_of(st.none(), st.text(max_size=3),
+                     st.lists(st.floats(), max_size=2),
+                     st.lists(st.floats(), min_size=1, max_size=2).map(np.array),
+                     st.complex_numbers())
+
+
+class TestFuzzEmitterEntryPoints:
+    @given(fields=EMITTER_FIELDS,
+           ratio=_field(1.0, 3.0, st.one_of(st.floats(), NOT_REAL)))
+    @example(fields=dict(f_gs=3870.0, f_es=6920.0, gamma0=36.2, alpha_gs=7.51e-9,
+                         alpha_es=7.51e-9, gamma_others=2.7), ratio=None)
+    @example(fields=dict(f_gs=3870.0, f_es=6920.0, gamma0=36.2, alpha_gs=7.51e-9,
+                         alpha_es=7.51e-9, gamma_others=2.7), ratio=[1.2])
+    @settings(max_examples=300, deadline=None)
+    def test_finite_result_or_value_error(self, fields, ratio):
+        # linewidth_difference and temperature_threshold of any emitter that
+        # passes its checks, with any ratio: a finite difference >= 0, a
+        # threshold >= 0 (inf where it is never reached) or a ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", NegativeLinewidthWarning)
+            try:
+                p = g.EmitterParams("fuzz", **fields)
+            except ValueError:
+                return
+            try:
+                difference = g.linewidth_difference(p)
+            except ValueError:
+                difference = 0.0
+            try:
+                threshold = g.temperature_threshold(p, ratio)
+            except ValueError:
+                threshold = 0.0
+        assert type(difference) is float and 0.0 <= difference < math.inf, p
+        assert type(threshold) is float and threshold >= 0.0, (p, ratio)
 
 
 def assert_finite(name, result):

@@ -14,6 +14,7 @@ docstring point by point, so it pins the stream with ionization on.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -195,9 +196,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("start, stop, step, error", [
         (-150.0, 150.0, 1e-320, "points"), (0.0, 1e6, 0.5, "points"),
         (-1e308, 1e308, 1.0, "points"), (float("-inf"), 0.0, 1.0, "finite"),
-        (0.0, float("inf"), 1.0, "finite"), (0.0, 1.0, float("nan"), "finite")])
+        (0.0, float("inf"), 1.0, "finite"), (0.0, 1.0, float("nan"), "finite"),
+        (None, 1.0, 0.1, "^start must be a finite number, got None$"),
+        (0.0, "1", 0.1, "^stop must be a finite number, got '1'$")])
     def test_grid_size_checked_at_construction(self, start, stop, step, error):
-        # centers() of the first three would size many GiB, or overflow
+        # centers() of the first three would size many GiB, or overflow;
+        # None and "1" ended in np.isfinite's TypeError
         with pytest.raises(ValueError, match=error):
             g.FrequencyGrid(start, stop, step)
 
@@ -289,10 +293,12 @@ class TestPleScan:
     @pytest.mark.parametrize("index, message", [
         (1.5, "index must be an integer, got 1.5"),
         (math.nan, "index must be an integer, got nan"),
+        (None, "index must be an integer, got None"),
         (-1, "index must be >= 0, got -1")])
     def test_bad_substream_index(self, index, message):
-        # 1.5 used to draw the stream of index 1, and -1 ended in numpy's
-        # unnamed "expected non-negative integer"
+        # 1.5 used to draw the stream of index 1, -1 ended in numpy's
+        # unnamed "expected non-negative integer" and None in int()'s
+        # TypeError
         with pytest.raises(ValueError, match=f"^{message}$"):
             g.substream(1, index)
 
@@ -587,6 +593,12 @@ class TestTrpl:
         with pytest.raises(ValueError, match="no decay"):
             g.fit_decay(trace)
 
+    def test_zero_counts_total_with_background(self):
+        # the fast share of no counts is binomial(0, p), which draws nothing
+        trace = g.simulate_trpl(4.4, 0, bin_width=0.5, t_max=50.0,
+                                background=g.TrplBackground(6.0, 0.5))
+        assert trace.counts.size == 100 and not trace.counts.any()
+
     def test_short_window_warns(self):
         with pytest.warns(UserWarning, match="10 lifetimes"):
             g.simulate_trpl(10.0, 1000, bin_width=0.5, t_max=50.0, seed=1)
@@ -647,6 +659,16 @@ class TestTrpl:
         with pytest.raises(ValueError, match="^lifetime must be finite"):
             g.simulate_trpl(lifetime, 1000, bin_width=0.2, t_max=60.0,
                             background=background)
+
+    @pytest.mark.parametrize("lifetime, counts_total, message", [
+        ("4.4", 10, "lifetime must be a finite number, got '4.4'"),
+        (4.4, None, "counts_total must be an integer, got None")])
+    def test_non_numeric_argument_named(self, monkeypatch, lifetime,
+                                        counts_total, message):
+        # np.isfinite and the range check's comparison raised TypeErrors
+        monkeypatch.setattr(g.simulate, "substream", _stream_reached)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            g.simulate_trpl(lifetime, counts_total, bin_width=0.5, t_max=50.0)
 
     @pytest.mark.parametrize("field", ["a_fast", "tau_fast"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -776,6 +798,18 @@ class TestHbt:
         kw[field] = bad
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             g.simulate_hbt(**kw, bin_width=1.0, tau_max=50.0)
+
+    @pytest.mark.parametrize("field", ["rate", "lifetime", "purity_rho",
+                                       "duration", "bin_width", "tau_max"])
+    def test_none_named_before_drawing(self, monkeypatch, field):
+        # np.isfinite of None raised a TypeError
+        monkeypatch.setattr(g.simulate, "substream", _stream_reached)
+        kw = dict(rate=1e5, lifetime=4.4, purity_rho=0.5, duration=1e-3,
+                  bin_width=1.0, tau_max=50.0)
+        kw[field] = None
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be a finite number, got None$"):
+            g.simulate_hbt(**kw)
 
     @pytest.mark.parametrize("rate, lifetime, rho, duration, bin_width, seed, error", [
         # every photon at detector b: a g2 of 0/0
@@ -1044,6 +1078,16 @@ class TestCorrelateStream:
             with pytest.raises(ValueError, match="finite"):
                 g.correlate_stream(np.array(times), bin_width=1.0, tau_max=5.0)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(bin_width=None), "bin_width must be a finite number, got None"),
+        (dict(tau_max=None), "tau_max must be a finite number, got None"),
+        (dict(duration="3"), "duration must be a finite number, got '3'")])
+    def test_non_numeric_argument_named(self, kw, message):
+        # np.isfinite of None and the comparison "3" <= 0 raised TypeErrors
+        kw = dict(dict(bin_width=0.5, tau_max=1.0), **kw)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            g.correlate_stream(np.array([1.0, 2.0, 3.0]), **kw)
+
     def test_matches_hbt_statistics(self):
         # autocorrelating the merged stream shows the same antibunching dip
         hist = g.simulate_hbt(5e5, 4.4, 1.0, 2.0, bin_width=4.4, tau_max=44.0,
@@ -1051,6 +1095,21 @@ class TestCorrelateStream:
         m = len(hist) // 2
         assert hist.g2[m] < 0.5
         assert hist.g2[m] < hist.g2[0]
+
+
+def test_zero_draws_leave_the_generator():
+    # simulate_hbt draws poisson(0.0) and fills an empty array for a stream
+    # without background, and simulate_trpl draws binomial(0, p) for no
+    # counts; if numpy moved the generator for one of them, the streams
+    # after it would change
+    draws = {"poisson(0.0)": lambda rng: rng.poisson(0.0),
+             "random(out=empty)": lambda rng: rng.random(out=np.empty(0)),
+             "binomial(0, 0.3)": lambda rng: rng.binomial(0, 0.3)}
+    for name, draw in draws.items():
+        rng = g.substream(5, 0)
+        state = rng.bit_generator.state
+        assert np.size(draw(rng)) in (0, 1), name
+        assert rng.bit_generator.state == state, name
 
 
 @st.composite
