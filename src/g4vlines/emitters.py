@@ -127,6 +127,8 @@ class EmitterParams:
     dw_fraction: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"emitter name must be a string, got {self.name!r}")
         if not self.name:
             raise ValueError("emitter name must be non-empty")
         # None means "not given" only in a field whose default is None
@@ -198,6 +200,12 @@ PRESET_NOTES = {
 }
 
 
+def _key(name):
+    """The registry key of ``name``: its lower case, or None, which names
+    no emitter, for what is not a string (5, None)."""
+    return name.lower() if isinstance(name, str) else None
+
+
 class EmitterRegistry:
     """Name -> EmitterParams lookup, case-insensitive, builtin + user entries."""
 
@@ -206,7 +214,7 @@ class EmitterRegistry:
         self._user: dict[str, EmitterParams] = {}
 
     def get(self, name: str) -> EmitterParams:
-        key = name.lower()
+        key = _key(name)
         if key in self._builtin:
             return self._builtin[key]
         if key in self._user:
@@ -226,7 +234,7 @@ class EmitterRegistry:
                [p.name for p in self._user.values()]
 
     def __contains__(self, name: str) -> bool:
-        key = name.lower()
+        key = _key(name)
         return key in self._builtin or key in self._user
 
 

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 MAX_ITERATIONS = 200
+# The largest max_iter a fit accepts: a fit whose step test never passes
+# runs every iteration it is given (a noiseless decay: 0.18 s at this bound).
+_MAX_ITER_LIMIT = 50 * MAX_ITERATIONS
 REL_STEP_TOL = 1e-8
 LAMBDA0 = 1e-3
 # Data at the edge of the float range can make a start value, the cost or a
@@ -122,13 +125,15 @@ def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
             max_iter=MAX_ITERATIONS) -> _LMResult:
     """Minimize sum(((y - model(x, p)) / sigma)^2) over p, in 1 to max_iter
     iterations; a ValueError names a ``max_iter`` that is not an integer
-    (3.0 counts as 3) or is below 1.
+    (3.0 counts as 3), is below 1 or is above _MAX_ITER_LIMIT (10000).
 
     The arrays ``model`` and ``jac`` return are only read, never written.
     """
-    max_iter = _integral(max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    n_max = _integral(max_iter, "max_iter")
+    if n_max < 1:
+        raise ValueError(f"max_iter must be >= 1, got {n_max}")
+    if n_max > _MAX_ITER_LIMIT:
+        raise ValueError(f"max_iter must be <= {_MAX_ITER_LIMIT}, got {max_iter}")
     p = np.array(p0, dtype=float)
     w = 1.0 / np.asarray(sigma, dtype=float)
     neg_w = -w[:, None]  # J * -w has the bits of -J * w
@@ -146,7 +151,7 @@ def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
     jr = None  # derivatives of the current point, once taken
     damped = np.empty((p.size, p.size))  # J^T J, damped on its diagonal
     damped_diag = damped.reshape(-1)[::p.size + 1]  # a view
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, n_max + 1):
         if jr is None:
             jr = jac(x, p) * neg_w            # d residual / d p
             neg_grad = -(jr.T @ r)
@@ -404,6 +409,29 @@ def fit_decay(trace: DecayTrace, model: str = "exp1", *,
 
 
 # ---------------------------------------------------------------------------
+# Linear fits of point tables
+
+def _floats(values) -> np.ndarray | None:
+    """``np.asarray(values, dtype=float)``, or None where numpy refuses
+    them (a dict, an object, a ragged list, text)."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: 10**400
+        return None
+
+
+def _pairs(points, columns: str) -> np.ndarray:
+    """``points`` as an (n, 2) float array with n >= 1; a ValueError says
+    they must be (columns) pairs."""
+    pts = _floats(points)
+    if pts is not None:
+        pts = np.atleast_2d(pts)
+    if pts is None or pts.size == 0 or pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must be ({columns}) pairs")
+    return pts
+
+
+# ---------------------------------------------------------------------------
 # Cubic law for the D-C linewidth difference
 
 def fit_cubic_alpha(points, weights="delta") -> FitReport:
@@ -416,11 +444,7 @@ def fit_cubic_alpha(points, weights="delta") -> FitReport:
     names a column that is not finite, and a weight, sum or result that
     leaves the float range.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise ValueError("no data points given")
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be (f_gs_ghz, delta_mhz) pairs")
+    pts = _pairs(points, "f_gs_ghz, delta_mhz")
     f = pts[:, 0]
     dg = pts[:, 1]
     _require_finite(f_gs_ghz=f, delta_mhz=dg)
@@ -439,8 +463,9 @@ def fit_cubic_alpha(points, weights="delta") -> FitReport:
         else:
             raise ValueError(f"unknown weights mode {weights!r}")
     else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != dg.shape or np.any(w <= 0) or not np.all(np.isfinite(w)):
+        w = _floats(weights)
+        if w is None or w.shape != dg.shape or np.any(w <= 0) \
+                or not np.all(np.isfinite(w)):
             raise ValueError(
                 "explicit weights must be finite and positive, one per point")
 
@@ -495,9 +520,7 @@ def fit_temperature_series(points, emitter: EmitterParams,
     if free not in (("gamma_others",), ("gamma_others", "alpha_gs")):
         raise ValueError(
             "free must be ('gamma_others',) or ('gamma_others', 'alpha_gs')")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0 or pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be (temperature_k, linewidth_mhz) pairs")
+    pts = _pairs(points, "temperature_k, linewidth_mhz")
     if max_temp is not None:
         max_temp = _scalar(max_temp, "max_temp")
         if math.isnan(max_temp):  # compares false: would keep every point

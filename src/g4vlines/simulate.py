@@ -7,9 +7,8 @@ how many draws earlier scans consumed:
 
     Generator(PCG64(SeedSequence((seed, index))))
 
-A PLE scan is scan 0 of a series: simulate_ple_scan and
-simulate_scan_series draw every scan through one function, and scan k
-takes from its substream, in this order:
+A PLE scan is scan 0 of a series: simulate_ple_scan returns scan 0 of
+simulate_scan_series, and scan k takes from its substream, in this order:
 
 1. for k > 0, a diffusion step of the center when diffusion_sigma > 0, then
    a jump test and, on success, a jump when jump_prob > 0;
@@ -79,6 +78,13 @@ def substream(seed: int, index: int) -> np.random.Generator:
         raise ValueError(f"index must be >= 0, got {index}")
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((seed, index))))
+
+
+def _require_record(name: str, value, record: type) -> None:
+    """ValueError naming a field that is not a ``record``, where it enters
+    rather than where an attribute of it is first read."""
+    if not isinstance(value, record):
+        raise ValueError(f"{name} must be of type {record.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -156,6 +162,8 @@ class ScanSeriesConfig:
     noiseless: bool = False
 
     def __post_init__(self):
+        _require_record("emitter", self.emitter, EmitterParams)
+        _require_record("grid", self.grid, FrequencyGrid)
         object.__setattr__(self, "n_scans", _integral(self.n_scans, "n_scans"))
         _require_finite(**{f.name: getattr(self, f.name) for f in fields(self)
                            if f.type == "float"})
@@ -212,46 +220,44 @@ class ScanEvent:
 def _scan(cfg: ScanSeriesConfig, rng, grid, fwhm, center, bright):
     """One scan drawn from ``rng`` as the module docstring says: (counts,
     charge state after it, [(point_index, "ionization" | "repump"), ...])."""
+    # the grid, center and width were checked where they entered (FrequencyGrid,
+    # the config or the series loop, cfg.fwhm()); the profile is in [0, 1]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is named below
         signal = cfg.dwell * cfg.peak_rate \
-            * physics.lorentzian(grid, center, fwhm, 1.0, 0.0)
+            * physics._profile(grid, center, fwhm, 1.0, 0.0)
     background = cfg.dwell * cfg.background_rate
     peak = background + signal.max()
     if not peak < (math.inf if cfg.noiseless else _POISSON_LAM_MAX):  # NaN too
         raise ValueError(f"expected_counts must be finite and, to be Poisson-drawn, "
                          f"below {_POISSON_LAM_MAX:g}; got {peak:g}")
-    switches, flips = [], np.zeros(grid.size + 1, bool)  # flips[i + 1]: switch at i
+    switches, lit, state = [], np.full(grid.size, bright), bright
     if cfg.ionization_coeff > 0:
         u = rng.random(grid.size)  # u < 1: u < c * s is u < min(1, c * s)
         repump_rate = cfg.repump_rate if cfg.repump == "resonant" else 0.0
         with np.errstate(over="ignore"):  # an overflowing hazard is a certain switch
             hits = {True: u < cfg.ionization_coeff * signal,  # bright -> dark
                     False: u < repump_rate * signal}          # dark -> bright
-        state, i = bright, 0
+        i = 0
         while i < grid.size:
             i += int(np.argmax(hits[state][i:]))  # argmax stops at the first hit
             if not hits[state][i]:
                 break
             switches.append((i, "ionization" if state else "repump"))
             state, i = not state, i + 1
-            flips[i] = True
-    lit = np.logical_xor.accumulate(flips[:-1]) != bright
+            lit[i:] = state  # the points after the switch
     expected = background + np.where(lit, signal, 0.0)
     counts = expected if cfg.noiseless else rng.poisson(expected).astype(float)
-    return counts, bright != (len(switches) % 2 == 1), switches
+    return counts, state, switches
 
 
 def simulate_ple_scan(cfg: ScanSeriesConfig) -> Spectrum:
-    """One PLE scan: scan 0 of simulate_scan_series (requires n_scans == 1)."""
+    """One PLE scan: scan 0 of simulate_scan_series, without center_mhz."""
     if cfg.n_scans != 1:
         raise ValueError("simulate_ple_scan needs n_scans == 1; "
                          "use simulate_scan_series")
-    grid = cfg.grid.centers()
-    counts = _scan(cfg, substream(cfg.seed, 0), grid, cfg.fwhm(), cfg.center0,
-                   True)[0]
-    meta = {"temperature_k": cfg.temperature, "emitter": cfg.emitter.name,
-            "scan_index": 0, "seed": cfg.seed}
-    return Spectrum(grid, counts, meta)
+    scan = simulate_scan_series(cfg)[0][0]
+    del scan.meta["center_mhz"]
+    return scan
 
 
 def simulate_scan_series(cfg: ScanSeriesConfig):
@@ -311,6 +317,8 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
     _require_finite(lifetime=lifetime)
     if lifetime <= 0:
         raise ValueError("lifetime must be positive")
+    if background is not None:
+        _require_record("background", background, TrplBackground)
     n = _integral(counts_total, "counts_total")
     if not 0 <= n <= _MAX_TRPL_COUNTS:
         raise ValueError(f"counts_total must be in [0, {_MAX_TRPL_COUNTS:g}], "

@@ -254,6 +254,19 @@ class TestFit:
         assert f"max_iter must be >= 1, got {max_iter}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("what", [["ple", "ple_pbv.csv"],
+                                      ["lifetime", "trpl_gev.csv"]])
+    def test_max_iter_above_limit_exit_2(self, capsys, fixtures_dir, tmp_path,
+                                         what):
+        # it was accepted, however large: a fit whose step test never
+        # passes ran every iteration
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "fit", what[0], "--in", str(fixtures_dir / what[1]),
+                           "--out", str(out), "--max-iter", "10001")
+        assert code == 2
+        assert "max_iter must be <= 10000, got 10001" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, fit", [
         (["ple", "ple_pbv.csv"],
          lambda f: g.fit_lorentzian(dataio.load_spectrum(f / "ple_pbv.csv"))),

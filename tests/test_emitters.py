@@ -70,6 +70,13 @@ class TestEmitterParams:
         with pytest.raises(ValueError, match="^emitter name must be non-empty$"):
             g.EmitterParams("", f_gs=100.0, f_es=300.0, gamma0=30.0)
 
+    @pytest.mark.parametrize("name", [5, None, b"PbV", ["PbV"]])
+    def test_non_string_name_named(self, name):
+        # it was accepted, and EmitterRegistry.add ended in an AttributeError
+        with pytest.raises(ValueError,
+                           match=f"^emitter name must be a string, got {re.escape(repr(name))}$"):
+            g.EmitterParams(name, f_gs=100.0, f_es=300.0, gamma0=30.0)
+
     @pytest.mark.parametrize("kwargs", [
         dict(f_gs=-1.0, f_es=300.0, gamma0=30.0),
         dict(f_gs=100.0, f_es=0.0, gamma0=30.0),
@@ -156,3 +163,10 @@ class TestRegistry:
     def test_contains(self):
         assert "snv" in g.REGISTRY
         assert "XYZ" not in g.REGISTRY
+
+    @pytest.mark.parametrize("name", [5, None, 1.5, ["PbV"]])
+    def test_non_string_name_unknown(self, name):
+        # each ended in an AttributeError from name.lower()
+        assert name not in g.REGISTRY
+        with pytest.raises(KeyError, match=f"^.unknown emitter {re.escape(repr(name))};"):
+            g.REGISTRY.get(name)

@@ -17,6 +17,7 @@ import re
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -424,6 +425,26 @@ class TestCubicAlpha:
                 g.fit_cubic_alpha([(200.0, 44.7), (3870.0, 435300.0)],
                                   weights=np.array([w, 1.0]))
 
+    @pytest.mark.parametrize("points", [
+        [{}], object(), [(200.0, 44.7), (3870.0,)], [(200.0, "x")], [],
+        np.empty((0, 2))], ids=["dict", "object", "ragged", "text", "empty",
+                                "no-rows"])
+    def test_not_a_point_table_named(self, points):
+        # the first four ended in a TypeError or numpy's ValueError, and an
+        # empty table in "no data points given"
+        with pytest.raises(ValueError,
+                           match=r"^points must be \(f_gs_ghz, delta_mhz\) pairs$"):
+            g.fit_cubic_alpha(points)
+
+    @pytest.mark.parametrize("weights", [
+        {"a": 1}, [object(), 1.0], [[1.0], [2.0, 3.0]]],
+        ids=["dict", "object", "ragged"])
+    def test_explicit_weights_not_numbers_named(self, weights):
+        # np.asarray raised a TypeError or its own ValueError
+        with pytest.raises(ValueError, match="^explicit weights must be finite "
+                                             "and positive, one per point$"):
+            g.fit_cubic_alpha([(200.0, 44.7), (3870.0, 435300.0)], weights=weights)
+
     @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 2, 2)])
     def test_three_dimensional_points_rejected(self, shape):
         # these passed the pair check and ended in a TypeError or a matmul
@@ -495,6 +516,16 @@ class TestTemperatureSeries:
         with pytest.raises(ValueError, match="free"):
             g.fit_temperature_series([(6.0, 38.9), (8.0, 38.9)], PBV,
                                      free=("alpha_gs",))
+
+    @pytest.mark.parametrize("points", [
+        object(), [{}], [(6.0, 38.9), (8.0,)], [(6.0, 38.9), ("x", 39.0)]],
+        ids=["object", "dict", "ragged", "text"])
+    def test_not_a_point_table_named(self, points):
+        # each ended in a TypeError or numpy's ValueError
+        with pytest.raises(
+                ValueError,
+                match=r"^points must be \(temperature_k, linewidth_mhz\) pairs$"):
+            g.fit_temperature_series(points, PBV)
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 2, 2)])
     def test_three_dimensional_points_rejected(self, shape):
@@ -601,6 +632,16 @@ def _trace(counts, seed):
     return g.simulate_trpl(4.4, counts, bin_width=0.5, t_max=60.0, seed=seed)
 
 
+# its offset stays near 0, where the relative step test never passes
+NOISELESS_DECAY = g.DecayTrace(0.5 * np.arange(8), [
+    375833581668.0, 227954590232.0, 138261447999.0, 83859807268.0,
+    50863544227.0, 30850299036.0, 18711652227.0, 11349190771.0])
+
+
+def _no_iteration(*args):
+    raise AssertionError("an iteration ran")
+
+
 def _temp_series(free):
     truth = g.EmitterParams("t", f_gs=821.0, f_es=3000.0, gamma0=30.6,
                             alpha_gs=9.0e-9, alpha_es=7.51e-9, gamma_others=1.1)
@@ -686,6 +727,24 @@ class TestDampingLoop:
             with pytest.raises(ValueError,
                                match=f"^max_iter must be an integer, got {max_iter}$"):
                 fit()
+
+    @pytest.mark.parametrize("max_iter", [10001, 20000.0, 1e300, 10 ** 400],
+                             ids=["10001", "20000.0", "1e300", "10**400"])
+    def test_max_iter_above_limit_rejected(self, monkeypatch, max_iter):
+        # each was accepted: a fit whose step test never passes (the
+        # noiseless decay) ran them all, and 1e300 never returned
+        monkeypatch.setattr(fitting, "_solve", _no_iteration)
+        message = f"^max_iter must be <= 10000, got {re.escape(str(max_iter))}$"
+        for fit in (lambda: g.fit_lorentzian(_scan(5000.0, seed=5), max_iter=max_iter),
+                    lambda: g.fit_decay(NOISELESS_DECAY, "exp1", max_iter=max_iter)):
+            with pytest.raises(ValueError, match=message):
+                fit()
+
+    def test_max_iter_at_limit_accepted(self):
+        fit = functools.partial(g.fit_lorentzian, _scan(5000.0, seed=5))
+        assert fit(max_iter=10000) == fit()
+        report = g.fit_decay(NOISELESS_DECAY, "exp1", max_iter=10000)
+        assert report.n_iterations == 10000 and not report.converged
 
     def test_integral_float_max_iter_accepted(self):
         for fit in (functools.partial(g.fit_lorentzian, _scan(5000.0, seed=5)),
@@ -1086,11 +1145,22 @@ def _near(low, high):
 NOT_REAL = st.one_of(st.none(), st.text(max_size=3),
                      st.lists(st.floats(), max_size=2),
                      st.lists(st.floats(), min_size=1, max_size=2).map(np.array))
-# a max_iter: not above 300, since a fit whose step test never passes takes
-# as many as it is given (a noiseless decay whose offset stays near 0)
+# what is not a table of numbers: a dict, an object, text, ragged lists or
+# rows of the wrong width, rows holding text, None or a dict
+NOT_TABLE = st.one_of(
+    st.dictionaries(st.text(max_size=2), st.floats(), max_size=2),
+    st.builds(object), st.text(max_size=3),
+    st.lists(st.lists(st.floats(), max_size=3), min_size=1, max_size=3),
+    st.lists(st.tuples(st.floats(), st.one_of(st.none(), st.text(max_size=2),
+                                              st.builds(dict))),
+             min_size=1, max_size=3))
+# a max_iter: not above 300 where a fit may use it, since a fit whose step
+# test never passes takes as many as it is given (a noiseless decay whose
+# offset stays near 0); above the limit of 10000 it must raise at once
 ITERATIONS = _mostly(st.integers(1, 300), st.one_of(
     st.integers(-1, 0), st.floats(max_value=300.0), st.just(math.inf),
-    st.just(math.nan), NOT_REAL))
+    st.just(math.nan), NOT_REAL, st.integers(10001, 10 ** 400),
+    st.floats(min_value=10000.5)))
 
 
 def _spoil(draw, cols):
@@ -1136,6 +1206,17 @@ def _decay_shape(t, amplitude, tau, offset):
     return amplitude * np.exp(-t / tau) + offset
 
 
+def fit_or_value_error(call, max_iter):
+    """finite_report_or_value_error(call), or, for a max_iter above the
+    limit, a ValueError before any iteration."""
+    if isinstance(max_iter, (int, float)) and max_iter > fitting._MAX_ITER_LIMIT:
+        with mock.patch.object(fitting, "_solve", _no_iteration), \
+                pytest.raises(ValueError):
+            call()
+        return None
+    return finite_report_or_value_error(call)
+
+
 def finite_report_or_value_error(call):
     """call(), with warnings as errors: a report whose every number is
     finite, or None where it raises ValueError."""
@@ -1158,10 +1239,13 @@ class TestFuzzFitters:
            max_iter=ITERATIONS)
     @example(data=(np.arange(10.0), np.array([0, 1, 3, 9, 20, 9, 3, 1, 0, 0.0])),
              max_iter="3")
+    @example(data=(np.arange(10.0), np.array([0, 1, 3, 9, 20, 9, 3, 1, 0, 0.0])),
+             max_iter=10 ** 400)
     @settings(max_examples=200, deadline=None)
     def test_fit_lorentzian(self, data, max_iter):
-        finite_report_or_value_error(
-            lambda: g.fit_lorentzian(g.Spectrum(*data), max_iter=max_iter))
+        fit_or_value_error(
+            lambda: g.fit_lorentzian(g.Spectrum(*data), max_iter=max_iter),
+            max_iter)
 
     @given(data=grid_data(_decay_shape, [
                _near(0.0, 1e5), _near(0.1, 100.0), _near(0.0, 100.0)]),
@@ -1172,26 +1256,35 @@ class TestFuzzFitters:
            max_iter=ITERATIONS)
     @example(data=(np.arange(10.0), 100.0 * np.exp(-np.arange(10.0) / 3.0)),
              model="exp2", start_index="1", max_iter=50)
+    @example(data=(NOISELESS_DECAY.bin_centers, NOISELESS_DECAY.counts),
+             model="exp1", start_index=None, max_iter=1e300)
     @settings(max_examples=200, deadline=None)
     def test_fit_decay(self, data, model, start_index, max_iter):
-        finite_report_or_value_error(lambda: g.fit_decay(
+        fit_or_value_error(lambda: g.fit_decay(
             g.DecayTrace(*data), model, start_index=start_index,
-            max_iter=max_iter))
+            max_iter=max_iter), max_iter)
 
-    # (f_gs_ghz, delta_mhz) points, and explicit weights in the third column
+    # (f_gs_ghz, delta_mhz) points, and explicit weights in the third column;
+    # a quarter of the tables are not tables of numbers
     @given(cols=columns((1.0, 1e4), (1e-3, 1e3), (1e-3, 1e3)),
+           table=_mostly(st.none(), NOT_TABLE),
            weights=_mostly(st.sampled_from(["delta", "equal", "explicit"]),
-                           st.one_of(st.just("x"), NOT_REAL)))
+                           st.one_of(st.just("x"), NOT_REAL, NOT_TABLE)))
     @example(cols=[np.array([200.0, 3870.0]), np.array([60.0, 435.0]),
-                   np.ones(2)], weights=[1.0, None])
+                   np.ones(2)], table=None, weights=[1.0, None])
+    @example(cols=[np.array([200.0]), np.array([44.7]), np.ones(1)],
+             table=[{}], weights="delta")
+    @example(cols=[np.array([200.0]), np.array([44.7]), np.ones(1)],
+             table=None, weights={"a": 1})
     @settings(max_examples=200, deadline=None)
-    def test_fit_cubic_alpha(self, cols, weights):
+    def test_fit_cubic_alpha(self, cols, table, weights):
         if isinstance(weights, str) and weights == "explicit":
             weights = cols[2]
-        points = np.column_stack(cols[:2])
+        points = np.column_stack(cols[:2]) if table is None else table
         finite_report_or_value_error(lambda: g.fit_cubic_alpha(points, weights))
 
     @given(cols=columns((0.0, 30.0), (30.0, 60.0)),
+           table=_mostly(st.none(), NOT_TABLE),
            emitter=st.sampled_from([g.REGISTRY.get(name)
                                     for name in ("SiV", "GeV", "SnV", "PbV")]),
            free=_mostly(st.sampled_from([("gamma_others",),
@@ -1201,11 +1294,15 @@ class TestFuzzFitters:
            max_temp=_mostly(st.one_of(st.none(), st.floats(0.0, 30.0)),
                             st.one_of(st.floats(), NOT_REAL)))
     @example(cols=[np.array([6.0, 10.0, 14.0]), np.array([38.9, 39.0, 39.8])],
-             emitter=PBV, free=("gamma_others",), max_temp=np.array([20.0, 30.0]))
+             table=None, emitter=PBV, free=("gamma_others",),
+             max_temp=np.array([20.0, 30.0]))
     @example(cols=[np.array([6.0, 10.0, 14.0]), np.array([38.9, 39.0, 39.8])],
-             emitter=PBV, free=("gamma_others", "alpha_gs"), max_temp="x")
+             table=None, emitter=PBV, free=("gamma_others", "alpha_gs"),
+             max_temp="x")
+    @example(cols=[np.array([6.0]), np.array([38.9])], table=object(),
+             emitter=PBV, free=("gamma_others",), max_temp=None)
     @settings(max_examples=200, deadline=None)
-    def test_fit_temperature_series(self, cols, emitter, free, max_temp):
-        points = np.column_stack(cols)
+    def test_fit_temperature_series(self, cols, table, emitter, free, max_temp):
+        points = np.column_stack(cols) if table is None else table
         finite_report_or_value_error(lambda: g.fit_temperature_series(
             points, emitter, free=free, max_temp=max_temp))

@@ -205,6 +205,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=error):
             g.FrequencyGrid(start, stop, step)
 
+    @pytest.mark.parametrize("field, value", [
+        ("emitter", "PbV"), ("emitter", None), ("grid", (-10.0, 10.0, 1.0)),
+        ("grid", None)])
+    def test_record_field_named(self, field, value):
+        # an emitter "PbV" was accepted and failed in fwhm() with an
+        # AttributeError; a tuple grid raised one here
+        with pytest.raises(ValueError, match=f"^{field} must be of type "):
+            _cfg(**{field: value})
+
     def test_grid_at_point_limit(self):
         assert g.FrequencyGrid(0.0, MAX_BINS - 1.0, 1.0).centers().size == MAX_BINS
         with pytest.raises(ValueError, match="points"):
@@ -356,6 +365,9 @@ class TestScanSeries:
             spectra, events = g.simulate_scan_series(_cfg(n_scans=5, seed=9, **kw))
             single = g.simulate_ple_scan(_cfg(seed=9, **kw))
             assert np.array_equal(spectra[0].counts, single.counts)
+            meta = dict(spectra[0].meta)
+            del meta["center_mhz"]
+            assert single.meta == meta
         kinds = [ev.kind for ev in events if ev.scan_index == 0]
         assert "ionization" in kinds and "repump" in kinds
 
@@ -669,6 +681,16 @@ class TestTrpl:
         monkeypatch.setattr(g.simulate, "substream", _stream_reached)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             g.simulate_trpl(lifetime, counts_total, bin_width=0.5, t_max=50.0)
+
+    @pytest.mark.parametrize("background", [
+        (6.0, 0.5), {"a_fast": 6.0, "tau_fast": 0.5}])
+    def test_background_not_a_record_named(self, monkeypatch, background):
+        # background.a_fast raised an AttributeError after the first draw
+        monkeypatch.setattr(g.simulate, "substream", _stream_reached)
+        with pytest.raises(ValueError, match=f"^background must be of type "
+                                             f"TrplBackground, got {re.escape(repr(background))}$"):
+            g.simulate_trpl(4.4, 10, bin_width=0.5, t_max=50.0,
+                            background=background)
 
     @pytest.mark.parametrize("field", ["a_fast", "tau_fast"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
