@@ -5,7 +5,8 @@
    ``perfbench/workloads.py`` (``make("series_fit")``, read, not changed)
    draws its scan series with that seed and fits every scan; the digest
    covers each report's JSON (``FitReport.to_dict``, floats at full
-   precision).
+   precision); its label adds the reports' total ``n_iterations`` and how
+   many did not converge.
 2. The exp1 and exp2 ``fit_decay`` reports of the cli workload's TRPL trace
    for each seed, then those of the ``fixtures/`` trace, its temperature
    series with one and two free parameters, its alpha points with
@@ -149,8 +150,12 @@ def main():
                         help="inclusive seed range, e.g. 1-12 (default)")
     seeds = parser.parse_args().seeds
     span = f"seeds {seeds[0]}-{seeds[-1]}"
+    reports = list(series_fit_reports(seeds))
+    n_iterations = sum(report.n_iterations for report in reports)
+    n_unconverged = sum(not report.converged for report in reports)
     lines = [
-        (map(report_bytes, series_fit_reports(seeds)), f"reports, {span}"),
+        (map(report_bytes, reports), f"reports, {span}, {n_iterations} "
+         f"iterations, {n_unconverged} unconverged"),
         (labelled(other_fits(seeds), report_bytes),
          f"decay, temperature-series, alpha and PLE reports, {span} and fixtures"),
         (labelled(runs(seeds, "hbt_fine"), histogram_bytes),

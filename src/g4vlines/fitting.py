@@ -5,6 +5,13 @@ damping schedule: start 1e-3, x10 on a rejected step, /10 on an accepted
 one). The derivatives are taken once per accepted point and reused by the
 attempts from it; every attempt, accepted or not, counts as an iteration,
 and a run of rejections that drives the damping above 1e12 ends the fit.
+The Lorentzian fit also takes the residual curvature term
+S = sum_i r_i w_i Hessian(model_i) at each accepted point, and steps on
+J^T J - S, the Hessian of the cost, where that matrix is finite and passes
+the Cholesky test, and on J^T J elsewhere (Dennis, Gay & Welsch, ACM TOMS
+7, 348 (1981)): a scan whose line switches off partway through leaves a
+large residual, where Gauss-Newton steps converge only linearly. The
+damping is lam * diag(J^T J) either way.
 A step is rejected when the fit's guard refuses its trial parameters or
 its cost is higher or NaN; a singular damped system solves to a NaN step,
 rejected the same way. Count data is weighted with Poisson errors
@@ -80,14 +87,14 @@ except ImportError:
         except np.linalg.LinAlgError:
             return np.full_like(b, np.nan)
 
-    def _cholesky_inv(a):
-        """``np.linalg.inv(a)`` of a matrix that ``np.linalg.cholesky(a)``
-        accepts; NaN where either fails."""
+    def _cholesky(a):
+        """``np.linalg.cholesky(a)``, all NaN where it fails."""
         try:
-            np.linalg.cholesky(a)  # positive-definite check
-            return np.linalg.inv(a)
+            return np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             return np.full_like(a, np.nan)
+
+    _inv = np.linalg.inv
 else:
     def _solve(a, b):
         """``np.linalg.solve(a, b)`` for a float64 (n, n) matrix and (n,)
@@ -96,13 +103,19 @@ else:
         NaN where gesv finds the matrix singular."""
         return _solve1(a, b, signature="dd->d")
 
-    def _cholesky_inv(a):
-        """``np.linalg.inv(a)`` of a float64 (n, n) matrix that
-        ``np.linalg.cholesky(a)`` accepts, through the same gufuncs without
-        their argument wrapping or error state; NaN where either fails."""
-        # a failed test is all NaN; a passed one has lower[0, 0] > 0
-        lower = _cholesky_lo(a, signature="d->d")
-        return lower if np.isnan(lower[0, 0]) else _inv(a, signature="d->d")
+    def _cholesky(a):
+        """``np.linalg.cholesky(a)`` of a float64 (n, n) matrix through the
+        same gufunc, without its argument wrapping or error state; all NaN
+        where it fails."""
+        return _cholesky_lo(a, signature="d->d")
+
+
+def _cholesky_inv(a):
+    """``np.linalg.inv(a)`` of a float64 (n, n) matrix that
+    ``np.linalg.cholesky(a)`` accepts; NaN where either fails."""
+    # a failed test is all NaN; a passed one has lower[0, 0] > 0
+    lower = _cholesky(a)
+    return lower if np.isnan(lower[0, 0]) else _inv(a)
 
 
 def _gn_covariance(jac: np.ndarray) -> np.ndarray | None:
@@ -113,21 +126,30 @@ def _gn_covariance(jac: np.ndarray) -> np.ndarray | None:
     return cov if (cov.diagonal() > 0).all() else None
 
 
-def _damped_diagonal(hess_diag: list, lam: float) -> list:
-    """diag(J^T J) + lam * damp, where damp is diag(J^T J) with 1 in place
+def _damped_diagonal(base_diag: list, hess_diag: list, lam: float) -> list:
+    """diag(base) + lam * damp, where damp is diag(J^T J) with 1 in place
     of an entry <= 0, on Python floats: the bits of
-    ``np.add(h, lam * np.where(h <= 0, 1.0, h))`` without its numpy calls."""
-    return [h + lam * (1.0 if h <= 0 else h) for h in hess_diag]
+    ``np.add(b, lam * np.where(h <= 0, 1.0, h))`` without its numpy calls."""
+    return [b + lam * (1.0 if h <= 0 else h)
+            for b, h in zip(base_diag, hess_diag)]
 
 
 @np.errstate(**_EDGE)
 def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
-            max_iter=MAX_ITERATIONS) -> _LMResult:
+            max_iter=MAX_ITERATIONS, curvature=None) -> _LMResult:
     """Minimize sum(((y - model(x, p)) / sigma)^2) over p, in 1 to max_iter
     iterations; a ValueError names a ``max_iter`` that is not an integer
     (3.0 counts as 3), is below 1 or is above _MAX_ITER_LIMIT (10000).
 
-    The arrays ``model`` and ``jac`` return are only read, never written.
+    ``curvature(x, p, rw)``, where given, returns the residual term
+    S = sum_i rw_i * Hessian of model(x_i, p), with rw = r * w the
+    residuals weighted twice. At each accepted point the damped matrix is
+    then built on J^T J - S, the Hessian of the cost, where that matrix is
+    finite and passes the Cholesky test, and on J^T J elsewhere. The
+    damping stays lam * diag(J^T J).
+
+    The arrays ``model``, ``jac`` and ``curvature`` return are only read,
+    never written.
     """
     n_max = _integral(max_iter, "max_iter")
     if n_max < 1:
@@ -149,15 +171,21 @@ def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
     converged = False
     n_iter = 0
     jr = None  # derivatives of the current point, once taken
-    damped = np.empty((p.size, p.size))  # J^T J, damped on its diagonal
+    damped = np.empty((p.size, p.size))  # J^T J (- S), damped on its diagonal
     damped_diag = damped.reshape(-1)[::p.size + 1]  # a view
     for n_iter in range(1, n_max + 1):
         if jr is None:
             jr = jac(x, p) * neg_w            # d residual / d p
             neg_grad = -(jr.T @ r)
             np.matmul(jr.T, jr, out=damped)
-            hess_diag = damped_diag.tolist()
-        damped_diag[:] = _damped_diagonal(hess_diag, lam)
+            hess_diag = base_diag = damped_diag.tolist()
+            if curvature is not None:
+                newton = damped - curvature(x, p, r * w)
+                # all NaN where the test fails; inf where S overflowed
+                if math.isfinite(_cholesky(newton).sum()):
+                    damped[:] = newton
+                    base_diag = damped_diag.tolist()
+        damped_diag[:] = _damped_diagonal(base_diag, hess_diag, lam)
         step = _solve(damped, neg_grad)  # NaN where the system is singular
         trial = p + step
         if guard is None or guard(trial):
@@ -249,6 +277,38 @@ def lorentzian_jacobian(x, p):
     return out
 
 
+def lorentzian_curvature(x, p, rw):
+    """sum_i rw_i * (Hessian of lorentzian_model at x_i in p), a 4 x 4
+    matrix in (center, fwhm, amplitude, offset), built from five weighted
+    sums m_k = sum_i rw_i d_i^k / D_i^3 (k = 0..4), where h = fwhm / 2,
+    d = x - center and D = d^2 + h^2. The second derivatives are
+    2 a h^2 (3 d^2 - h^2) / D^3 (center, center),
+    2 a h d (d^2 - h^2) / D^3 (center, fwhm),
+    a d^2 (d^2 - 3 h^2) / (2 D^3) (fwhm, fwhm),
+    2 h^2 d / D^2 (center, amplitude) and h d^2 / D^2 (fwhm, amplitude);
+    the rest are 0. Elementwise products and one numpy sum, no BLAS."""
+    c, w, a, b = np.asarray(p, dtype=float).tolist()
+    h = w / 2.0
+    hh = h * h
+    d = x - c
+    denom = d * d
+    denom += hh
+    terms = np.empty((5, x.size))  # rw d^k / D^3, a power of d at a time
+    np.divide(rw, denom, out=terms[0])
+    terms[0] /= denom
+    terms[0] /= denom
+    for k in range(1, 5):
+        np.multiply(terms[k - 1], d, out=terms[k])
+    m0, m1, m2, m3, m4 = np.add.reduce(terms, axis=1).tolist()
+    s_cc = 2.0 * a * hh * (3.0 * m2 - hh * m0)
+    s_cw = 2.0 * a * h * (m3 - hh * m1)
+    s_ww = 0.5 * a * (m4 - 3.0 * hh * m2)
+    s_ca = 2.0 * hh * (m3 + hh * m1)   # D / D^3 = d^2 / D^3 + h^2 / D^3
+    s_wa = h * (m4 + hh * m2)
+    return np.array([[s_cc, s_cw, s_ca, 0.0], [s_cw, s_ww, s_wa, 0.0],
+                     [s_ca, s_wa, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
+
 def _median(y: np.ndarray) -> float:
     """``float(np.median(y))`` of a finite 1-d float64 array: the same
     partition, and the same mean of the middle element or pair, whose sum
@@ -306,7 +366,7 @@ def fit_lorentzian(spectrum: Spectrum, *, max_iter=MAX_ITERATIONS) -> FitReport:
 
     res = _lm_fit(lorentzian_model, lorentzian_jacobian, x, y,
                   _poisson_sigma(y), p0, max_iter=max_iter,
-                  guard=lambda p: p[1] != 0.0)
+                  guard=lambda p: p[1] != 0.0, curvature=lorentzian_curvature)
     res.params[1] = abs(res.params[1])  # model is even in fwhm
     return _report(
         "lorentzian", ("center", "fwhm", "amplitude", "offset"),

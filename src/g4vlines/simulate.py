@@ -35,7 +35,7 @@ import numpy as np
 
 from . import physics
 from ._kernels import _CHUNK, MAX_BINS, _Buffers, _Counter, coincidence_histogram
-from .emitters import EmitterParams, _integral, _require_finite
+from .emitters import EmitterParams, _integral, _require_finite, _scalar
 from .records import CorrelationHistogram, DecayTrace, Spectrum
 
 __all__ = [
@@ -80,6 +80,23 @@ def substream(seed: int, index: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
+def _finite_floats(**values) -> list[float]:
+    """The values as Python floats: ``_require_finite``'s ValueError names
+    the first that is not finite or not a number, then ``_scalar``'s an
+    array or a sequence (by its shape). A 0-d array is a scalar."""
+    _require_finite(**values)
+    return [_scalar(value, name) for name, value in values.items()]
+
+
+def _float_fields(record) -> None:
+    """Store each float field of a frozen record as ``_finite_floats``
+    returns it."""
+    names = [f.name for f in fields(record) if f.type == "float"]
+    values = _finite_floats(**{name: getattr(record, name) for name in names})
+    for name, value in zip(names, values):
+        object.__setattr__(record, name, value)
+
+
 def _require_record(name: str, value, record: type) -> None:
     """ValueError naming a field that is not a ``record``, where it enters
     rather than where an attribute of it is first read."""
@@ -96,7 +113,7 @@ class FrequencyGrid:
     step: float
 
     def __post_init__(self):
-        _require_finite(start=self.start, stop=self.stop, step=self.step)
+        _float_fields(self)
         if self.step <= 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
         if self.stop <= self.start:
@@ -127,7 +144,7 @@ class TrplBackground:
     tau_fast: float
 
     def __post_init__(self):
-        _require_finite(a_fast=self.a_fast, tau_fast=self.tau_fast)
+        _float_fields(self)
         if self.a_fast <= 0 or self.tau_fast <= 0:
             raise ValueError("background a_fast and tau_fast must be positive")
 
@@ -165,8 +182,7 @@ class ScanSeriesConfig:
         _require_record("emitter", self.emitter, EmitterParams)
         _require_record("grid", self.grid, FrequencyGrid)
         object.__setattr__(self, "n_scans", _integral(self.n_scans, "n_scans"))
-        _require_finite(**{f.name: getattr(self, f.name) for f in fields(self)
-                           if f.type == "float"})
+        _float_fields(self)
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.dwell <= 0:
@@ -290,16 +306,18 @@ def simulate_scan_series(cfg: ScanSeriesConfig):
     return spectra, events
 
 
-def _bin_count(bin_width: float, span: float, name: str, max_ratio: float) -> int:
-    """round(span / bin_width), checked before anything is allocated."""
-    _require_finite(bin_width=bin_width, **{name: span})
+def _bin_count(bin_width: float, span: float, name: str,
+               max_ratio: float) -> tuple[int, float]:
+    """(round(span / bin_width), bin_width as a float), checked before
+    anything is allocated."""
+    bin_width, span = _finite_floats(bin_width=bin_width, **{name: span})
     if bin_width <= 0 or span < bin_width:
         raise ValueError(f"need bin_width > 0 and {name} >= bin_width")
     ratio = span / bin_width  # overflows to inf for a subnormal bin_width
     if ratio >= max_ratio:  # the histogram would have more than MAX_BINS bins
         raise ValueError(f"{name} / bin_width = {ratio:g} gives more than "
                          f"{MAX_BINS} bins")
-    return int(round(ratio))
+    return int(round(ratio)), bin_width
 
 
 def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
@@ -314,7 +332,7 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
     counts_total is capped at _MAX_TRPL_COUNTS, the counts that fit
     _STREAM_BUDGET at 9 B each.
     """
-    _require_finite(lifetime=lifetime)
+    lifetime, = _finite_floats(lifetime=lifetime)
     if lifetime <= 0:
         raise ValueError("lifetime must be positive")
     if background is not None:
@@ -323,7 +341,7 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
     if not 0 <= n <= _MAX_TRPL_COUNTS:
         raise ValueError(f"counts_total must be in [0, {_MAX_TRPL_COUNTS:g}], "
                          f"got {counts_total}")
-    n_bins = _bin_count(bin_width, t_max, "t_max", MAX_BINS + 0.5)
+    n_bins, bin_width = _bin_count(bin_width, t_max, "t_max", MAX_BINS + 0.5)
     if n_bins < 2:
         raise ValueError("t_max must cover at least two bins")
     if t_max < 10.0 * lifetime:
@@ -394,8 +412,8 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     ``rate * duration`` is still capped at _MAX_STREAM_PHOTONS, which now
     bounds the run time (criterion 7 takes about 2.5 s on a 2-core Xeon VM).
     """
-    _require_finite(rate=rate, lifetime=lifetime, purity_rho=purity_rho,
-                    duration=duration)
+    rate, lifetime, purity_rho, duration = _finite_floats(
+        rate=rate, lifetime=lifetime, purity_rho=purity_rho, duration=duration)
     if not 0.0 <= purity_rho <= 1.0:
         raise ValueError("purity_rho must be in [0, 1]")
     if rate <= 0 or duration <= 0:
@@ -404,7 +422,7 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
         raise ValueError("lifetime must be positive")
     if duration * 1e9 == math.inf:
         raise ValueError(f"duration = {duration:g} s overflows in ns")
-    m_max = _bin_count(bin_width, tau_max, "tau_max", MAX_BINS / 2)
+    m_max, bin_width = _bin_count(bin_width, tau_max, "tau_max", MAX_BINS / 2)
     if rate * duration > _MAX_STREAM_PHOTONS:
         raise ValueError(f"stream too large: rate * duration = {rate * duration:g} "
                          f"photons exceeds {_MAX_STREAM_PHOTONS:g}; reduce rate "
@@ -610,7 +628,7 @@ def correlate_stream(arrival_times, *, bin_width: float, tau_max: float,
         raise ValueError("arrival times must be >= 0")
     if np.any(np.diff(t) < 0):
         raise ValueError("arrival times must be sorted ascending")
-    m_max = _bin_count(bin_width, tau_max, "tau_max", MAX_BINS / 2)
+    m_max, bin_width = _bin_count(bin_width, tau_max, "tau_max", MAX_BINS / 2)
     if duration is None:
         duration = float(t[-1])
     _require_finite(duration=duration)

@@ -1,8 +1,9 @@
 """Fit models, optimizer behavior, and recovery against generating oracles.
 
 ``lm_reference`` is the earlier damping loop of ``fitting._lm_fit``, which
-took the derivatives anew on every attempt: ``_lm_fit`` takes them once per
-accepted point and must give the same report, byte for byte, on every exit.
+took the derivatives, and with them the curvature term, anew on every
+attempt: ``_lm_fit`` takes them once per accepted point and must give the
+same report, byte for byte, on every exit.
 ``lorentzian_model_reference`` and ``lorentzian_jacobian_reference`` are the
 earlier Lorentzian functions, on numpy scalars, and ``halfmax_width_reference``
 the earlier loop of the start width: the faster ones must give the same
@@ -27,7 +28,8 @@ import g4vlines as g
 from g4vlines import dataio, fitting
 from g4vlines.fitting import (
     LAMBDA0, MAX_ITERATIONS, REL_STEP_TOL, _lm_fit,
-    exp_jacobian, exp_model, lorentzian_jacobian, lorentzian_model,
+    exp_jacobian, exp_model, lorentzian_curvature, lorentzian_jacobian,
+    lorentzian_model,
 )
 
 PBV = g.REGISTRY.get("PbV")
@@ -35,8 +37,11 @@ SNV = g.REGISTRY.get("SnV")
 
 
 def lm_reference(model, jac, x, y, sigma, p0, *, guard=None,
-                 max_iter=MAX_ITERATIONS, accepted=None):
-    """The earlier _lm_fit; appends each accepted point to ``accepted``."""
+                 max_iter=MAX_ITERATIONS, curvature=None, accepted=None,
+                 newton=None):
+    """The earlier _lm_fit, with the curvature term taken anew on every
+    attempt too; appends each accepted point to ``accepted``, and for each
+    attempt with a curvature whether it stepped on J^T J - S to ``newton``."""
     p = np.array(p0, dtype=float)
     w = 1.0 / np.asarray(sigma, dtype=float)
 
@@ -54,8 +59,18 @@ def lm_reference(model, jac, x, y, sigma, p0, *, guard=None,
         hess = jr.T @ jr
         damp = np.diag(hess).copy()
         damp[damp <= 0] = 1.0
+        base = hess
+        if curvature is not None:
+            candidate = hess - curvature(x, p, r * w)
+            try:
+                if np.isfinite(np.linalg.cholesky(candidate)).all():
+                    base = candidate
+            except np.linalg.LinAlgError:
+                pass
+            if newton is not None:
+                newton.append(base is candidate)
         try:
-            step = np.linalg.solve(hess + lam * np.diag(damp), -grad)
+            step = np.linalg.solve(base + lam * np.diag(damp), -grad)
         except np.linalg.LinAlgError:
             lam *= 10.0
             if lam > 1e12:
@@ -676,13 +691,14 @@ def _run_counted(monkeypatch, lm, fit):
 class TestDampingLoop:
     """_lm_fit against lm_reference on every exit of the loop."""
 
-    def _compare(self, monkeypatch, fit):
+    def _compare(self, monkeypatch, fit, newton=None):
         """Same report under both loops, with the Jacobian taken
         n_iterations + 1 times by the reference and 1 + accepted steps
-        times by _lm_fit."""
+        times by _lm_fit; the reference's branches go to ``newton``."""
         accepted = []
         ref_json, ref, ref_counts = _run_counted(
-            monkeypatch, functools.partial(lm_reference, accepted=accepted), fit)
+            monkeypatch, functools.partial(lm_reference, accepted=accepted,
+                                           newton=newton), fit)
         new_json, new, new_counts = _run_counted(monkeypatch, _lm_fit, fit)
         assert new_json == ref_json
         assert ref_counts["jac"] == ref.n_iterations + 1
@@ -811,8 +827,99 @@ class TestDampingLoop:
             diffusion_sigma=1.0, jump_prob=0.005, jump_sigma=15.0,
             ionization_coeff=2.2e-6, repump="resonant", repump_rate=3e-5, seed=7)
         spectra, _ = g.simulate_scan_series(cfg)
+        newton = []
         for spectrum in spectra:
-            self._compare(monkeypatch, lambda: g.fit_lorentzian(spectrum))
+            self._compare(monkeypatch, lambda: g.fit_lorentzian(spectrum), newton)
+        # steps on J^T J - S, and on J^T J where that fails the Cholesky test
+        assert set(newton) == {True, False}
+
+
+def _fd_hessians(x, p, rel_step=1e-6):
+    """(n, 4, 4) central differences of lorentzian_jacobian: [i, k, j] is
+    d J[i, j] / d p[k]. The center and width steps scale with the width."""
+    p = np.asarray(p, dtype=float)
+    out = np.empty((x.size, 4, 4))
+    for k in range(4):
+        h = rel_step * max(abs(p[k]), abs(p[1]), 1e-6)
+        hi, lo = p.copy(), p.copy()
+        hi[k] += h
+        lo[k] -= h
+        out[:, k] = lorentzian_jacobian(x, hi) - lorentzian_jacobian(x, lo)
+        out[:, k] /= 2.0 * h
+    return out
+
+
+# a line that switches off at its center and stays dark: a large residual
+# that Gauss-Newton steps crawl towards (reduced chi^2 30)
+_X = np.arange(-300.0, 300.01, 4.0)
+TRUNCATED = g.Spectrum(_X, np.where(_X < 0.0, np.round(
+    g.lorentzian(_X, 0.0, 40.0, 1000.0, 5.0)), 5.0))
+
+
+class TestCurvature:
+    """lorentzian_curvature and the steps _lm_fit takes with it."""
+
+    def test_against_central_differences(self):
+        # sum_i rw_i H_i within 1e-5 of sum_i |rw_i H_i|, entry by entry,
+        # against the difference of either Jacobian column (d J_j / d p_k
+        # or d J_k / d p_j: one of them can underflow, as h^2 at h = 5e-201);
+        # a curvature at a point whose Jacobian is not finite is not finite
+        # either, so the step there is a Gauss-Newton step
+        rng = np.random.default_rng(14)
+        grid = np.arange(-300.0, 300.01, 4.0)
+        params = np.vstack([TestSameBits.SPECIAL, _random_lorentzian_params(rng, 300)])
+        checked = 0
+        with np.errstate(all="ignore"):
+            for i, p in enumerate(params):
+                x = grid if i % 2 else grid + 0.5
+                rw = rng.normal(size=x.size)
+                analytic = lorentzian_curvature(x, p, rw)
+                assert analytic.shape == (4, 4)
+                if not np.isfinite(lorentzian_jacobian(x, p)).all():
+                    assert not np.isfinite(analytic).all(), p
+                    continue
+                hessians = _fd_hessians(x, p)
+                numeric = np.einsum("i,ikj->kj", rw, hessians)
+                scale = np.einsum("i,ikj->kj", np.abs(rw), np.abs(hessians))
+                close = np.abs(analytic - numeric) <= 1e-5 * scale + 1e-300
+                assert np.array_equal(analytic, analytic.T), p
+                assert np.all(close | close.T), p
+                checked += 1
+        assert checked > 280
+
+    def test_truncated_line_converges(self, monkeypatch):
+        report = g.fit_lorentzian(TRUNCATED)
+        assert report.converged and report.n_iterations <= 40
+        monkeypatch.setattr(fitting, "lorentzian_curvature", None)
+        gauss_newton = g.fit_lorentzian(TRUNCATED)
+        assert gauss_newton.n_iterations > 100
+        assert report.reduced_chi2 <= gauss_newton.reduced_chi2
+
+    @pytest.mark.parametrize("spoil", [
+        lambda s: np.full((4, 4), np.nan),
+        lambda s: np.full((4, 4), np.inf),
+        lambda s: np.full((4, 4), -np.inf),
+        lambda s: np.diag([-np.inf] * 4),  # J^T J - S passes Cholesky, with inf
+        lambda s: s * 1e308,
+    ], ids=["nan", "inf", "-inf", "-inf-diagonal", "overflow"])
+    @pytest.mark.parametrize("spectrum", [TRUNCATED, _noiseless_spectrum()],
+                             ids=["truncated", "noiseless"])
+    def test_non_finite_curvature_gives_gauss_newton(self, monkeypatch, spoil,
+                                                     spectrum):
+        monkeypatch.setattr(fitting, "lorentzian_curvature", None)
+        expected = json.dumps(g.fit_lorentzian(spectrum).to_dict())
+        calls = []
+
+        def spoilt(x, p, rw):
+            calls.append(p)
+            with np.errstate(over="ignore"):
+                return spoil(lorentzian_curvature(x, p, rw))
+
+        monkeypatch.setattr(fitting, "lorentzian_curvature", spoilt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert json.dumps(g.fit_lorentzian(spectrum).to_dict()) == expected
+        assert calls
 
 
 def _random_lorentzian_params(rng, n):
@@ -1019,13 +1126,16 @@ class TestSameBitsPerFit:
         rng = np.random.default_rng(2)
         diagonals = [entries] + [rng.choice(entries, 4).tolist()
                                  for _ in range(200)]
-        for h in diagonals:
-            h_arr = np.array(h)
+        # the base is J^T J itself, or J^T J - S: any other diagonal
+        bases = [entries[::-1]] + [rng.choice(entries, 4).tolist()
+                                   for _ in range(200)]
+        for h, b in zip(diagonals + diagonals, diagonals + bases):
+            h_arr, b_arr = np.array(h), np.array(b)
             with np.errstate(over="ignore", invalid="ignore"):
-                expected = np.add(h_arr, lam * np.where(h_arr <= 0, 1.0, h_arr))
-            got = fitting._damped_diagonal(h, lam)
+                expected = np.add(b_arr, lam * np.where(h_arr <= 0, 1.0, h_arr))
+            got = fitting._damped_diagonal(b, h, lam)
             assert all(type(v) is float for v in got)
-            assert _same_bits(got, expected), h
+            assert _same_bits(got, expected), (b, h)
 
 
 # The start of a script for a fresh interpreter whose numpy lacks the

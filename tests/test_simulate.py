@@ -17,6 +17,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,6 +239,19 @@ class TestConfigValidation:
         # background-only series
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             _cfg(**{field: bad})
+
+    def test_array_temperature_named(self):
+        # it was stored as an array and written into each scan's meta
+        with pytest.raises(ValueError,
+                           match=r"^temperature must be a scalar, got shape \(1,\)$"):
+            _cfg(temperature=np.array([6.2]))
+        assert type(_cfg(temperature=np.array(6.2)).temperature) is float
+
+    def test_array_center_named(self):
+        # it ended in numpy's unnamed broadcast error in the first scan
+        with pytest.raises(ValueError,
+                           match=r"^center0 must be a scalar, got shape \(2,\)$"):
+            _cfg(center0=np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
     def test_non_integral_n_scans(self, bad):
@@ -1184,3 +1198,173 @@ def test_correlate_stream_fuzz():
 
     check()
     assert len(counted) > 100 and sum(counted) > 0
+
+
+# what a float argument of the simulators must refuse with a ValueError
+# that names it: None, text, a list, an array of 1 to 3 floats
+NOT_A_FLOAT = st.one_of(
+    st.none(), st.text(max_size=3), st.lists(st.floats(), max_size=3),
+    st.lists(st.floats(), min_size=1, max_size=3).map(np.array))
+
+
+@st.composite
+def float_fields(draw, ranges):
+    """{name: value}: a float in the name's (low, high) range, one time in
+    four as a 0-d array (a scalar); in half the draws one value is instead
+    any float, a float of its range in a list or a 1-d array, or a value of
+    NOT_A_FLOAT."""
+    values = {}
+    for name, (low, high) in ranges.items():
+        value = draw(st.floats(low, high))
+        values[name] = np.array(value) if draw(st.integers(0, 3)) == 0 else value
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(ranges)))
+        good = st.floats(*ranges[name])
+        values[name] = draw(st.one_of(
+            st.floats(), NOT_A_FLOAT, good.map(lambda v: [v]),
+            good.map(lambda v: np.array([v]))))
+    return values
+
+
+def _finite_or_value_error(call, results):
+    """call() with warnings as errors, but for a negative linewidth and a
+    clipped decay tail; its result is appended to results, and a
+    ValueError ends it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", g.NegativeLinewidthWarning)
+        warnings.filterwarnings("ignore", "t_max = .* below 10 lifetimes")
+        try:
+            results.append(call())
+        except ValueError:
+            pass
+
+
+def _assert_float_fields(record):
+    """Every float field of a config record is a finite Python float."""
+    for name, value in vars(record).items():
+        if type(record).__dataclass_fields__[name].type == "float":
+            assert type(value) is float and math.isfinite(value), (name, value)
+
+
+GRID = dict(start=(-200.0, 0.0), stop=(1.0, 200.0), step=(0.5, 50.0))
+SERIES = dict(temperature=(0.0, 30.0), dwell=(1e-3, 1.0), peak_rate=(0.0, 1e5),
+              background_rate=(0.0, 1e3), center0=(-100.0, 100.0),
+              diffusion_sigma=(0.0, 10.0), jump_prob=(0.0, 1.0),
+              jump_sigma=(0.0, 50.0), ionization_coeff=(0.0, 1e-3),
+              repump_rate=(0.0, 1e-3))
+TRPL = dict(lifetime=(0.1, 20.0), bin_width=(0.01, 2.0), t_max=(1.0, 100.0))
+BACKGROUND = dict(a_fast=(0.01, 10.0), tau_fast=(0.01, 2.0))
+HBT = dict(rate=(1e3, 1e5), lifetime=(0.1, 20.0), purity_rho=(0.0, 1.0),
+           duration=(1e-3, 1e-2), bin_width=(0.1, 10.0), tau_max=(1.0, 100.0))
+SMALL_GRID = dict(start=-10.0, stop=10.0, step=1.0)
+
+
+class TestFuzzSimulate:
+    """The simulate records and entry points, called as a library: each
+    call returns a finite result or raises ValueError. Each test asserts
+    that a fair share of its draws reached a result."""
+
+    def test_frequency_grid(self):
+        grids = []
+
+        @given(fields=float_fields(GRID))
+        @example(fields=dict(SMALL_GRID, start=np.array([-10.0])))
+        @settings(max_examples=200, deadline=None)
+        def check(fields):
+            _finite_or_value_error(lambda: g.FrequencyGrid(**fields), grids)
+
+        check()
+        assert len(grids) > 50
+        for grid in grids:
+            _assert_float_fields(grid)
+            centers = grid.centers()
+            assert centers.ndim == 1 and np.isfinite(centers).all()
+
+    def test_scan_series(self):
+        runs = []
+
+        @given(fields=float_fields(SERIES), grid=float_fields(GRID),
+               n_scans=st.integers(1, 3),
+               repump=st.sampled_from(["none", "between_scans", "resonant"]),
+               noiseless=st.booleans())
+        @example(fields=dict(temperature=np.array([6.2])), grid=SMALL_GRID,
+                 n_scans=1, repump="none", noiseless=False)
+        @example(fields=dict(center0=np.array([1.0, 2.0])), grid=SMALL_GRID,
+                 n_scans=2, repump="none", noiseless=True)
+        @settings(max_examples=200, deadline=None)
+        def check(fields, grid, n_scans, repump, noiseless):
+            def series():
+                cfg = g.ScanSeriesConfig(**{
+                    "temperature": 6.2, "dwell": 0.1, "peak_rate": 1e3,
+                    "background_rate": 10.0, **fields},
+                    emitter=PBV, grid=g.FrequencyGrid(**grid), n_scans=n_scans,
+                    repump=repump, noiseless=noiseless, seed=3)
+                return cfg, *g.simulate_scan_series(cfg)
+
+            _finite_or_value_error(series, runs)
+
+        check()
+        assert len(runs) > 50
+        for cfg, spectra, events in runs:
+            _assert_float_fields(cfg)
+            assert len(spectra) == cfg.n_scans
+            for spectrum in spectra:
+                assert np.isfinite(spectrum.counts).all()
+                for key in ("temperature_k", "center_mhz"):
+                    value = spectrum.meta[key]
+                    assert type(value) is float and math.isfinite(value), (key, value)
+            assert all(math.isfinite(ev.time_s) and math.isfinite(ev.center_mhz)
+                       for ev in events)
+
+    def test_trpl(self):
+        traces = []
+
+        @given(args=float_fields(TRPL), background=st.one_of(
+                   st.none(), float_fields(BACKGROUND)),
+               counts_total=st.integers(0, 1000))
+        @example(args=dict(lifetime=np.array([4.4]), bin_width=0.5, t_max=50.0),
+                 background=None, counts_total=10)
+        @example(args=dict(lifetime=4.4, bin_width=0.5, t_max=50.0),
+                 background=dict(a_fast=np.array([6.0]), tau_fast=0.5),
+                 counts_total=10)
+        @settings(max_examples=200, deadline=None)
+        def check(args, background, counts_total):
+            def trace():
+                bg = None if background is None else g.TrplBackground(**background)
+                return bg, counts_total, g.simulate_trpl(
+                    counts_total=counts_total, background=bg, seed=4, **args)
+
+            _finite_or_value_error(trace, traces)
+
+        check()
+        assert len(traces) > 50
+        for bg, counts_total, trace in traces:
+            if bg is not None:
+                _assert_float_fields(bg)
+            assert np.isfinite(trace.bin_centers).all()
+            assert trace.counts.sum() <= counts_total
+            assert type(trace.meta["bin_width_ns"]) is float
+
+    def test_hbt(self):
+        # the same stream cap, at 1000 photons: a fuzzed rate * duration
+        # may ask for 6e7, and a fuzzed tau_max may pair every photon
+        histograms = []
+
+        @given(args=float_fields(HBT))
+        @example(args=dict(rate=np.array([1e4]), lifetime=4.4, purity_rho=0.5,
+                           duration=0.01, bin_width=1.0, tau_max=20.0))
+        @example(args=dict(rate=1e4, lifetime=4.4, purity_rho=0.5, duration=0.01,
+                           bin_width=np.array(1.0), tau_max=[20.0]))
+        @settings(max_examples=200, deadline=None)
+        def check(args):
+            _finite_or_value_error(
+                lambda: g.simulate_hbt(**args, seed=5), histograms)
+
+        with mock.patch.object(g.simulate, "_MAX_STREAM_PHOTONS", 1000):
+            check()
+        assert len(histograms) > 50
+        for hist in histograms:
+            assert np.isfinite(hist.g2).all() and np.isfinite(hist.tau_bins).all()
+            assert (hist.coincidence_counts >= 0).all()
+            assert type(hist.normalization) is float
