@@ -11,7 +11,8 @@
    for each seed, then those of the ``fixtures/`` trace, its temperature
    series with one and two free parameters, its alpha points with
    ``delta`` and ``equal`` weights, and ``fit_lorentzian`` on its PLE scan;
-   each report's label, then its JSON.
+   each report's label, then its JSON; its label adds the reports' total
+   ``n_iterations`` and how many did not converge, as line 1's does.
 3. For each seed the hbt_fine workload simulates its HBT experiment, a
    stream of one segment. The digest covers each histogram's label, then
    its ``coincidence_counts``, ``g2`` and ``normalization`` as bytes.
@@ -88,10 +89,22 @@ def histogram_bytes(hist) -> bytes:
             + np.float64(hist.normalization).tobytes())
 
 
-def labelled(calls, to_bytes):
-    """Each (label, call)'s label and a newline, then its result's bytes."""
+def called(calls):
+    """(label, call()) of each (label, call), one call at a time."""
     for label, call in calls:
-        yield label.encode() + b"\n" + to_bytes(call())
+        yield label, call()
+
+
+def labelled(results, to_bytes):
+    """Each (label, result)'s label and a newline, then the result's bytes."""
+    for label, result in results:
+        yield label.encode() + b"\n" + to_bytes(result)
+
+
+def totals(reports) -> str:
+    """The reports' total ``n_iterations`` and unconverged count."""
+    return (f"{sum(report.n_iterations for report in reports)} iterations, "
+            f"{sum(not report.converged for report in reports)} unconverged")
 
 
 def series_fit_reports(seeds):
@@ -151,16 +164,15 @@ def main():
     seeds = parser.parse_args().seeds
     span = f"seeds {seeds[0]}-{seeds[-1]}"
     reports = list(series_fit_reports(seeds))
-    n_iterations = sum(report.n_iterations for report in reports)
-    n_unconverged = sum(not report.converged for report in reports)
+    fits = list(called(other_fits(seeds)))
     lines = [
-        (map(report_bytes, reports), f"reports, {span}, {n_iterations} "
-         f"iterations, {n_unconverged} unconverged"),
-        (labelled(other_fits(seeds), report_bytes),
-         f"decay, temperature-series, alpha and PLE reports, {span} and fixtures"),
-        (labelled(runs(seeds, "hbt_fine"), histogram_bytes),
+        (map(report_bytes, reports), f"reports, {span}, {totals(reports)}"),
+        (labelled(fits, report_bytes),
+         f"decay, temperature-series, alpha and PLE reports, {span} and "
+         f"fixtures, {totals(report for _, report in fits)}"),
+        (labelled(called(runs(seeds, "hbt_fine")), histogram_bytes),
          f"hbt_fine histograms, {span}"),
-        (labelled(long_runs(seeds), histogram_bytes),
+        (labelled(called(long_runs(seeds)), histogram_bytes),
          f"hbt_wide histograms, {span}, and criterion 7")]
     for items, what in lines:
         hexdigest, n_items = digest(items)

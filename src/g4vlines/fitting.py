@@ -5,19 +5,28 @@ damping schedule: start 1e-3, x10 on a rejected step, /10 on an accepted
 one). The derivatives are taken once per accepted point and reused by the
 attempts from it; every attempt, accepted or not, counts as an iteration,
 and a run of rejections that drives the damping above 1e12 ends the fit.
+A solved step that moves every parameter by less than REL_STEP_TOL
+relative ends the fit as converged at the current point, before the
+guard and the cost test, and is not taken; MINPACK's lmder (More 1978)
+likewise ends on a small step whether or not it would be accepted. At a
+minimum reached to rounding, such a step can raise the cost by an ulp,
+and a rejection would only raise the damping, attempt after attempt,
+until the step no longer moves p.
 The Lorentzian fit also takes the residual curvature term
 S = sum_i r_i w_i Hessian(model_i) at each accepted point, and steps on
 J^T J - S, the Hessian of the cost, where that matrix is finite and passes
 the Cholesky test, and on J^T J elsewhere (Dennis, Gay & Welsch, ACM TOMS
 7, 348 (1981)): a scan whose line switches off partway through leaves a
 large residual, where Gauss-Newton steps converge only linearly. The
-damping is lam * diag(J^T J) either way.
+damping is lam * diag(J^T J) either way. J and S come from one pass,
+``lorentzian_derivatives``, over d = x - center and D = d^2 + h^2.
 A step is rejected when the fit's guard refuses its trial parameters or
 its cost is higher or NaN; a singular damped system solves to a NaN step,
-rejected the same way. Count data is weighted with Poisson errors
-sigma^2 = max(count, 1); parameter uncertainties come from the Gauss-Newton
-covariance (J^T J)^-1 of the weighted Jacobian at the optimum, reported
-only when that matrix is positive-definite and its variances are positive.
+which fails the step test and is rejected the same way. Count data is
+weighted with Poisson errors sigma^2 = max(count, 1); parameter
+uncertainties come from the Gauss-Newton covariance (J^T J)^-1 of the
+weighted Jacobian at the optimum, reported only when that matrix is
+positive-definite and its variances are positive.
 Every report is built by ``_report``, which rejects a value that is
 infinite or NaN.
 """
@@ -135,21 +144,24 @@ def _damped_diagonal(base_diag: list, hess_diag: list, lam: float) -> list:
 
 
 @np.errstate(**_EDGE)
-def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
-            max_iter=MAX_ITERATIONS, curvature=None) -> _LMResult:
+def _lm_fit(model, derivatives, x, y, sigma, p0, *, guard=None,
+            max_iter=MAX_ITERATIONS) -> _LMResult:
     """Minimize sum(((y - model(x, p)) / sigma)^2) over p, in 1 to max_iter
     iterations; a ValueError names a ``max_iter`` that is not an integer
-    (3.0 counts as 3), is below 1 or is above _MAX_ITER_LIMIT (10000).
+    (3.0 counts as 3), is below 1 or is above _MAX_ITER_LIMIT (10000). The
+    first solved step that moves every parameter by less than REL_STEP_TOL
+    relative ends the fit, converged, at the point it was solved from.
 
-    ``curvature(x, p, rw)``, where given, returns the residual term
+    ``derivatives(x, p, rw)`` returns (J, S) at p: J the Jacobian of
+    ``model`` and S, or None, the residual term
     S = sum_i rw_i * Hessian of model(x_i, p), with rw = r * w the
-    residuals weighted twice. At each accepted point the damped matrix is
-    then built on J^T J - S, the Hessian of the cost, where that matrix is
-    finite and passes the Cholesky test, and on J^T J elsewhere. The
+    residuals weighted twice. Where S is given, the damped matrix at that
+    point is built on J^T J - S, the Hessian of the cost, where that matrix
+    is finite and passes the Cholesky test, and on J^T J elsewhere. The
     damping stays lam * diag(J^T J).
 
-    The arrays ``model``, ``jac`` and ``curvature`` return are only read,
-    never written.
+    The arrays ``model`` and ``derivatives`` return are only read, never
+    written.
     """
     n_max = _integral(max_iter, "max_iter")
     if n_max < 1:
@@ -175,31 +187,32 @@ def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
     damped_diag = damped.reshape(-1)[::p.size + 1]  # a view
     for n_iter in range(1, n_max + 1):
         if jr is None:
-            jr = jac(x, p) * neg_w            # d residual / d p
+            jac, curvature = derivatives(x, p, r * w)
+            jr = jac * neg_w  # d residual / d p
             neg_grad = -(jr.T @ r)
             np.matmul(jr.T, jr, out=damped)
             hess_diag = base_diag = damped_diag.tolist()
             if curvature is not None:
-                newton = damped - curvature(x, p, r * w)
+                newton = damped - curvature
                 # all NaN where the test fails; inf where S overflowed
                 if math.isfinite(_cholesky(newton).sum()):
                     damped[:] = newton
                     base_diag = damped_diag.tolist()
+            scale = [abs(q) + 1e-300 for q in p.tolist()]
         damped_diag[:] = _damped_diagonal(base_diag, hess_diag, lam)
         step = _solve(damped, neg_grad)  # NaN where the system is singular
+        # the step test comes first: a small step ends the fit at p, not
+        # taken; a NaN change fails it, as it fails np.max(...) < tol
+        if all(abs(s) / q < REL_STEP_TOL for s, q in zip(step.tolist(), scale)):
+            converged = True
+            break
         trial = p + step
         if guard is None or guard(trial):
             r_trial = residual(trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial <= cost:  # false for a NaN cost
-                # a NaN change fails the test, as it fails np.max(...) < tol
-                small = all(abs(s) / (abs(q) + 1e-300) < REL_STEP_TOL
-                            for s, q in zip(step.tolist(), p.tolist()))
                 p, r, cost, jr = trial, r_trial, cost_trial, None
                 lam = max(lam / 10.0, 1e-14)
-                if small:
-                    converged = True
-                    break
                 continue
         # the one rejection: refused by guard, or a higher or NaN cost
         lam *= 10.0
@@ -207,7 +220,7 @@ def _lm_fit(model, jac, x, y, sigma, p0, *, guard=None,
             break
 
     if jr is None:
-        jr = jac(x, p) * neg_w
+        jr = derivatives(x, p, r * w)[0] * neg_w
     return _LMResult(params=p, cov=_gn_covariance(jr), n_iterations=n_iter,
                      converged=converged, cost=cost)
 
@@ -257,31 +270,13 @@ def lorentzian_model(x, p):
     return out
 
 
-def lorentzian_jacobian(x, p):
-    c, w, a, b = np.asarray(p, dtype=float).tolist()
-    h = w / 2.0
-    d = x - c
-    denom = d * d
-    denom += h * h
-    denom2 = denom * denom
-    out = np.empty((x.size, 4))
-    col = out[:, 0]
-    np.multiply(d, 2.0 * a * h * h, out=col)
-    col /= denom2
-    col = out[:, 1]
-    np.multiply(d, a * h, out=col)
-    col *= d
-    col /= denom2
-    np.divide(h * h, denom, out=out[:, 2])
-    out[:, 3] = 1.0
-    return out
-
-
-def lorentzian_curvature(x, p, rw):
-    """sum_i rw_i * (Hessian of lorentzian_model at x_i in p), a 4 x 4
-    matrix in (center, fwhm, amplitude, offset), built from five weighted
-    sums m_k = sum_i rw_i d_i^k / D_i^3 (k = 0..4), where h = fwhm / 2,
-    d = x - center and D = d^2 + h^2. The second derivatives are
+def lorentzian_derivatives(x, p, rw):
+    """(J, S) of lorentzian_model at p, in (center, fwhm, amplitude,
+    offset), from one pass over h = fwhm / 2, d = x - center and
+    D = d^2 + h^2: J the (n, 4) Jacobian, with columns 2 a h^2 d / D^2,
+    a h d^2 / D^2, h^2 / D and 1, and S = sum_i rw_i * (Hessian of
+    lorentzian_model at x_i), a 4 x 4 matrix built from five weighted sums
+    m_k = sum_i rw_i d_i^k / D_i^3 (k = 0..4). The second derivatives are
     2 a h^2 (3 d^2 - h^2) / D^3 (center, center),
     2 a h d (d^2 - h^2) / D^3 (center, fwhm),
     a d^2 (d^2 - 3 h^2) / (2 D^3) (fwhm, fwhm),
@@ -293,6 +288,17 @@ def lorentzian_curvature(x, p, rw):
     d = x - c
     denom = d * d
     denom += hh
+    denom2 = denom * denom
+    jac = np.empty((x.size, 4))
+    col = jac[:, 0]
+    np.multiply(d, 2.0 * a * h * h, out=col)
+    col /= denom2
+    col = jac[:, 1]
+    np.multiply(d, a * h, out=col)
+    col *= d
+    col /= denom2
+    np.divide(hh, denom, out=jac[:, 2])
+    jac[:, 3] = 1.0
     terms = np.empty((5, x.size))  # rw d^k / D^3, a power of d at a time
     np.divide(rw, denom, out=terms[0])
     terms[0] /= denom
@@ -305,8 +311,8 @@ def lorentzian_curvature(x, p, rw):
     s_ww = 0.5 * a * (m4 - 3.0 * hh * m2)
     s_ca = 2.0 * hh * (m3 + hh * m1)   # D / D^3 = d^2 / D^3 + h^2 / D^3
     s_wa = h * (m4 + hh * m2)
-    return np.array([[s_cc, s_cw, s_ca, 0.0], [s_cw, s_ww, s_wa, 0.0],
-                     [s_ca, s_wa, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    return jac, np.array([[s_cc, s_cw, s_ca, 0.0], [s_cw, s_ww, s_wa, 0.0],
+                          [s_ca, s_wa, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
 
 
 def _median(y: np.ndarray) -> float:
@@ -341,12 +347,33 @@ def _halfmax_width(x, y, i_peak, level):
     return right - left
 
 
-def fit_lorentzian(spectrum: Spectrum, *, max_iter=MAX_ITERATIONS) -> FitReport:
+def fit_lorentzian(spectrum, *,
+                   max_iter=MAX_ITERATIONS) -> FitReport | list[FitReport]:
     """Fit center/fwhm/amplitude/offset to a PLE scan with Poisson weights.
 
+    Given one Spectrum, returns its FitReport. Given a list or tuple of
+    spectra on one grid, returns a list of reports, each the report of its
+    own call; a ValueError names the index of an element that is not a
+    Spectrum or whose detunings differ from those of spectrum 0.
     Raises ValueError on degenerate data (too short, no peak); a fit that
     fails to converge is returned with ``converged=False``, never raised.
     """
+    if isinstance(spectrum, (list, tuple)):
+        for i, scan in enumerate(spectrum):
+            if not isinstance(scan, Spectrum):
+                raise ValueError(
+                    f"spectrum {i} is not a Spectrum: {type(scan).__name__}")
+            if not np.array_equal(scan.detunings, spectrum[0].detunings):
+                raise ValueError(f"spectrum {i} is not on the grid of spectrum 0")
+        return [_fit_scan(scan, max_iter) for scan in spectrum]
+    if not isinstance(spectrum, Spectrum):
+        raise ValueError("spectrum must be a Spectrum or a list or tuple of "
+                         f"them, got {type(spectrum).__name__}")
+    return _fit_scan(spectrum, max_iter)
+
+
+def _fit_scan(spectrum: Spectrum, max_iter) -> FitReport:
+    """``fit_lorentzian`` of one Spectrum."""
     if len(spectrum) < 8:
         raise ValueError(f"need at least 8 points to fit, got {len(spectrum)}")
     x = spectrum.detunings
@@ -364,9 +391,9 @@ def fit_lorentzian(spectrum: Spectrum, *, max_iter=MAX_ITERATIONS) -> FitReport:
         fwhm0 = _halfmax_width(x, y, i_peak, offset0 + amp0 / 2.0)
     p0 = [float(x[i_peak]), fwhm0, amp0, offset0]
 
-    res = _lm_fit(lorentzian_model, lorentzian_jacobian, x, y,
+    res = _lm_fit(lorentzian_model, lorentzian_derivatives, x, y,
                   _poisson_sigma(y), p0, max_iter=max_iter,
-                  guard=lambda p: p[1] != 0.0, curvature=lorentzian_curvature)
+                  guard=lambda p: p[1] != 0.0)
     res.params[1] = abs(res.params[1])  # model is even in fwhm
     return _report(
         "lorentzian", ("center", "fwhm", "amplitude", "offset"),
@@ -449,7 +476,8 @@ def fit_decay(trace: DecayTrace, model: str = "exp1", *,
             p0 = [0.5 * a0 * np.exp(min(t[0] / tau_f0, 50.0)), tau_f0,
                   0.5 * a0 * np.exp(min(t[0] / tau0, 50.0)), tau0, b0]
             names = ("amp_fast", "tau_fast", "amp_slow", "tau_slow", "offset")
-    res = _lm_fit(exp_model, exp_jacobian, t, y, _poisson_sigma(y), p0,
+    res = _lm_fit(exp_model, lambda t, p, rw: (exp_jacobian(t, p), None),
+                  t, y, _poisson_sigma(y), p0,
                   guard=lambda p: np.all(p[1:-1:2] > 0), max_iter=max_iter)
     warn: list[str] = []
     if model == "exp2":
@@ -609,14 +637,14 @@ def fit_temperature_series(points, emitter: EmitterParams,
         alpha = p[1] if len(p) > 1 else emitter.alpha_gs
         return base + p[0] + alpha * k_gs
 
-    def jacobian(T, p):
-        return jac_full[:, :len(p)]
+    def derivatives(T, p, rw):
+        return jac_full[:, :len(p)], None
 
     p0 = [emitter.gamma_others, emitter.alpha_gs][:len(free)]
     guard = (lambda p: p[1] >= 0) if len(free) > 1 else None
 
     sigma = np.ones_like(gammas)
-    res = _lm_fit(model, jacobian, temps, gammas, sigma, p0, guard=guard)
+    res = _lm_fit(model, derivatives, temps, gammas, sigma, p0, guard=guard)
     warn: list[str] = []
     if res.params[0] < 0:
         warn.append("negative residual broadening")

@@ -3,12 +3,15 @@
 ``lm_reference`` is the earlier damping loop of ``fitting._lm_fit``, which
 took the derivatives, and with them the curvature term, anew on every
 attempt: ``_lm_fit`` takes them once per accepted point and must give the
-same report, byte for byte, on every exit.
+same report, byte for byte, on every exit. Both end on the first solved
+step that the step test calls small, before the guard and the cost test,
+without taking it.
 ``lorentzian_model_reference`` and ``lorentzian_jacobian_reference`` are the
-earlier Lorentzian functions, on numpy scalars, and ``halfmax_width_reference``
-the earlier loop of the start width: the faster ones must give the same
-bits, and ``fitting._solve`` the bits of ``np.linalg.solve``, or NaN where
-``np.linalg.solve`` raises ``LinAlgError``.
+earlier Lorentzian functions, on numpy scalars, ``lorentzian_jacobian_separate``
+and ``lorentzian_curvature_separate`` the earlier separate passes for J and
+S, and ``halfmax_width_reference`` the earlier loop of the start width: the
+faster ones must give the same bits, and ``fitting._solve`` the bits of
+``np.linalg.solve``, or NaN where ``np.linalg.solve`` raises ``LinAlgError``.
 """
 
 import functools
@@ -28,19 +31,17 @@ import g4vlines as g
 from g4vlines import dataio, fitting
 from g4vlines.fitting import (
     LAMBDA0, MAX_ITERATIONS, REL_STEP_TOL, _lm_fit,
-    exp_jacobian, exp_model, lorentzian_curvature, lorentzian_jacobian,
-    lorentzian_model,
+    exp_jacobian, exp_model, lorentzian_derivatives, lorentzian_model,
 )
 
 PBV = g.REGISTRY.get("PbV")
 SNV = g.REGISTRY.get("SnV")
 
 
-def lm_reference(model, jac, x, y, sigma, p0, *, guard=None,
-                 max_iter=MAX_ITERATIONS, curvature=None, accepted=None,
-                 newton=None):
-    """The earlier _lm_fit, with the curvature term taken anew on every
-    attempt too; appends each accepted point to ``accepted``, and for each
+def lm_reference(model, derivatives, x, y, sigma, p0, *, guard=None,
+                 max_iter=MAX_ITERATIONS, accepted=None, newton=None):
+    """The earlier _lm_fit, with the derivatives taken anew on every
+    attempt; appends each accepted point to ``accepted``, and for each
     attempt with a curvature whether it stepped on J^T J - S to ``newton``."""
     p = np.array(p0, dtype=float)
     w = 1.0 / np.asarray(sigma, dtype=float)
@@ -54,14 +55,15 @@ def lm_reference(model, jac, x, y, sigma, p0, *, guard=None,
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        jr = -jac(x, p) * w[:, None]     # d residual / d p
+        jac, curvature = derivatives(x, p, r * w)
+        jr = -jac * w[:, None]     # d residual / d p
         grad = jr.T @ r
         hess = jr.T @ jr
         damp = np.diag(hess).copy()
         damp[damp <= 0] = 1.0
         base = hess
         if curvature is not None:
-            candidate = hess - curvature(x, p, r * w)
+            candidate = hess - curvature
             try:
                 if np.isfinite(np.linalg.cholesky(candidate)).all():
                     base = candidate
@@ -76,6 +78,9 @@ def lm_reference(model, jac, x, y, sigma, p0, *, guard=None,
             if lam > 1e12:
                 break
             continue
+        if np.max(np.abs(step) / (np.abs(p) + 1e-300)) < REL_STEP_TOL:
+            converged = True
+            break
         trial = p + step
         if guard is not None and not guard(trial):
             lam *= 10.0
@@ -85,20 +90,16 @@ def lm_reference(model, jac, x, y, sigma, p0, *, guard=None,
         r_trial = residual(trial)
         cost_trial = float(r_trial @ r_trial)
         if cost_trial <= cost:
-            rel_change = np.max(np.abs(step) / (np.abs(p) + 1e-300))
             p, r, cost = trial, r_trial, cost_trial
             if accepted is not None:
                 accepted.append(p)
             lam = max(lam / 10.0, 1e-14)
-            if rel_change < REL_STEP_TOL:
-                converged = True
-                break
         else:
             lam *= 10.0
             if lam > 1e12:
                 break
 
-    jr = -jac(x, p) * w[:, None]
+    jr = -derivatives(x, p, r * w)[0] * w[:, None]
     with np.errstate(**fitting._EDGE):  # a failed Cholesky test is NaN
         cov = fitting._gn_covariance(jr)
     return fitting._LMResult(params=p, cov=cov, n_iterations=n_iter,
@@ -122,6 +123,59 @@ def lorentzian_jacobian_reference(x, p):
     out[:, 2] = h * h / denom
     out[:, 3] = 1.0
     return out
+
+
+def lorentzian_jacobian_separate(x, p):
+    c, w, a, b = np.asarray(p, dtype=float).tolist()
+    h = w / 2.0
+    d = x - c
+    denom = d * d
+    denom += h * h
+    denom2 = denom * denom
+    out = np.empty((x.size, 4))
+    col = out[:, 0]
+    np.multiply(d, 2.0 * a * h * h, out=col)
+    col /= denom2
+    col = out[:, 1]
+    np.multiply(d, a * h, out=col)
+    col *= d
+    col /= denom2
+    np.divide(h * h, denom, out=out[:, 2])
+    out[:, 3] = 1.0
+    return out
+
+
+def lorentzian_curvature_separate(x, p, rw):
+    c, w, a, b = np.asarray(p, dtype=float).tolist()
+    h = w / 2.0
+    hh = h * h
+    d = x - c
+    denom = d * d
+    denom += hh
+    terms = np.empty((5, x.size))  # rw d^k / D^3, a power of d at a time
+    np.divide(rw, denom, out=terms[0])
+    terms[0] /= denom
+    terms[0] /= denom
+    for k in range(1, 5):
+        np.multiply(terms[k - 1], d, out=terms[k])
+    m0, m1, m2, m3, m4 = np.add.reduce(terms, axis=1).tolist()
+    s_cc = 2.0 * a * hh * (3.0 * m2 - hh * m0)
+    s_cw = 2.0 * a * h * (m3 - hh * m1)
+    s_ww = 0.5 * a * (m4 - 3.0 * hh * m2)
+    s_ca = 2.0 * hh * (m3 + hh * m1)
+    s_wa = h * (m4 + hh * m2)
+    return np.array([[s_cc, s_cw, s_ca, 0.0], [s_cw, s_ww, s_wa, 0.0],
+                     [s_ca, s_wa, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
+
+def lorentzian_jacobian(x, p):
+    """J of ``fitting.lorentzian_derivatives``."""
+    return lorentzian_derivatives(x, p, np.zeros(x.size))[0]
+
+
+def lorentzian_gauss_newton(x, p, rw):
+    """``fitting.lorentzian_derivatives`` without its curvature term."""
+    return lorentzian_derivatives(x, p, rw)[0], None
 
 
 def halfmax_width_reference(x, y, i_peak, level):
@@ -229,6 +283,43 @@ class TestLorentzianFit:
             g.fit_lorentzian(g.Spectrum(np.arange(5.0), np.ones(5)))
         with pytest.raises(ValueError, match="no peak"):
             g.fit_lorentzian(g.Spectrum(np.arange(20.0), np.full(20, 7.0)))
+
+    def test_sequence_of_spectra(self):
+        # one series_fit op's scans: a list of the per-scan reports; a
+        # single-element list used to end in "need at least 8 points"
+        spectra = _series(1)
+        reports = [g.fit_lorentzian(spectrum) for spectrum in spectra]
+        assert all(isinstance(report, g.FitReport) for report in reports)
+        assert g.fit_lorentzian(spectra) == reports
+        assert g.fit_lorentzian(tuple(spectra)) == reports
+        assert g.fit_lorentzian(spectra[:1]) == reports[:1]
+        assert g.fit_lorentzian([]) == []
+        assert g.fit_lorentzian(spectra[:3], max_iter=2) == [
+            g.fit_lorentzian(spectrum, max_iter=2) for spectrum in spectra[:3]]
+
+    def test_sequence_element_named(self, monkeypatch):
+        # each check runs before any scan is fitted
+        monkeypatch.setattr(fitting, "_solve", _no_iteration)
+        s0, s1 = _series(1, n_scans=2)
+        shifted = g.Spectrum(s1.detunings + 1.0, s1.counts)
+        shorter = g.Spectrum(s1.detunings[:-1], s1.counts[:-1])
+        for spectra, message in [
+                ([s0, s1, shifted], "spectrum 2 is not on the grid of spectrum 0"),
+                ((s0, shorter), "spectrum 1 is not on the grid of spectrum 0"),
+                ([s0, "scan"], "spectrum 1 is not a Spectrum: str"),
+                ([s0, [s1]], "spectrum 1 is not a Spectrum: list"),
+                ([None, s0], "spectrum 0 is not a Spectrum: NoneType")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                g.fit_lorentzian(spectra)
+
+    @pytest.mark.parametrize("spectrum", [None, np.ones(20), "scan", {}],
+                             ids=["None", "ndarray", "str", "dict"])
+    def test_not_a_spectrum_named(self, spectrum):
+        name = type(spectrum).__name__
+        with pytest.raises(ValueError, match=(
+                "^spectrum must be a Spectrum or a list or tuple of them, "
+                f"got {name}$")):
+            g.fit_lorentzian(spectrum)
 
     def test_weak_peak_warns_in_report(self):
         x = np.linspace(-100, 100, 51)
@@ -647,6 +738,18 @@ def _trace(counts, seed):
     return g.simulate_trpl(4.4, counts, bin_width=0.5, t_max=60.0, seed=seed)
 
 
+def _series(seed, n_scans=125):
+    """The scans of a series_fit op of perfbench/workloads.py with this
+    seed (so seeds 1-12 are those of scripts/digest.py), or its first
+    n_scans."""
+    cfg = g.ScanSeriesConfig(
+        emitter=PBV, temperature=6.2, grid=g.FrequencyGrid(-300, 300, 4),
+        dwell=0.2, peak_rate=25000.0, background_rate=50.0, n_scans=n_scans,
+        diffusion_sigma=1.0, jump_prob=0.005, jump_sigma=15.0,
+        ionization_coeff=2.2e-6, repump="resonant", repump_rate=3e-5, seed=seed)
+    return g.simulate_scan_series(cfg)[0]
+
+
 # its offset stays near 0, where the relative step test never passes
 NOISELESS_DECAY = g.DecayTrace(0.5 * np.arange(8), [
     375833581668.0, 227954590232.0, 138261447999.0, 83859807268.0,
@@ -667,20 +770,20 @@ def _temp_series(free):
 
 def _run_counted(monkeypatch, lm, fit):
     """(report JSON, report, counts) of fit() run on lm; counts holds the
-    Jacobian calls and guard refusals."""
+    derivative calls and guard refusals."""
     counts = {"jac": 0, "refused": 0}
 
-    def counted_lm(model, jac, x, y, sigma, p0, *, guard=None, **kwargs):
-        def counted_jac(x, p):
+    def counted_lm(model, derivatives, x, y, sigma, p0, *, guard=None, **kwargs):
+        def counted_derivatives(x, p, rw):
             counts["jac"] += 1
-            return jac(x, p)
+            return derivatives(x, p, rw)
 
         def counted_guard(p):
             ok = guard(p)
             counts["refused"] += not ok
             return ok
 
-        return lm(model, counted_jac, x, y, sigma, p0,
+        return lm(model, counted_derivatives, x, y, sigma, p0,
                   guard=None if guard is None else counted_guard, **kwargs)
 
     monkeypatch.setattr(fitting, "_lm_fit", counted_lm)
@@ -692,9 +795,13 @@ class TestDampingLoop:
     """_lm_fit against lm_reference on every exit of the loop."""
 
     def _compare(self, monkeypatch, fit, newton=None):
-        """Same report under both loops, with the Jacobian taken
+        """Same report under both loops, with the derivatives taken
         n_iterations + 1 times by the reference and 1 + accepted steps
-        times by _lm_fit; the reference's branches go to ``newton``."""
+        times by _lm_fit: once at the start and once at each accepted
+        point, from the loop or at the exit; a small step, which ends the
+        fit, is not an accepted point, and the exit after it uses the
+        derivatives already taken. The reference's branches go to
+        ``newton``."""
         accepted = []
         ref_json, ref, ref_counts = _run_counted(
             monkeypatch, functools.partial(lm_reference, accepted=accepted,
@@ -796,6 +903,30 @@ class TestDampingLoop:
         assert report.n_iterations == 16
         assert counts["jac"] == 1
 
+    def test_small_step_ends_the_fit(self, monkeypatch):
+        """A converged fit makes one attempt from its last point: the small
+        step that ends it. On this scan, a loop that tested the step only
+        once its cost passed rejected 9 steps there, each at 10 times the
+        damping, before it accepted one small enough."""
+        events = []
+        solve = fitting._solve
+
+        def counted_solve(a, b):
+            events.append("S")
+            return solve(a, b)
+
+        def counted_derivatives(x, p, rw):
+            events.append("D")
+            return lorentzian_derivatives(x, p, rw)
+
+        monkeypatch.setattr(fitting, "_solve", counted_solve)
+        monkeypatch.setattr(fitting, "lorentzian_derivatives", counted_derivatives)
+        report = g.fit_lorentzian(_series(7, n_scans=12)[2])
+        assert report.converged
+        # the attempts from the last point that made one
+        assert "".join(events).rstrip("D").rsplit("D", 1)[1] == "S"
+        assert events.count("S") == report.n_iterations
+
     @pytest.mark.parametrize("fit", [
         lambda: g.fit_lorentzian(_scan(5000.0, seed=99)),
         lambda: g.fit_decay(_trace(2000, seed=4), "exp2"),
@@ -806,14 +937,16 @@ class TestDampingLoop:
         # fit_temperature_series's jacobian returns views of one array, so
         # weighting a Jacobian in place would corrupt later iterations
         def read_only(f):
-            def wrapped(x, p):
-                out = f(x, p)
-                out.flags.writeable = False
+            def wrapped(*args):
+                out = f(*args)
+                for array in out if isinstance(out, tuple) else (out,):
+                    if array is not None:  # no curvature term
+                        array.flags.writeable = False
                 return out
             return wrapped
 
-        def guarded_lm(model, jac, *args, **kwargs):
-            return _lm_fit(read_only(model), read_only(jac), *args, **kwargs)
+        def guarded_lm(model, derivatives, *args, **kwargs):
+            return _lm_fit(read_only(model), read_only(derivatives), *args, **kwargs)
 
         expected = json.dumps(fit().to_dict())
         monkeypatch.setattr(fitting, "_lm_fit", guarded_lm)
@@ -821,12 +954,7 @@ class TestDampingLoop:
 
     def test_series_scans(self, monkeypatch):
         """One Jacobian per accepted point over a drifting, blinking series."""
-        cfg = g.ScanSeriesConfig(
-            emitter=PBV, temperature=6.2, grid=g.FrequencyGrid(-300, 300, 4),
-            dwell=0.2, peak_rate=25000.0, background_rate=50.0, n_scans=12,
-            diffusion_sigma=1.0, jump_prob=0.005, jump_sigma=15.0,
-            ionization_coeff=2.2e-6, repump="resonant", repump_rate=3e-5, seed=7)
-        spectra, _ = g.simulate_scan_series(cfg)
+        spectra = _series(7, n_scans=12)
         newton = []
         for spectrum in spectra:
             self._compare(monkeypatch, lambda: g.fit_lorentzian(spectrum), newton)
@@ -857,7 +985,8 @@ TRUNCATED = g.Spectrum(_X, np.where(_X < 0.0, np.round(
 
 
 class TestCurvature:
-    """lorentzian_curvature and the steps _lm_fit takes with it."""
+    """The curvature term of lorentzian_derivatives and the steps _lm_fit
+    takes with it."""
 
     def test_against_central_differences(self):
         # sum_i rw_i H_i within 1e-5 of sum_i |rw_i H_i|, entry by entry,
@@ -873,9 +1002,9 @@ class TestCurvature:
             for i, p in enumerate(params):
                 x = grid if i % 2 else grid + 0.5
                 rw = rng.normal(size=x.size)
-                analytic = lorentzian_curvature(x, p, rw)
+                jac, analytic = lorentzian_derivatives(x, p, rw)
                 assert analytic.shape == (4, 4)
-                if not np.isfinite(lorentzian_jacobian(x, p)).all():
+                if not np.isfinite(jac).all():
                     assert not np.isfinite(analytic).all(), p
                     continue
                 hessians = _fd_hessians(x, p)
@@ -890,7 +1019,7 @@ class TestCurvature:
     def test_truncated_line_converges(self, monkeypatch):
         report = g.fit_lorentzian(TRUNCATED)
         assert report.converged and report.n_iterations <= 40
-        monkeypatch.setattr(fitting, "lorentzian_curvature", None)
+        monkeypatch.setattr(fitting, "lorentzian_derivatives", lorentzian_gauss_newton)
         gauss_newton = g.fit_lorentzian(TRUNCATED)
         assert gauss_newton.n_iterations > 100
         assert report.reduced_chi2 <= gauss_newton.reduced_chi2
@@ -906,16 +1035,17 @@ class TestCurvature:
                              ids=["truncated", "noiseless"])
     def test_non_finite_curvature_gives_gauss_newton(self, monkeypatch, spoil,
                                                      spectrum):
-        monkeypatch.setattr(fitting, "lorentzian_curvature", None)
+        monkeypatch.setattr(fitting, "lorentzian_derivatives", lorentzian_gauss_newton)
         expected = json.dumps(g.fit_lorentzian(spectrum).to_dict())
         calls = []
 
         def spoilt(x, p, rw):
             calls.append(p)
+            jac, curvature = lorentzian_derivatives(x, p, rw)
             with np.errstate(over="ignore"):
-                return spoil(lorentzian_curvature(x, p, rw))
+                return jac, spoil(curvature)
 
-        monkeypatch.setattr(fitting, "lorentzian_curvature", spoilt)
+        monkeypatch.setattr(fitting, "lorentzian_derivatives", spoilt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert json.dumps(g.fit_lorentzian(spectrum).to_dict()) == expected
@@ -953,6 +1083,37 @@ class TestSameBits:
                                   lorentzian_model_reference(x, p)), p
                 assert _same_bits(lorentzian_jacobian(x, p),
                                   lorentzian_jacobian_reference(x, p)), p
+
+    def test_derivative_pass_matches_separate_passes(self, monkeypatch):
+        # at every point the fits of three series_fit ops take derivatives
+        checked = 0
+
+        def checked_pass(x, p, rw):
+            nonlocal checked
+            jac, curvature = lorentzian_derivatives(x, p, rw)
+            assert _same_bits(jac, lorentzian_jacobian_separate(x, p)), p
+            assert _same_bits(curvature,
+                              lorentzian_curvature_separate(x, p, rw)), p
+            checked += 1
+            return jac, curvature
+
+        monkeypatch.setattr(fitting, "lorentzian_derivatives", checked_pass)
+        for seed in (1, 2, 3):
+            g.fit_lorentzian(_series(seed))
+        assert checked > 1000
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.lists(st.floats(), min_size=4, max_size=4),
+           shift=st.floats(-1e3, 1e3), rw_seed=st.integers(0, 2 ** 32 - 1),
+           rw_scale=st.floats(-300.0, 300.0))
+    def test_derivative_pass_matches_separate_passes_drawn(self, p, shift,
+                                                          rw_seed, rw_scale):
+        x = np.arange(-300.0, 300.01, 4.0) + shift
+        rw = np.random.default_rng(rw_seed).normal(size=x.size) * 10.0 ** rw_scale
+        with np.errstate(all="ignore"):
+            jac, curvature = lorentzian_derivatives(x, p, rw)
+            assert _same_bits(jac, lorentzian_jacobian_separate(x, p))
+            assert _same_bits(curvature, lorentzian_curvature_separate(x, p, rw))
 
     def test_halfmax_width_matches_reference(self):
         # small integer counts: plateaus, ties with the level, and peaks at

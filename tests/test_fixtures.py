@@ -66,7 +66,8 @@ def test_digest_covers_the_other_fits(fixtures_dir):
         + ["cubic_alpha"] * 2 + ["lorentzian"]
 
     def fits_digest(calls):
-        return module.digest(module.labelled(calls, module.report_bytes))
+        return module.digest(module.labelled(module.called(calls),
+                                             module.report_bytes))
 
     hexdigest, n_reports = fits_digest(fits[:1])
     assert n_reports == 1
@@ -85,7 +86,8 @@ def test_digest_covers_every_benchmark_histogram(fixtures_dir):
         "hbt_wide seed 3", "hbt_wide seed 4", "criterion 7"]
 
     def hbt_digest(calls):
-        return module.digest(module.labelled(calls, module.histogram_bytes))
+        return module.digest(module.labelled(module.called(calls),
+                                             module.histogram_bytes))
 
     hexdigest, n_hists = hbt_digest(fine[:1])
     assert n_hists == 1
