@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict, fields
 
-import numpy as np
+from . import _checks
 
 __all__ = ["EmitterParams", "EmitterRegistry", "REGISTRY",
            "transform_limit", "lifetime_from_linewidth"]
@@ -25,50 +25,12 @@ __all__ = ["EmitterParams", "EmitterRegistry", "REGISTRY",
 LIFETIME_CONSISTENCY_RTOL = 0.01
 
 
-def _require_finite(**values) -> None:
-    """ValueError naming the first of ``values`` (scalar or array) that is
-    not finite, or not a number (None, a string)."""
-    for name, value in values.items():
-        try:
-            finite = (math.isfinite(value) if type(value) is float
-                      else np.all(np.isfinite(value)))
-        except TypeError:  # np.isfinite of None, a str or an object array
-            raise ValueError(
-                f"{name} must be a finite number, got {value!r}") from None
-        if not finite:
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _integral(value, name: str) -> int:
-    """value as an int, where it is integral (2 or 2.0); a ValueError names
-    a value that int() would truncate or refuse (2.5, NaN, inf, None)."""
-    try:
-        integral = int(value) == value
-    except (OverflowError, TypeError, ValueError):
-        integral = False
-    if not integral:
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
-
-
-def _scalar(value, name: str) -> float:
-    """float(value); a ValueError names an array or sequence (by its shape)
-    and a value that float() refuses (None, "x")."""
-    if np.ndim(value) != 0:
-        raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-
-
 def _inverse(value: float, name: str) -> float:
     """1e3 / (2 pi value): a lifetime (ns) from a FWHM (MHz) and back."""
     # a Python float: 2 pi value overflows to inf without a numpy warning
-    value = _scalar(value, name)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    _require_finite(**{name: value})
+    value = _checks.number(value, name)
+    _checks.positive(**{name: value})
+    _checks.finite(**{name: value})
     out = 1e3 / (2.0 * math.pi * value)
     if not 0.0 < out < math.inf:  # value subnormal, or 2 pi value overflows
         raise ValueError(f"{name} {value} is out of range: its inverse is {out}")
@@ -89,8 +51,8 @@ def lifetime_from_linewidth(fwhm_mhz: float) -> float:
 class EmitterParams:
     """Physical constants of one color center.
 
-    Every numeric field must be finite; a ValueError names the first that
-    is not.
+    Every numeric field must be a finite scalar; a ValueError names the
+    first that is not.
 
     Parameters
     ----------
@@ -132,25 +94,19 @@ class EmitterParams:
         if not self.name:
             raise ValueError("emitter name must be non-empty")
         # None means "not given" only in a field whose default is None
-        _require_finite(**{
+        _checks.finite_floats(**{
             f.name: getattr(self, f.name) for f in fields(self)
             if f.name != "name"
             and (getattr(self, f.name) is not None or f.default is not None)})
-        if self.f_gs <= 0:
-            raise ValueError(f"f_gs must be positive, got {self.f_gs}")
-        if self.f_es <= 0:
-            raise ValueError(f"f_es must be positive, got {self.f_es}")
-        if self.alpha_gs < 0:
-            raise ValueError(f"alpha_gs must be >= 0, got {self.alpha_gs}")
-        if self.alpha_es < 0:
-            raise ValueError(f"alpha_es must be >= 0, got {self.alpha_es}")
+        _checks.positive(f_gs=self.f_gs, f_es=self.f_es)
+        _checks.non_negative(alpha_gs=self.alpha_gs, alpha_es=self.alpha_es)
         if self.dw_fraction is not None and not 0.0 <= self.dw_fraction <= 1.0:
             raise ValueError(f"dw_fraction must be in [0, 1], got {self.dw_fraction}")
 
         if self.lifetime is None and self.gamma0 is None:
             raise ValueError("one of lifetime or gamma0 is required")
-        if self.gamma0 is not None and self.gamma0 <= 0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
+        if self.gamma0 is not None:
+            _checks.positive(gamma0=self.gamma0)
 
         # _inverse rejects a lifetime <= 0 and one whose inverse is inf or 0
         if self.lifetime is None:
@@ -222,6 +178,7 @@ class EmitterRegistry:
         raise KeyError(f"unknown emitter {name!r}; known: {', '.join(self.names())}")
 
     def add(self, params: EmitterParams) -> None:
+        _checks.record(params, "params", EmitterParams)
         key = params.name.lower()
         if key in self._builtin:
             raise ValueError(f"cannot shadow builtin emitter {params.name!r}")

@@ -39,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import physics
-from .emitters import (REGISTRY, EmitterParams, _integral, _require_finite,
-                       _scalar)
+from . import _checks, physics
+from .emitters import REGISTRY, EmitterParams
 from .records import DecayTrace, FitReport, Spectrum
 
 __all__ = [
@@ -143,6 +142,16 @@ def _damped_diagonal(base_diag: list, hess_diag: list, lam: float) -> list:
             for b, h in zip(base_diag, hess_diag)]
 
 
+def _iterations(max_iter) -> int:
+    """max_iter as an int in [1, _MAX_ITER_LIMIT]."""
+    n_max = _checks.integral(max_iter, "max_iter")
+    if n_max < 1:
+        raise ValueError(f"max_iter must be >= 1, got {n_max}")
+    if n_max > _MAX_ITER_LIMIT:
+        raise ValueError(f"max_iter must be <= {_MAX_ITER_LIMIT}, got {max_iter}")
+    return n_max
+
+
 @np.errstate(**_EDGE)
 def _lm_fit(model, derivatives, x, y, sigma, p0, *, guard=None,
             max_iter=MAX_ITERATIONS) -> _LMResult:
@@ -163,11 +172,7 @@ def _lm_fit(model, derivatives, x, y, sigma, p0, *, guard=None,
     The arrays ``model`` and ``derivatives`` return are only read, never
     written.
     """
-    n_max = _integral(max_iter, "max_iter")
-    if n_max < 1:
-        raise ValueError(f"max_iter must be >= 1, got {n_max}")
-    if n_max > _MAX_ITER_LIMIT:
-        raise ValueError(f"max_iter must be <= {_MAX_ITER_LIMIT}, got {max_iter}")
+    n_max = _iterations(max_iter)
     p = np.array(p0, dtype=float)
     w = 1.0 / np.asarray(sigma, dtype=float)
     neg_w = -w[:, None]  # J * -w has the bits of -J * w
@@ -243,7 +248,7 @@ def _report(model_name, names, units, res: _LMResult, n_points, *,
               **{f"std_errors.{k}": v for k, v in (std_errors or {}).items()},
               "reduced_chi2": reduced_chi2,
               **{f"derived.{k}": v for k, v in derived.items()}}
-    _require_finite(**values)
+    _checks.finite(**values)
     return FitReport(
         model=model_name, params=params, units=dict(units),
         std_errors=std_errors, reduced_chi2=reduced_chi2,
@@ -354,7 +359,9 @@ def fit_lorentzian(spectrum, *,
     Given one Spectrum, returns its FitReport. Given a list or tuple of
     spectra on one grid, returns a list of reports, each the report of its
     own call; a ValueError names the index of an element that is not a
-    Spectrum or whose detunings differ from those of spectrum 0.
+    Spectrum or whose detunings differ from those of spectrum 0, and
+    begins a scan's own ValueError with its index (``spectrum 2: no peak:
+    all counts are equal``).
     Raises ValueError on degenerate data (too short, no peak); a fit that
     fails to converge is returned with ``converged=False``, never raised.
     """
@@ -365,7 +372,14 @@ def fit_lorentzian(spectrum, *,
                     f"spectrum {i} is not a Spectrum: {type(scan).__name__}")
             if not np.array_equal(scan.detunings, spectrum[0].detunings):
                 raise ValueError(f"spectrum {i} is not on the grid of spectrum 0")
-        return [_fit_scan(scan, max_iter) for scan in spectrum]
+        _iterations(max_iter)  # named once, not as an error of scan 0
+        reports = []
+        for i, scan in enumerate(spectrum):
+            try:
+                reports.append(_fit_scan(scan, max_iter))
+            except ValueError as exc:
+                raise ValueError(f"spectrum {i}: {exc}") from None
+        return reports
     if not isinstance(spectrum, Spectrum):
         raise ValueError("spectrum must be a Spectrum or a list or tuple of "
                          f"them, got {type(spectrum).__name__}")
@@ -452,12 +466,13 @@ def fit_decay(trace: DecayTrace, model: str = "exp1", *,
     tau_slow/tau_fast < 1.5. The derived transform limit uses tau (exp1) or
     tau_slow (exp2). Amplitudes refer to t = 0 of the trace.
     """
+    _checks.record(trace, "trace", DecayTrace)
     if model not in ("exp1", "exp2"):
         raise ValueError(f"model must be 'exp1' or 'exp2', got {model!r}")
     if len(trace) < 8:
         raise ValueError(f"need at least 8 bins to fit, got {len(trace)}")
     i0 = (int(np.argmax(trace.counts)) if start_index is None
-          else _integral(start_index, "start_index"))
+          else _checks.integral(start_index, "start_index"))
     if not 0 <= i0 < len(trace) - 4:
         raise ValueError(f"fit window start {i0} leaves too few bins")
     t = trace.bin_centers[i0:]
@@ -499,23 +514,16 @@ def fit_decay(trace: DecayTrace, model: str = "exp1", *,
 # ---------------------------------------------------------------------------
 # Linear fits of point tables
 
-def _floats(values) -> np.ndarray | None:
-    """``np.asarray(values, dtype=float)``, or None where numpy refuses
-    them (a dict, an object, a ragged list, text)."""
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: 10**400
-        return None
-
-
 def _pairs(points, columns: str) -> np.ndarray:
     """``points`` as an (n, 2) float array with n >= 1; a ValueError says
     they must be (columns) pairs."""
-    pts = _floats(points)
-    if pts is not None:
-        pts = np.atleast_2d(pts)
-    if pts is None or pts.size == 0 or pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"points must be ({columns}) pairs")
+    message = f"points must be ({columns}) pairs"
+    try:
+        pts = np.atleast_2d(_checks.floats(points, "points"))
+    except ValueError:  # not numbers: named as the table they should be
+        raise ValueError(message) from None
+    if pts.size == 0 or pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(message)
     return pts
 
 
@@ -535,25 +543,26 @@ def fit_cubic_alpha(points, weights="delta") -> FitReport:
     pts = _pairs(points, "f_gs_ghz, delta_mhz")
     f = pts[:, 0]
     dg = pts[:, 1]
-    _require_finite(f_gs_ghz=f, delta_mhz=dg)
-    if np.any(f <= 0):
-        raise ValueError("splittings must be positive")
-    if np.any(dg <= 0):
-        raise ValueError("linewidth differences must be positive")
+    _checks.finite(f_gs_ghz=f, delta_mhz=dg)
+    _checks.positive(f_gs_ghz=f, delta_mhz=dg)
 
     if isinstance(weights, str):
         if weights == "delta":
             with np.errstate(over="ignore", divide="ignore"):
                 w = 1.0 / dg ** 2
-            _require_finite(**{"weights 1/delta_mhz^2": w})
+            _checks.finite(**{"weights 1/delta_mhz^2": w})
         elif weights == "equal":
             w = np.ones_like(dg)
         else:
             raise ValueError(f"unknown weights mode {weights!r}")
     else:
-        w = _floats(weights)
-        if w is None or w.shape != dg.shape or np.any(w <= 0) \
-                or not np.all(np.isfinite(w)):
+        try:
+            w = _checks.floats(weights, "weights")
+            _checks.finite(weights=w)
+            _checks.positive(weights=w)
+        except ValueError:
+            w = None
+        if w is None or w.shape != dg.shape:
             raise ValueError(
                 "explicit weights must be finite and positive, one per point")
 
@@ -604,13 +613,14 @@ def fit_temperature_series(points, emitter: EmitterParams,
     not a real scalar (an array, "x"), is a ValueError.
     A ValueError names a column that is not finite.
     """
-    free = tuple(free)
+    _checks.record(emitter, "emitter", EmitterParams)
+    free = tuple(free) if np.iterable(free) else None  # not 5
     if free not in (("gamma_others",), ("gamma_others", "alpha_gs")):
         raise ValueError(
             "free must be ('gamma_others',) or ('gamma_others', 'alpha_gs')")
     pts = _pairs(points, "temperature_k, linewidth_mhz")
     if max_temp is not None:
-        max_temp = _scalar(max_temp, "max_temp")
+        max_temp = _checks.number(max_temp, "max_temp")
         if math.isnan(max_temp):  # compares false: would keep every point
             raise ValueError("max_temp must be a temperature or None, got nan")
         pts = pts[~(pts[:, 0] > max_temp)]  # NaN rows stay, to be named below
@@ -619,11 +629,10 @@ def fit_temperature_series(points, emitter: EmitterParams,
     if temps.size < 2 or temps.size < len(free):
         raise ValueError(
             f"need at least max(2, n_free) points, got {temps.size}")
-    _require_finite(temp_k=temps, linewidth_mhz=gammas)
+    _checks.finite(temp_k=temps, linewidth_mhz=gammas)
     if _has_duplicates(temps):
         raise ValueError("temperatures must be distinct")
-    if np.any(temps < 0):
-        raise ValueError("temperatures must be >= 0")
+    _checks.non_negative(temp_k=temps)
 
     # Bose factors are fixed per point, so the model is linear in both
     # free parameters; the optimizer converges in one accepted step.

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .constants import H_OVER_KB_K_PER_GHZ
-from .emitters import (EmitterParams, _require_finite, _scalar,
-                       lifetime_from_linewidth, transform_limit)
+from .emitters import EmitterParams, lifetime_from_linewidth, transform_limit
 
 __all__ = [
     "bose_occupation", "phonon_rates", "PhononRates",
@@ -57,12 +57,11 @@ def _scalar_like(value, *inputs):
 def _occupation(f_ghz, temp_k):
     """n(f, T) as an array, not checked for finiteness: inf where it
     overflows, and NaN at T = 0 where h f / kB underflows to 0 (0/0)."""
-    f = np.asarray(f_ghz, dtype=float)
-    T = np.asarray(temp_k, dtype=float)
-    if np.any(f <= 0) or not np.all(np.isfinite(f)):
-        raise ValueError("f_ghz must be positive and finite")
-    if np.any(T < 0) or not np.all(np.isfinite(T)):
-        raise ValueError("temp_k must be finite and >= 0")
+    f = _checks.floats(f_ghz, "f_ghz")
+    T = _checks.floats(temp_k, "temp_k")
+    _checks.finite(f_ghz=f, temp_k=T)
+    _checks.positive(f_ghz=f)
+    _checks.non_negative(temp_k=T)
     T = np.abs(T)  # -0.0 as +0.0: h f / kB T = -inf would give n = -1
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -89,7 +88,7 @@ def bose_occupation(f_ghz, temp_k):
     """
     n = _occupation(f_ghz, temp_k)
     n = np.where(np.asarray(temp_k) == 0, 0.0, n)  # also where h f underflows
-    _require_finite(**{"occupation n(f, T)": n})
+    _checks.finite(**{"occupation n(f, T)": n})
     return _scalar_like(n, f_ghz, temp_k)
 
 
@@ -111,15 +110,15 @@ def _phonon_mhz(f_ghz, temp_k, alpha, emission=False, *, name):
     ``alpha`` must be finite and >= 0. A ValueError names the term ``name``
     when it is infinite or NaN (f^3 or n(f, T) overflowing, or inf * 0).
     """
-    a = np.asarray(alpha, dtype=float)
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    a = _checks.floats(alpha, "alpha")
+    _checks.finite(alpha=a)
+    _checks.non_negative(alpha=a)
     with np.errstate(over="ignore", invalid="ignore"):
         n = _occupation(f_ghz, temp_k)  # a NaN or inf n makes the term NaN or inf
         if emission:
             n = n + 1.0
-        term = a * np.asarray(f_ghz, dtype=float) ** 3 * 1e3 * n
-    _require_finite(**{name: term})
+        term = a * _checks.floats(f_ghz, "f_ghz") ** 3 * 1e3 * n
+    _checks.finite(**{name: term})
     return term
 
 
@@ -132,7 +131,7 @@ def _terms(p: EmitterParams, temp_k, transition):
     es = _phonon_mhz(p.f_es, temp_k, p.alpha_es, name="es_phonon_mhz")
     with np.errstate(over="ignore", invalid="ignore"):
         total = p.gamma0 + p.gamma_others + gs + es
-    _require_finite(total_mhz=total)
+    _checks.finite(total_mhz=total)
     return gs, es, total
 
 
@@ -151,6 +150,7 @@ def phonon_rates(f_split_ghz, temp_k, alpha):
 
 
 def _linewidth(p: EmitterParams, temp_k, transition):
+    _checks.record(p, "p", EmitterParams)
     total = _terms(p, temp_k, transition)[2]
     if np.any(np.asarray(total) < 0):
         _warn_negative(p, transition, stacklevel=4)
@@ -179,6 +179,7 @@ def linewidth_d(p: EmitterParams, temp_k):
 
 def linewidth_difference(p: EmitterParams) -> float:
     """Temperature-independent D-C linewidth difference alpha~ * f_gs^3, MHz."""
+    _checks.record(p, "p", EmitterParams)
     return float(_phonon_mhz(p.f_gs, 0.0, p.alpha_gs, emission=True,
                              name="linewidth_difference"))
 
@@ -196,8 +197,9 @@ def temperature_threshold(p: EmitterParams, ratio: float = 1.2) -> float:
     A ValueError names a ratio that is not a scalar or not a number, not
     above 1 or whose target ratio * gamma0 is not finite.
     """
+    _checks.record(p, "p", EmitterParams)
     # a Python float: ratio * gamma0 overflows to inf without a numpy warning
-    ratio = _scalar(ratio, "ratio")
+    ratio = _checks.number(ratio, "ratio")
     if not ratio > 1.0:  # also rejects NaN
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     target = ratio * p.gamma0
@@ -244,12 +246,10 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
     profile where it leaves the float range (offset + amplitude beyond
     1.8e308).
     """
-    _require_finite(detuning_mhz=detuning_mhz, center_mhz=center_mhz,
-                    fwhm_mhz=fwhm_mhz, amplitude=amplitude, offset=offset)
-    if np.any(np.asarray(fwhm_mhz) <= 0):
-        raise ValueError(f"fwhm must be positive, got {fwhm_mhz}")
-    if np.any(np.asarray(amplitude) < 0) or np.any(np.asarray(offset) < 0):
-        raise ValueError("amplitude and offset must be >= 0")
+    _checks.finite(detuning_mhz=detuning_mhz, center_mhz=center_mhz,
+                   fwhm_mhz=fwhm_mhz, amplitude=amplitude, offset=offset)
+    _checks.positive(fwhm_mhz=fwhm_mhz)
+    _checks.non_negative(amplitude=amplitude, offset=offset)
     value = _profile(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset)
     if not np.isfinite(value).all():
         raise ValueError("lorentzian profile must be finite: offset + amplitude "
@@ -261,9 +261,9 @@ def lorentzian(detuning_mhz, center_mhz, fwhm_mhz, amplitude, offset):
 def _profile(detuning, center, fwhm, amplitude, offset):
     """``lorentzian``'s profile as an array, of arguments it would accept,
     with no check: the scan generator's were checked where they entered."""
-    hwhm = np.asarray(fwhm, dtype=float) / 2.0
+    hwhm = _checks.floats(fwhm, "fwhm_mhz") / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
-        d = np.asarray(detuning, dtype=float) - center  # inf: the tail
+        d = _checks.floats(detuning, "detuning_mhz") - center  # inf: the tail
         hwhm2 = hwhm ** 2
         num = amplitude * hwhm2
         den = d * d + hwhm2
@@ -305,6 +305,7 @@ def linewidth_breakdown(p: EmitterParams, temp_k,
     For an array of temperatures the terms are arrays, and a flag is set
     when any element qualifies.
     """
+    _checks.record(p, "p", EmitterParams)
     if not isinstance(transition, str) or transition.lower() not in ("c", "d"):
         raise ValueError(f"transition must be 'c' or 'd', got {transition!r}")
     transition = transition.lower()
@@ -316,7 +317,7 @@ def linewidth_breakdown(p: EmitterParams, temp_k,
         flags.append(FLAG_NEGATIVE_TOTAL)
     return LinewidthBreakdown(
         emitter=p.name, transition=transition,
-        temperature_k=_scalar_like(np.asarray(temp_k, dtype=float), temp_k),
+        temperature_k=_scalar_like(_checks.floats(temp_k, "temp_k"), temp_k),
         gamma0_mhz=p.gamma0, gamma_others_mhz=p.gamma_others,
         gs_phonon_mhz=_scalar_like(gs, temp_k), es_phonon_mhz=_scalar_like(es, temp_k),
         total_mhz=_scalar_like(total, temp_k), flags=tuple(flags))

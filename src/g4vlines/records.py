@@ -2,40 +2,15 @@
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import _checks
+
 __all__ = ["Spectrum", "DecayTrace", "CorrelationHistogram", "FitReport"]
-
-
-def _column(values, name) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if arr.size == 0:
-        raise ValueError(f"{name} is empty")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
-def _counts(values, name) -> np.ndarray:
-    """values as int64 counts: one-dimensional, integral and >= 0."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be numbers, got dtype {arr.dtype}")
-    with np.errstate(invalid="ignore"):  # nan, inf and beyond int64 miscast
-        counts = arr.astype(np.int64, copy=False)
-    if not (counts == arr).all():
-        raise ValueError(f"{name} must be integers below 2**63")
-    if (counts < 0).any():
-        raise ValueError(f"{name} must be >= 0")
-    return counts
 
 
 @dataclass
@@ -52,8 +27,8 @@ class Spectrum:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.detunings = _column(self.detunings, "detunings")
-        self.counts = _column(self.counts, "counts")
+        self.detunings = _checks.column(self.detunings, "detunings")
+        self.counts = _checks.column(self.counts, "counts")
         if self.detunings.size != self.counts.size:
             raise ValueError(
                 f"detunings ({self.detunings.size}) and counts "
@@ -61,8 +36,7 @@ class Spectrum:
         # finite values: d[i + 1] > d[i] exactly where d[i + 1] - d[i] > 0
         if not (self.detunings[1:] > self.detunings[:-1]).all():
             raise ValueError("detunings must be strictly increasing")
-        if self.counts.min() < 0:
-            raise ValueError("counts must be >= 0")
+        _checks.non_negative(counts=self.counts)
 
     def __len__(self) -> int:
         return self.detunings.size
@@ -81,8 +55,8 @@ class DecayTrace:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.bin_centers = _column(self.bin_centers, "bin_centers")
-        self.counts = _column(self.counts, "counts")
+        self.bin_centers = _checks.column(self.bin_centers, "bin_centers")
+        self.counts = _checks.column(self.counts, "counts")
         if self.bin_centers.size != self.counts.size:
             raise ValueError("bin_centers and counts differ in length")
         if self.bin_centers.size >= 2:
@@ -95,8 +69,7 @@ class DecayTrace:
             width = steps[0]
             if np.any(np.abs(steps - width) > 1e-9 * width):
                 raise ValueError("bin spacing must be uniform to 1e-9 relative")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be >= 0")
+        _checks.non_negative(counts=self.counts)
 
     def __len__(self) -> int:
         return self.bin_centers.size
@@ -118,21 +91,20 @@ class CorrelationHistogram:
     normalization: float
 
     def __post_init__(self):
-        self.tau_bins = _column(self.tau_bins, "tau_bins")
-        self.g2 = _column(self.g2, "g2")
-        self.coincidence_counts = _counts(self.coincidence_counts,
-                                          "coincidence_counts")
+        self.tau_bins = _checks.column(self.tau_bins, "tau_bins")
+        self.g2 = _checks.column(self.g2, "g2")
+        self.coincidence_counts = _checks.counts(self.coincidence_counts,
+                                                 "coincidence_counts")
         if not (self.tau_bins.size == self.g2.size == self.coincidence_counts.size):
             raise ValueError("tau_bins, g2 and coincidence_counts differ in length")
         with np.errstate(over="ignore"):  # an overflowing sum is not symmetric
             symmetric = np.allclose(self.tau_bins, -self.tau_bins[::-1])
         if not symmetric:
             raise ValueError("tau_bins must be symmetric about zero")
-        if np.any(self.g2 < 0):
-            raise ValueError("g2 must be >= 0")
+        _checks.non_negative(g2=self.g2)
         norm = self.normalization
         if isinstance(norm, bool) or not isinstance(norm, numbers.Real) \
-                or not 0 < norm < math.inf:
+                or not 0 < norm <= sys.float_info.max:  # 10**400 is not
             raise ValueError(
                 f"normalization must be positive and finite, got {norm!r}")
 

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import physics
+from . import _checks, physics
 from ._kernels import _CHUNK, MAX_BINS, _Buffers, _Counter, coincidence_histogram
-from .emitters import EmitterParams, _integral, _require_finite, _scalar
+from .emitters import EmitterParams
 from .records import CorrelationHistogram, DecayTrace, Spectrum
 
 __all__ = [
@@ -72,36 +72,11 @@ def substream(seed: int, index: int) -> np.random.Generator:
     A ValueError names a seed or index that is not an integer (2.0 counts
     as 2), or an index below 0.
     """
-    seed = _integral(seed, "seed") & _MASK64
-    index = _integral(index, "index")
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
+    seed = _checks.integral(seed, "seed") & _MASK64
+    index = _checks.integral(index, "index")
+    _checks.non_negative(index=index)
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((seed, index))))
-
-
-def _finite_floats(**values) -> list[float]:
-    """The values as Python floats: ``_require_finite``'s ValueError names
-    the first that is not finite or not a number, then ``_scalar``'s an
-    array or a sequence (by its shape). A 0-d array is a scalar."""
-    _require_finite(**values)
-    return [_scalar(value, name) for name, value in values.items()]
-
-
-def _float_fields(record) -> None:
-    """Store each float field of a frozen record as ``_finite_floats``
-    returns it."""
-    names = [f.name for f in fields(record) if f.type == "float"]
-    values = _finite_floats(**{name: getattr(record, name) for name in names})
-    for name, value in zip(names, values):
-        object.__setattr__(record, name, value)
-
-
-def _require_record(name: str, value, record: type) -> None:
-    """ValueError naming a field that is not a ``record``, where it enters
-    rather than where an attribute of it is first read."""
-    if not isinstance(value, record):
-        raise ValueError(f"{name} must be of type {record.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,11 +88,8 @@ class FrequencyGrid:
     step: float
 
     def __post_init__(self):
-        _float_fields(self)
-        if self.step <= 0:
-            raise ValueError(f"grid step must be positive, got {self.step}")
-        if self.stop <= self.start:
-            raise ValueError("grid stop must exceed start")
+        _checks.float_fields(self)
+        _checks.positive(**{"step": self.step, "stop - start": self.stop - self.start})
         if self._steps() >= MAX_BINS:  # overflows to inf for a tiny step
             raise ValueError(f"grid (stop - start) / step gives more than "
                              f"{MAX_BINS} points")
@@ -144,9 +116,8 @@ class TrplBackground:
     tau_fast: float
 
     def __post_init__(self):
-        _float_fields(self)
-        if self.a_fast <= 0 or self.tau_fast <= 0:
-            raise ValueError("background a_fast and tau_fast must be positive")
+        _checks.float_fields(self)
+        _checks.positive(a_fast=self.a_fast, tau_fast=self.tau_fast)
 
 
 @dataclass(frozen=True)
@@ -159,6 +130,7 @@ class ScanSeriesConfig:
     with per-point hazard ionization_coeff x expected signal counts; the
     repump policy controls recovery ("none", "between_scans", or "resonant"
     with per-point probability repump_rate x expected signal counts).
+    seed must be an integer (kept as given) and noiseless a bool.
     """
 
     emitter: EmitterParams
@@ -179,35 +151,27 @@ class ScanSeriesConfig:
     noiseless: bool = False
 
     def __post_init__(self):
-        _require_record("emitter", self.emitter, EmitterParams)
-        _require_record("grid", self.grid, FrequencyGrid)
-        object.__setattr__(self, "n_scans", _integral(self.n_scans, "n_scans"))
-        _float_fields(self)
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.dwell <= 0:
-            raise ValueError("dwell must be positive")
-        if self.peak_rate < 0 or self.background_rate < 0:
-            raise ValueError("rates must be >= 0")
-        if self.n_scans < 1:
-            raise ValueError("n_scans must be >= 1")
+        _checks.record(self.emitter, "emitter", EmitterParams)
+        _checks.record(self.grid, "grid", FrequencyGrid)
+        object.__setattr__(self, "n_scans", _checks.integral(self.n_scans, "n_scans"))
+        _checks.integral(self.seed, "seed")  # kept as given: the scan meta holds it
+        _checks.record(self.noiseless, "noiseless", (bool, np.bool_))
+        _checks.float_fields(self)
+        _checks.positive(dwell=self.dwell, n_scans=self.n_scans)
+        _checks.non_negative(**{name: getattr(self, name) for name in (
+            "temperature", "peak_rate", "background_rate", "diffusion_sigma",
+            "jump_sigma", "ionization_coeff", "repump_rate")})
         if self.n_scans * self.grid.size() > MAX_BINS:
             raise ValueError(f"n_scans x grid points = {self.n_scans} x "
                              f"{self.grid.size()} exceeds {MAX_BINS} points")
         # the time axis of the event log, as simulate_scan_series computes it
-        _require_finite(**{"n_scans x grid points x dwell":
-                           self.n_scans * (self.grid.size() * self.dwell)})
+        _checks.finite(**{"n_scans x grid points x dwell":
+                          self.n_scans * (self.grid.size() * self.dwell)})
         if not 0.0 <= self.jump_prob <= 1.0:
             raise ValueError("jump_prob must be in [0, 1]")
-        if self.diffusion_sigma < 0 or self.jump_sigma < 0:
-            raise ValueError("diffusion_sigma and jump_sigma must be >= 0")
-        if self.ionization_coeff < 0:
-            raise ValueError("ionization_coeff must be >= 0")
         if self.repump not in REPUMP_POLICIES:
             raise ValueError(
                 f"repump must be one of {REPUMP_POLICIES}, got {self.repump!r}")
-        if self.repump_rate < 0:
-            raise ValueError("repump_rate must be >= 0")
 
     def fwhm(self) -> float:
         """Model linewidth used for the scan shape (MHz)."""
@@ -268,6 +232,7 @@ def _scan(cfg: ScanSeriesConfig, rng, grid, fwhm, center, bright):
 
 def simulate_ple_scan(cfg: ScanSeriesConfig) -> Spectrum:
     """One PLE scan: scan 0 of simulate_scan_series, without center_mhz."""
+    _checks.record(cfg, "cfg", ScanSeriesConfig)
     if cfg.n_scans != 1:
         raise ValueError("simulate_ple_scan needs n_scans == 1; "
                          "use simulate_scan_series")
@@ -282,6 +247,7 @@ def simulate_scan_series(cfg: ScanSeriesConfig):
     Returns (spectra, events). The line center random-walks between scans
     and the charge state carries over as the repump policy says. Events log
     scan starts (with the realized center), ionizations and repumps."""
+    _checks.record(cfg, "cfg", ScanSeriesConfig)
     fwhm, grid = cfg.fwhm(), cfg.grid.centers()
     scan_time = grid.size * cfg.dwell
     spectra, events = [], []
@@ -293,7 +259,7 @@ def simulate_scan_series(cfg: ScanSeriesConfig):
                 center += rng.normal(0.0, cfg.diffusion_sigma)
             if cfg.jump_prob > 0 and rng.random() < cfg.jump_prob:
                 center += rng.normal(0.0, cfg.jump_sigma)
-            _require_finite(**{f"center_mhz at scan {k}": center})
+            _checks.finite(**{f"center_mhz at scan {k}": center})
         if cfg.repump == "between_scans":
             bright = True
         events.append(ScanEvent(k, -1, k * scan_time, "scan_start", center))
@@ -310,9 +276,10 @@ def _bin_count(bin_width: float, span: float, name: str,
                max_ratio: float) -> tuple[int, float]:
     """(round(span / bin_width), bin_width as a float), checked before
     anything is allocated."""
-    bin_width, span = _finite_floats(bin_width=bin_width, **{name: span})
-    if bin_width <= 0 or span < bin_width:
-        raise ValueError(f"need bin_width > 0 and {name} >= bin_width")
+    bin_width, span = _checks.finite_floats(bin_width=bin_width, **{name: span})
+    _checks.positive(bin_width=bin_width)
+    if span < bin_width:
+        raise ValueError(f"{name} must be >= bin_width, got {span:g} < {bin_width:g}")
     ratio = span / bin_width  # overflows to inf for a subnormal bin_width
     if ratio >= max_ratio:  # the histogram would have more than MAX_BINS bins
         raise ValueError(f"{name} / bin_width = {ratio:g} gives more than "
@@ -332,12 +299,11 @@ def simulate_trpl(lifetime: float, counts_total: int, *, bin_width: float,
     counts_total is capped at _MAX_TRPL_COUNTS, the counts that fit
     _STREAM_BUDGET at 9 B each.
     """
-    lifetime, = _finite_floats(lifetime=lifetime)
-    if lifetime <= 0:
-        raise ValueError("lifetime must be positive")
+    lifetime, = _checks.finite_floats(lifetime=lifetime)
+    _checks.positive(lifetime=lifetime)
     if background is not None:
-        _require_record("background", background, TrplBackground)
-    n = _integral(counts_total, "counts_total")
+        _checks.record(background, "background", TrplBackground)
+    n = _checks.integral(counts_total, "counts_total")
     if not 0 <= n <= _MAX_TRPL_COUNTS:
         raise ValueError(f"counts_total must be in [0, {_MAX_TRPL_COUNTS:g}], "
                          f"got {counts_total}")
@@ -412,14 +378,11 @@ def simulate_hbt(rate: float, lifetime: float, purity_rho: float,
     ``rate * duration`` is still capped at _MAX_STREAM_PHOTONS, which now
     bounds the run time (criterion 7 takes about 2.5 s on a 2-core Xeon VM).
     """
-    rate, lifetime, purity_rho, duration = _finite_floats(
+    rate, lifetime, purity_rho, duration = _checks.finite_floats(
         rate=rate, lifetime=lifetime, purity_rho=purity_rho, duration=duration)
     if not 0.0 <= purity_rho <= 1.0:
         raise ValueError("purity_rho must be in [0, 1]")
-    if rate <= 0 or duration <= 0:
-        raise ValueError("rate and duration must be positive")
-    if lifetime <= 0:
-        raise ValueError("lifetime must be positive")
+    _checks.positive(rate=rate, duration=duration, lifetime=lifetime)
     if duration * 1e9 == math.inf:
         raise ValueError(f"duration = {duration:g} s overflows in ns")
     m_max, bin_width = _bin_count(bin_width, tau_max, "tau_max", MAX_BINS / 2)
@@ -619,21 +582,17 @@ def correlate_stream(arrival_times, *, bin_width: float, tau_max: float,
     it. A bin_width whose half rounds away when added to an arrival time
     (below the float resolution of the tags) is a ValueError.
     """
-    t = np.asarray(arrival_times, dtype=float)
+    t = _checks.floats(arrival_times, "arrival_times")
     if t.ndim != 1 or t.size < 2:
         raise ValueError("need at least two arrival times")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("arrival times must be finite")
-    if t[0] < 0:
-        raise ValueError("arrival times must be >= 0")
+    _checks.finite(arrival_times=t)
+    _checks.non_negative(arrival_times=t)
     if np.any(np.diff(t) < 0):
         raise ValueError("arrival times must be sorted ascending")
     m_max, bin_width = _bin_count(bin_width, tau_max, "tau_max", MAX_BINS / 2)
-    if duration is None:
-        duration = float(t[-1])
-    _require_finite(duration=duration)
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    duration, = _checks.finite_floats(
+        duration=float(t[-1]) if duration is None else duration)
+    _checks.positive(duration=duration)
     if duration < t[-1]:
         raise ValueError(f"duration {duration} is before the last arrival "
                          f"time {t[-1]}")

@@ -81,7 +81,10 @@ class TestPredict:
         code, out, err = run(capsys, "predict", "--emitter", "PbV", "--temp", temp)
         assert code == 2
         assert out == ""
-        assert "temp_k must be finite and >= 0" in err
+        message = {"inf": "temp_k must be finite, got inf",
+                   "nan": "temp_k must be finite, got nan",
+                   "-1": "temp_k must be >= 0, got -1.0"}[temp]
+        assert message in err
 
     @pytest.mark.parametrize("field, value", [
         ("gamma0", float("nan")), ("alpha_gs", float("inf")),

@@ -35,8 +35,8 @@ class TestRecords:
         ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], "detunings must be strictly increasing"),
         ([1e308, -1e308], [1.0, 2.0], "detunings must be strictly increasing"),
         ([0.0, -0.0], [1.0, 2.0], "detunings must be strictly increasing"),
-        ([0.0, 1.0], [1.0, -2.0], "counts must be >= 0"),
-        ([0.0, 1.0], [-5e-324, 0.0], "counts must be >= 0"),
+        ([0.0, 1.0], [1.0, -2.0], "counts must be >= 0, got -2\\.0"),
+        ([0.0, 1.0], [-5e-324, 0.0], "counts must be >= 0, got -5e-324"),
         ([[0.0, 1.0]], [1.0, 2.0], "detunings must be one-dimensional"),
     ])
     def test_spectrum_messages(self, detunings, counts, message):
@@ -77,7 +77,7 @@ class TestRecords:
                                              "differ in length$"):
             g.CorrelationHistogram([-1.0, 0.0, 1.0], [1.0, 0.1, 1.0],
                                    np.array([10, 1]), 10.0)
-        with pytest.raises(ValueError, match="^g2 must be >= 0$"):
+        with pytest.raises(ValueError, match="^g2 must be >= 0, got -0\\.1$"):
             g.CorrelationHistogram([-1.0, 0.0, 1.0], [1.0, -0.1, 1.0],
                                    np.array([10, 1, 10]), 10.0)
 
@@ -90,7 +90,7 @@ class TestRecords:
         ([10, 3.5, 10], 10.0, "coincidence_counts must be integers below 2\\*\\*63"),
         ([10, np.nan, 10], 10.0, "coincidence_counts must be integers below 2\\*\\*63"),
         ([10, 2.0 ** 63, 10], 10.0, "coincidence_counts must be integers below 2\\*\\*63"),
-        ([10, -2, 10], 10.0, "coincidence_counts must be >= 0"),
+        ([10, -2, 10], 10.0, "coincidence_counts must be >= 0, got -2"),
         ([[10, 1, 10]], 10.0, "coincidence_counts must be one-dimensional"),
         (["10", "1", "10"], 10.0, "coincidence_counts must be numbers, got dtype <U2"),
     ])
@@ -114,12 +114,16 @@ FLOATS = st.one_of(st.floats(), st.sampled_from([0.5, -2.0, 3.0, 2.0 ** 63, 1e30
 @st.composite
 def columns(draw, n_columns):
     """n_columns columns of one length: any floats, integers, a grid
-    symmetric about zero (tau_bins) or a 2-D array."""
+    symmetric about zero (tau_bins) or a 2-D array; or no column of numbers
+    (a dict, an object, an int beyond the float range or a one-element
+    list)."""
     n = draw(st.integers(1, 5))
     out = []
     for _ in range(n_columns):
-        kind = draw(st.sampled_from(["floats", "integers", "grid", "2-D"]))
-        if kind == "integers":
+        kind = draw(st.sampled_from(["floats", "integers", "grid", "2-D", "other"]))
+        if kind == "other":
+            column = draw(st.sampled_from([{}, object(), 10 ** 400, [1.0]]))
+        elif kind == "integers":
             column = np.array(draw(st.lists(st.integers(-3, 2 ** 62),
                                             min_size=n, max_size=n)))
         elif kind == "grid":
@@ -133,7 +137,8 @@ def columns(draw, n_columns):
     return out
 
 
-NORMALIZATIONS = st.one_of(FLOATS, st.integers(-2, 5), st.just("1"))
+NORMALIZATIONS = st.one_of(FLOATS, st.integers(-2, 5), st.just("1"),
+                           st.sampled_from([{}, object(), 10 ** 400, [1.0]]))
 
 
 def assert_finite_record(record):
@@ -144,7 +149,7 @@ def assert_finite_record(record):
     if isinstance(record, g.CorrelationHistogram):
         assert record.coincidence_counts.dtype == np.int64
         assert (record.coincidence_counts >= 0).all()
-        assert 0 < record.normalization < np.inf
+        assert 0 < float(record.normalization) < np.inf
 
 
 def finite_or_value_error(build):
@@ -161,6 +166,8 @@ def finite_or_value_error(build):
 class TestFuzzRecords:
     @given(kind=st.sampled_from(["Spectrum", "DecayTrace"]), cols=columns(2))
     @example(kind="DecayTrace", cols=[np.array([-1.7e308, 1.7e308]), np.ones(2)])
+    @example(kind="Spectrum", cols=[{}, [1.0]])
+    @example(kind="DecayTrace", cols=[[1.0], 10 ** 400])
     @settings(max_examples=300, deadline=None)
     def test_spectrum_and_decay_trace(self, kind, cols):
         finite_or_value_error(lambda: getattr(g, kind)(*cols))
@@ -170,6 +177,9 @@ class TestFuzzRecords:
              normalization=1.0)
     @example(cols=[np.array([1.7e308, 0.0, 1.7e308]), np.ones(3), np.ones(3)],
              normalization=1.0)
+    @example(cols=[np.array([-1.0, 0.0, 1.0]), np.ones(3), np.ones(3)],
+             normalization=10 ** 400)
+    @example(cols=[np.array([-1.0, 0.0, 1.0]), {}, np.ones(3)], normalization=1.0)
     @settings(max_examples=300, deadline=None)
     def test_correlation_histogram(self, cols, normalization):
         finite_or_value_error(lambda: g.CorrelationHistogram(*cols, normalization))
@@ -185,7 +195,7 @@ class TestFuzzRecords:
                  normalization=np.nan)
         @settings(max_examples=300, deadline=None)
         def check(cols, normalization):
-            rows = zip(*(c.ravel().tolist() for c in cols))
+            rows = zip(*(np.ravel(c).tolist() for c in cols))
             path.write_text(f"# normalization={normalization}\n"
                             f"{dataio.CORRELATION_HEADER}\n"
                             + "".join(",".join(map(repr, row)) + "\n" for row in rows))
@@ -319,7 +329,7 @@ class TestCorrelationFiles:
         ("inf", "1", "normalization must be positive and finite, got inf"),
         ("1e400", "1", "normalization must be positive and finite, got inf"),
         ("ten", "1", "normalization must be positive and finite, got 'ten'"),
-        ("10.0", "-2", "coincidence_counts must be >= 0"),
+        ("10.0", "-2", "coincidence_counts must be >= 0, got -2"),
         ("10.0", "1e300", "coincidence_counts must be integers below 2\\*\\*63"),
     ])
     def test_bad_values_rejected(self, tmp_path, normalization, count, message):

@@ -164,6 +164,15 @@ class TestRegistry:
         assert "snv" in g.REGISTRY
         assert "XYZ" not in g.REGISTRY
 
+    @pytest.mark.parametrize("params", ["x", None, {"name": "x"}])
+    def test_add_not_a_record_named(self, params):
+        # each ended in an AttributeError from params.name
+        reg = g.EmitterRegistry()
+        with pytest.raises(ValueError, match="^params must be of type EmitterParams, "
+                                             f"got {re.escape(repr(params))}$"):
+            reg.add(params)
+        assert reg.names() == g.EmitterRegistry().names()
+
     @pytest.mark.parametrize("name", [5, None, 1.5, ["PbV"]])
     def test_non_string_name_unknown(self, name):
         # each ended in an AttributeError from name.lower()

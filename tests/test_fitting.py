@@ -312,6 +312,17 @@ class TestLorentzianFit:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 g.fit_lorentzian(spectra)
 
+    def test_sequence_scan_error_named(self):
+        # a scan's own error did not name its index; an error of max_iter
+        # is not one of scan 0
+        s0, s1 = _series(1, n_scans=2)
+        flat = g.Spectrum(s0.detunings, np.full(len(s0), 7.0))
+        with pytest.raises(ValueError,
+                           match="^spectrum 2: no peak: all counts are equal$"):
+            g.fit_lorentzian([s0, s1, flat])
+        with pytest.raises(ValueError, match="^max_iter must be >= 1, got 0$"):
+            g.fit_lorentzian([s0, s1], max_iter=0)
+
     @pytest.mark.parametrize("spectrum", [None, np.ones(20), "scan", {}],
                              ids=["None", "ndarray", "str", "dict"])
     def test_not_a_spectrum_named(self, spectrum):
@@ -466,6 +477,14 @@ class TestDecayFit:
                            match=f"^start_index must be an integer, got "
                                  f"{re.escape(str(start_index))}$"):
             g.fit_decay(trace, "exp1", start_index=start_index)
+
+    @pytest.mark.parametrize("trace", [None, "x", np.ones(20), {}],
+                             ids=["None", "str", "ndarray", "dict"])
+    def test_not_a_trace_named(self, trace):
+        # "x" ended in "need at least 8 bins to fit, got 1", the rest in a
+        # TypeError or an AttributeError
+        with pytest.raises(ValueError, match="^trace must be of type DecayTrace, got "):
+            g.fit_decay(trace)
 
     def test_bad_model_name(self):
         t = np.arange(0.1, 50.0, 0.2)
@@ -622,6 +641,12 @@ class TestTemperatureSeries:
         with pytest.raises(ValueError, match="free"):
             g.fit_temperature_series([(6.0, 38.9), (8.0, 38.9)], PBV,
                                      free=("alpha_gs",))
+        # free=5 ended in a TypeError, emitter None in an AttributeError
+        with pytest.raises(ValueError, match=r"^free must be \('gamma_others',\)"):
+            g.fit_temperature_series([(6.0, 38.9), (8.0, 38.9)], PBV, free=5)
+        with pytest.raises(ValueError,
+                           match="^emitter must be of type EmitterParams, got None$"):
+            g.fit_temperature_series([(6.0, 38.9), (8.0, 38.9)], None)
 
     @pytest.mark.parametrize("points", [
         object(), [{}], [(6.0, 38.9), (8.0,)], [(6.0, 38.9), ("x", 39.0)]],
@@ -1561,7 +1586,7 @@ class TestFuzzFitters:
            free=_mostly(st.sampled_from([("gamma_others",),
                                          ("gamma_others", "alpha_gs"),
                                          ["gamma_others", "alpha_gs"]]),
-                        st.sampled_from([("alpha_gs",), (), "gamma_others"])),
+                        st.sampled_from([("alpha_gs",), (), "gamma_others", 5])),
            max_temp=_mostly(st.one_of(st.none(), st.floats(0.0, 30.0)),
                             st.one_of(st.floats(), NOT_REAL)))
     @example(cols=[np.array([6.0, 10.0, 14.0]), np.array([38.9, 39.0, 39.8])],
@@ -1572,6 +1597,8 @@ class TestFuzzFitters:
              max_temp="x")
     @example(cols=[np.array([6.0]), np.array([38.9])], table=object(),
              emitter=PBV, free=("gamma_others",), max_temp=None)
+    @example(cols=[np.array([6.0, 10.0, 14.0]), np.array([38.9, 39.0, 39.8])],
+             table=None, emitter=PBV, free=5, max_temp=None)
     @settings(max_examples=200, deadline=None)
     def test_fit_temperature_series(self, cols, table, emitter, free, max_temp):
         points = np.column_stack(cols) if table is None else table

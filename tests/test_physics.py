@@ -455,8 +455,9 @@ class TestLorentzian:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             g.lorentzian(0.0, 0.0, -1.0, 10.0, 0.0)
-        for amplitude, offset in ((-1.0, 0.0), (1.0, -1.0)):
-            with pytest.raises(ValueError, match="^amplitude and offset must be >= 0$"):
+        for amplitude, offset, name in ((-1.0, 0.0, "amplitude"),
+                                        (1.0, -1.0, "offset")):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1\\.0$"):
                 g.lorentzian(0.0, 0.0, 1.0, amplitude, offset)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -601,6 +602,20 @@ class TestLorentzian:
 
 
 class TestBreakdown:
+    @pytest.mark.parametrize("call", [
+        lambda p: g.linewidth_c(p, 6.0), lambda p: g.linewidth_d(p, 6.0),
+        g.linewidth_difference, lambda p: g.linewidth_breakdown(p, 6.0),
+        g.temperature_threshold], ids=["linewidth_c", "linewidth_d",
+                                       "linewidth_difference",
+                                       "linewidth_breakdown",
+                                       "temperature_threshold"])
+    @pytest.mark.parametrize("p", [None, "PbV", {"f_gs": 3870.0}])
+    def test_emitter_not_a_record_named(self, call, p):
+        # each ended in an AttributeError or a TypeError
+        with pytest.raises(ValueError, match="^p must be of type EmitterParams, "
+                                             f"got {re.escape(repr(p))}$"):
+            call(p)
+
     def test_terms_sum(self):
         b = g.linewidth_breakdown(PBV, 6.2, "c")
         total = b.gamma0_mhz + b.gamma_others_mhz + b.gs_phonon_mhz + b.es_phonon_mhz
@@ -680,9 +695,14 @@ ENTRY_POINTS = {
        for p in ALL_PRESETS for t in "cd"},
 }
 
-# any float (+-inf, NaN, subnormals, +-1.8e308) or an array of 1 to 3
+# what no number argument takes: a dict, an object, an int beyond the
+# float range and a one-element list
+NOT_NUMBERS = st.sampled_from([{}, object(), 10 ** 400, [1.0]])
+
+# any float (+-inf, NaN, subnormals, +-1.8e308), an array of 1 to 3, or
+# one of NOT_NUMBERS
 NUMBERS = st.one_of(st.floats(), st.lists(st.floats(), min_size=1,
-                                          max_size=3).map(np.array))
+                                          max_size=3).map(np.array), NOT_NUMBERS)
 
 
 # the entry points that take arrays: (three numbers, transition) -> result
@@ -697,10 +717,12 @@ ARRAY_ENTRY_POINTS = {
 }
 
 # any float, half of them in the physical range, or a list or an array of
-# 1 to 3 of them: without the second half few calls get past the checks
+# 1 to 3 of them: without the second half few calls get past the checks;
+# or one of NOT_NUMBERS
 FLOAT = st.one_of(st.floats(), st.floats(0.0, 1e3))
 ARRAYS = st.one_of(FLOAT, st.lists(FLOAT, min_size=1, max_size=3),
-                   st.lists(FLOAT, min_size=1, max_size=3).map(np.array))
+                   st.lists(FLOAT, min_size=1, max_size=3).map(np.array),
+                   NOT_NUMBERS)
 TRANSITIONS = st.one_of(st.sampled_from(["c", "d", "C", "D", "x", ""]),
                         st.integers(), st.floats(), st.none())
 
@@ -710,6 +732,7 @@ class TestFuzzEntryPoints:
            args=st.lists(NUMBERS, min_size=5, max_size=5))
     @example(name="lorentzian", args=[1.7e308, -1e308, 1.0, 1.0, 0.0])
     @example(name="lorentzian", args=[0.0, 0.0, 1.0, 1e308, 1e308])
+    @example(name="transform_limit", args=[10 ** 400, 0.0, 0.0, 0.0, 0.0])
     @settings(max_examples=400, deadline=None)
     def test_finite_result_or_value_error(self, name, args):
         function, arity = ENTRY_POINTS[name]
@@ -728,6 +751,8 @@ class TestFuzzEntryPoints:
            transition=TRANSITIONS)
     @example(name="phonon_rates", args=[100.0, 5.0, [1.0, 2.0]], transition="c")
     @example(name="linewidth_breakdown PbV", args=[5.0, 0.0, 0.0], transition=1)
+    @example(name="linewidth_c PbV", args=[{}, 0.0, 0.0], transition="c")
+    @example(name="phonon_rates", args=[100.0, 5.0, 10 ** 400], transition="c")
     @settings(max_examples=400, deadline=None)
     def test_array_entry_points(self, name, args, transition):
         # scalars, lists and arrays of any floats; any transition

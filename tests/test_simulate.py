@@ -215,6 +215,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be of type "):
             _cfg(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", "x", "^seed must be an integer, got x$"),
+        ("noiseless", "no", "^noiseless must be of type bool, got 'no'$"),
+        ("noiseless", 1, "^noiseless must be of type bool, got 1$")])
+    def test_seed_and_noiseless_checked_at_construction(self, field, value, message):
+        # seed "x" constructed and failed in simulate_*; noiseless "no"
+        # ran a noiseless series
+        with pytest.raises(ValueError, match=message):
+            _cfg(**{field: value})
+
+    def test_numpy_bool_noiseless_and_seed_kept(self):
+        cfg = _cfg(noiseless=np.True_, seed=7.0)
+        assert cfg.noiseless is np.True_ and type(cfg.seed) is float
+        assert g.simulate_ple_scan(cfg).meta["seed"] == 7.0
+
+    @pytest.mark.parametrize("simulate", [g.simulate_ple_scan, g.simulate_scan_series])
+    @pytest.mark.parametrize("cfg", [None, "cfg", {"seed": 1}])
+    def test_cfg_not_a_config_named(self, simulate, cfg):
+        # each ended in an AttributeError
+        with pytest.raises(ValueError, match="^cfg must be of type ScanSeriesConfig, "
+                                             f"got {re.escape(repr(cfg))}$"):
+            simulate(cfg)
+
     def test_grid_at_point_limit(self):
         assert g.FrequencyGrid(0.0, MAX_BINS - 1.0, 1.0).centers().size == MAX_BINS
         with pytest.raises(ValueError, match="points"):
@@ -224,6 +247,7 @@ class TestConfigValidation:
         dict(dwell=0.0), dict(peak_rate=-1.0), dict(temperature=-1.0),
         dict(jump_prob=1.5), dict(ionization_coeff=-0.1),
         dict(repump="sometimes"), dict(n_scans=0), dict(repump_rate=-1.0),
+        dict(seed=None), dict(noiseless=None),
     ])
     def test_bad_fields(self, bad):
         with pytest.raises(ValueError):
@@ -304,6 +328,7 @@ class TestPleScan:
         # seed 2.5 used to draw the stream of seed 2 and write 2.5 into the
         # meta; every generator takes its seed through substream
         for draw in (lambda: g.substream(bad, 0),
+                     lambda: _cfg(seed=bad),
                      lambda: g.simulate_ple_scan(_cfg(seed=bad)),
                      lambda: g.simulate_scan_series(_cfg(seed=bad)),
                      lambda: g.simulate_trpl(4.4, 100, bin_width=0.5, t_max=50.0,
@@ -1117,7 +1142,12 @@ class TestCorrelateStream:
     @pytest.mark.parametrize("kw, message", [
         (dict(bin_width=None), "bin_width must be a finite number, got None"),
         (dict(tau_max=None), "tau_max must be a finite number, got None"),
-        (dict(duration="3"), "duration must be a finite number, got '3'")])
+        (dict(duration="3"), "duration must be a finite number, got '3'"),
+        (dict(duration=[5.0]), "duration must be a scalar, got shape (1,)"),
+        (dict(duration=np.array([5.0, 6.0])), "duration must be a scalar, got shape (2,)"),
+        (dict(duration={}), "duration must be a finite number, got {}"),
+        (dict(duration=10 ** 400),
+         "duration must be a finite number, got 100000000000000000...0000000000000000000")])
     def test_non_numeric_argument_named(self, kw, message):
         # np.isfinite of None and the comparison "3" <= 0 raised TypeErrors
         kw = dict(dict(bin_width=0.5, tau_max=1.0), **kw)
@@ -1201,10 +1231,12 @@ def test_correlate_stream_fuzz():
 
 
 # what a float argument of the simulators must refuse with a ValueError
-# that names it: None, text, a list, an array of 1 to 3 floats
+# that names it: None, text, a list, an array of 1 to 3 floats, a dict,
+# an object, an int beyond the float range
 NOT_A_FLOAT = st.one_of(
     st.none(), st.text(max_size=3), st.lists(st.floats(), max_size=3),
-    st.lists(st.floats(), min_size=1, max_size=3).map(np.array))
+    st.lists(st.floats(), min_size=1, max_size=3).map(np.array),
+    st.sampled_from([{}, object(), 10 ** 400, [1.0]]))
 
 
 @st.composite
