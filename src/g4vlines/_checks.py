@@ -21,7 +21,8 @@ each rule raises a ValueError that names the argument:
   integer, got <value>``;
 * ``record``: an instance of a type: ``<name> must be of type <type>, got
   <value>``;
-* ``column`` and ``counts``: the one-dimensional arrays of the records.
+* ``column`` and ``counts``: the one-dimensional arrays of the records;
+  both name a value numpy refuses as ``floats`` does.
 
 The range rules and ``finite`` check any number of named values, in the
 order given, and stop at the first that fails.
@@ -41,8 +42,14 @@ _REFUSED = (TypeError, ValueError, OverflowError)
 
 def floats(value, name: str) -> np.ndarray:
     """``np.asarray(value, dtype=float)``, 0-d for a scalar."""
+    return _array(value, name, float)
+
+
+def _array(value, name: str, dtype=None) -> np.ndarray:
+    """``np.asarray(value, dtype=dtype)``, or the ValueError of ``floats``
+    where numpy refuses the value."""
     try:
-        return np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=dtype)
     except _REFUSED:
         raise ValueError(f"{name} must be numbers, "
                          f"got {reprlib.repr(value)}") from None
@@ -130,7 +137,7 @@ def column(values, name: str) -> np.ndarray:
 
 def counts(values, name: str) -> np.ndarray:
     """values as int64 counts: one-dimensional, integral and >= 0."""
-    arr = np.asarray(values)
+    arr = _array(values, name)  # a ragged list too
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.dtype.kind not in "iuf":

@@ -126,6 +126,15 @@ def _cholesky_inv(a):
     return lower if np.isnan(lower[0, 0]) else _inv(a)
 
 
+def _finite_cholesky(a) -> bool:
+    """``math.isfinite(_cholesky(a).sum())``, summed on Python floats. A
+    failed test is all NaN. A passed factor's finite entries stay below
+    about 2**512 (their squares sum to at most a diagonal entry of a), and
+    it holds inf only on its diagonal, where a does; so neither sum
+    overflows, and both are finite exactly where the factor is."""
+    return math.isfinite(sum(_cholesky(a).ravel().tolist()))
+
+
 def _gn_covariance(jac: np.ndarray) -> np.ndarray | None:
     """(J^T J)^-1, or None where J^T J is not positive-definite (a NaN
     inverse). A matrix singular up to rounding can pass the Cholesky test
@@ -199,8 +208,7 @@ def _lm_fit(model, derivatives, x, y, sigma, p0, *, guard=None,
             hess_diag = base_diag = damped_diag.tolist()
             if curvature is not None:
                 newton = damped - curvature
-                # all NaN where the test fails; inf where S overflowed
-                if math.isfinite(_cholesky(newton).sum()):
+                if _finite_cholesky(newton):  # inf where S overflowed
                     damped[:] = newton
                     base_diag = damped_diag.tolist()
             scale = [abs(q) + 1e-300 for q in p.tolist()]
@@ -248,7 +256,8 @@ def _report(model_name, names, units, res: _LMResult, n_points, *,
               **{f"std_errors.{k}": v for k, v in (std_errors or {}).items()},
               "reduced_chi2": reduced_chi2,
               **{f"derived.{k}": v for k, v in derived.items()}}
-    _checks.finite(**values)
+    if not all(map(math.isfinite, values.values())):
+        _checks.finite(**values)  # names the first that is not
     return FitReport(
         model=model_name, params=params, units=dict(units),
         std_errors=std_errors, reduced_chi2=reduced_chi2,
@@ -305,19 +314,22 @@ def lorentzian_derivatives(x, p, rw):
     np.divide(hh, denom, out=jac[:, 2])
     jac[:, 3] = 1.0
     terms = np.empty((5, x.size))  # rw d^k / D^3, a power of d at a time
-    np.divide(rw, denom, out=terms[0])
-    terms[0] /= denom
-    terms[0] /= denom
-    for k in range(1, 5):
-        np.multiply(terms[k - 1], d, out=terms[k])
+    t0, t1, t2, t3, t4 = terms
+    np.divide(rw, denom, out=t0)
+    t0 /= denom
+    t0 /= denom
+    np.multiply(t0, d, out=t1)
+    np.multiply(t1, d, out=t2)
+    np.multiply(t2, d, out=t3)
+    np.multiply(t3, d, out=t4)
     m0, m1, m2, m3, m4 = np.add.reduce(terms, axis=1).tolist()
     s_cc = 2.0 * a * hh * (3.0 * m2 - hh * m0)
     s_cw = 2.0 * a * h * (m3 - hh * m1)
     s_ww = 0.5 * a * (m4 - 3.0 * hh * m2)
     s_ca = 2.0 * hh * (m3 + hh * m1)   # D / D^3 = d^2 / D^3 + h^2 / D^3
     s_wa = h * (m4 + hh * m2)
-    return jac, np.array([[s_cc, s_cw, s_ca, 0.0], [s_cw, s_ww, s_wa, 0.0],
-                          [s_ca, s_wa, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    return jac, np.array([s_cc, s_cw, s_ca, 0.0, s_cw, s_ww, s_wa, 0.0,
+                          s_ca, s_wa, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).reshape(4, 4)
 
 
 def _median(y: np.ndarray) -> float:
@@ -335,18 +347,21 @@ def _median(y: np.ndarray) -> float:
 def _halfmax_width(x, y, i_peak, level):
     """Interpolated width of y around index i_peak at the given level."""
     # the nearest i <= i_peak with y[i-1] < level <= y[i], and the nearest
-    # i >= i_peak with y[i+1] < level <= y[i]
+    # i >= i_peak with y[i+1] < level <= y[i], walked to from the peak on
+    # Python floats, which round as numpy's float64 scalars do; each
+    # divisor below is above 0
+    y = y.tolist()
     left = right = None
-    hits = np.flatnonzero((y[:i_peak] < level) & (level <= y[1:i_peak + 1]))
-    if hits.size:
-        i = int(hits[-1]) + 1
-        frac = (level - y[i - 1]) / (y[i] - y[i - 1])
-        left = x[i - 1] + frac * (x[i] - x[i - 1])
-    hits = np.flatnonzero((y[i_peak + 1:] < level) & (level <= y[i_peak:-1]))
-    if hits.size:
-        i = i_peak + int(hits[0])
-        frac = (y[i] - level) / (y[i] - y[i + 1])
-        right = x[i] + frac * (x[i + 1] - x[i])
+    for i in range(i_peak, 0, -1):
+        if y[i - 1] < level <= y[i]:
+            frac = (level - y[i - 1]) / (y[i] - y[i - 1])
+            left = x[i - 1] + frac * (x[i] - x[i - 1])
+            break
+    for i in range(i_peak, len(y) - 1):
+        if y[i + 1] < level <= y[i]:
+            frac = (y[i] - level) / (y[i] - y[i + 1])
+            right = x[i] + frac * (x[i + 1] - x[i])
+            break
     if left is None or right is None or right <= left:
         return (x[-1] - x[0]) / 4.0
     return right - left

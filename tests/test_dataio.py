@@ -93,9 +93,12 @@ class TestRecords:
         ([10, -2, 10], 10.0, "coincidence_counts must be >= 0, got -2"),
         ([[10, 1, 10]], 10.0, "coincidence_counts must be one-dimensional"),
         (["10", "1", "10"], 10.0, "coincidence_counts must be numbers, got dtype <U2"),
+        ([1, [2, 3], 1], 10.0,
+         "coincidence_counts must be numbers, got \\[1, \\[2, 3\\], 1\\]"),
     ])
     def test_correlation_messages(self, counts, normalization, message):
-        # each of these was kept (3.5 too), or ended in a TypeError
+        # each of these was kept (3.5 too), or ended in a TypeError or, for
+        # the ragged list, in numpy's unnamed ValueError
         with pytest.raises(ValueError, match=f"^{message}$"):
             g.CorrelationHistogram([-1.0, 0.0, 1.0], [1.0, 0.1, 1.0], counts,
                                    normalization)

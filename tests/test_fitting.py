@@ -12,6 +12,8 @@ and ``lorentzian_curvature_separate`` the earlier separate passes for J and
 S, and ``halfmax_width_reference`` the earlier loop of the start width: the
 faster ones must give the same bits, and ``fitting._solve`` the bits of
 ``np.linalg.solve``, or NaN where ``np.linalg.solve`` raises ``LinAlgError``.
+``halfmax_width_numpy`` is the earlier numpy form of the start width, and
+``math.isfinite(_cholesky(m).sum())`` the earlier test of J^T J - S.
 """
 
 import functools
@@ -190,6 +192,23 @@ def halfmax_width_reference(x, y, i_peak, level):
             frac = (y[i] - level) / (y[i] - y[i + 1])
             right = x[i] + frac * (x[i + 1] - x[i])
             break
+    if left is None or right is None or right <= left:
+        return (x[-1] - x[0]) / 4.0
+    return right - left
+
+
+def halfmax_width_numpy(x, y, i_peak, level):
+    left = right = None
+    hits = np.flatnonzero((y[:i_peak] < level) & (level <= y[1:i_peak + 1]))
+    if hits.size:
+        i = int(hits[-1]) + 1
+        frac = (level - y[i - 1]) / (y[i] - y[i - 1])
+        left = x[i - 1] + frac * (x[i] - x[i - 1])
+    hits = np.flatnonzero((y[i_peak + 1:] < level) & (level <= y[i_peak:-1]))
+    if hits.size:
+        i = i_peak + int(hits[0])
+        frac = (y[i] - level) / (y[i] - y[i + 1])
+        right = x[i] + frac * (x[i + 1] - x[i])
     if left is None or right is None or right <= left:
         return (x[-1] - x[0]) / 4.0
     return right - left
@@ -1322,6 +1341,75 @@ class TestSameBitsPerFit:
             got = fitting._damped_diagonal(b, h, lam)
             assert all(type(v) is float for v in got)
             assert _same_bits(got, expected), (b, h)
+
+
+@st.composite
+def halfmax_inputs(draw):
+    """(x, y, i_peak, level): counts on a few levels, so plateaus and ties
+    with the level; a peak at either end one time in three; a level that
+    is a count, between counts or above them all (no crossing)."""
+    n = draw(st.integers(2, 40))
+    x = np.cumsum(draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n)))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e6, 1e300]))
+    y = scale * np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)),
+                         dtype=float)
+    i_peak = draw(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)))
+    level = draw(st.one_of(st.sampled_from(y.tolist()),
+                           st.floats(-1.0, 7.0).map(lambda v: scale * v)))
+    return x, y, i_peak, level
+
+
+def _newton_candidates():
+    """4 x 4 matrices as the Lorentzian fit builds J^T J - S, and ones it
+    may meet at the edge of the float range: positive-definite,
+    indefinite, singular, and with inf or NaN entries."""
+    rng = np.random.default_rng(29)
+    for _ in range(400):
+        m = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-150, 150, 4)
+        spd = m @ m.T
+        yield spd
+        yield m + m.T                                      # indefinite
+        low = rng.normal(size=(4, int(rng.integers(1, 4))))
+        yield low @ low.T                                  # singular
+        for bad in (np.inf, -np.inf, np.nan):
+            i, j = rng.integers(0, 4, 2)
+            spoilt = spd.copy()
+            spoilt[i, j] = bad
+            if rng.random() < 0.5:
+                spoilt[j, i] = bad
+            yield spoilt
+            yield spd + np.diag(np.where(rng.random(4) < 0.5, bad, 0.0))
+        yield spd * 10.0 ** rng.uniform(150, 308)           # near overflow
+    yield np.diag([np.inf, 1.0, 1.0, 1.0])                 # passes, with inf
+    yield np.diag([1.0, 1.0, 1.0, np.inf])
+    yield np.full((4, 4), np.finfo(float).max)
+    yield np.diag([np.finfo(float).max] * 4)
+    yield np.zeros((4, 4))
+
+
+class TestSameBitsDrawn:
+    """The start width and the test of J^T J - S against the numpy forms
+    they replace."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(args=halfmax_inputs())
+    def test_halfmax_width_matches_numpy(self, args):
+        x, y, i_peak, level = args
+        with np.errstate(**fitting._EDGE):
+            expected = halfmax_width_numpy(x, y, i_peak, level)
+            got = fitting._halfmax_width(x, y, i_peak, level)
+        assert _same_bits(got, expected)
+
+    def test_newton_test_matches_numpy_sum(self):
+        outcomes = set()
+        with np.errstate(**fitting._EDGE):
+            for m in _newton_candidates():
+                expected = math.isfinite(fitting._cholesky(m).sum())
+                assert fitting._finite_cholesky(m) is expected, m
+                outcomes.add((expected, bool(np.isfinite(m).all())))
+        # both outcomes, with finite matrices and with inf or NaN in them
+        assert outcomes == {(True, True), (False, True), (True, False),
+                            (False, False)}
 
 
 # The start of a script for a fresh interpreter whose numpy lacks the

@@ -11,6 +11,9 @@ place, counts it as it goes and must agree with it bit for bit.
 one per point, so the per-scan draw must agree with it bit for bit.
 ``documented_series`` follows the draw order of the ``simulate`` module
 docstring point by point, so it pins the stream with ionization on.
+``series_per_scan`` is the earlier scan-by-scan loop, which drew and
+profiled one scan at a time: ``simulate_scan_series`` profiles a chunk of
+scans at once and must give the same counts, meta, events and errors.
 """
 
 import math
@@ -171,6 +174,87 @@ def documented_series(cfg):
         counts.append(expected if cfg.noiseless
                       else rng.poisson(expected).astype(float))
     return counts, events
+
+
+def series_per_scan(cfg):
+    """(spectra, events) of simulate_scan_series's earlier loop, one scan
+    at a time: its center, profile, charge and Poisson draws."""
+    def scan(rng, grid, fwhm, center, bright):
+        with np.errstate(over="ignore", invalid="ignore"):
+            signal = cfg.dwell * cfg.peak_rate \
+                * g.physics._profile(grid, center, fwhm, 1.0, 0.0)
+        background = cfg.dwell * cfg.background_rate
+        peak = background + signal.max()
+        if not peak < (math.inf if cfg.noiseless else g.simulate._POISSON_LAM_MAX):
+            raise ValueError(f"expected_counts must be finite and, to be "
+                             f"Poisson-drawn, below "
+                             f"{g.simulate._POISSON_LAM_MAX:g}; got {peak:g}")
+        switches, lit, state = [], np.full(grid.size, bright), bright
+        if cfg.ionization_coeff > 0:
+            u = rng.random(grid.size)
+            repump_rate = cfg.repump_rate if cfg.repump == "resonant" else 0.0
+            with np.errstate(over="ignore"):
+                hits = {True: u < cfg.ionization_coeff * signal,
+                        False: u < repump_rate * signal}
+            i = 0
+            while i < grid.size:
+                i += int(np.argmax(hits[state][i:]))
+                if not hits[state][i]:
+                    break
+                switches.append((i, "ionization" if state else "repump"))
+                state, i = not state, i + 1
+                lit[i:] = state
+        expected = background + np.where(lit, signal, 0.0)
+        counts = expected if cfg.noiseless else rng.poisson(expected).astype(float)
+        return counts, state, switches
+
+    fwhm, grid = cfg.fwhm(), cfg.grid.centers()
+    scan_time = grid.size * cfg.dwell
+    spectra, events = [], []
+    center, bright = cfg.center0, True
+    for k in range(cfg.n_scans):
+        rng = g.substream(cfg.seed, k)
+        if k > 0:
+            if cfg.diffusion_sigma > 0:
+                center += rng.normal(0.0, cfg.diffusion_sigma)
+            if cfg.jump_prob > 0 and rng.random() < cfg.jump_prob:
+                center += rng.normal(0.0, cfg.jump_sigma)
+            if not math.isfinite(center):
+                raise ValueError(f"center_mhz at scan {k} must be finite, "
+                                 f"got {center}")
+        if cfg.repump == "between_scans":
+            bright = True
+        events.append(g.ScanEvent(k, -1, k * scan_time, "scan_start", center))
+        counts, bright, switches = scan(rng, grid, fwhm, center, bright)
+        events += [g.ScanEvent(k, i, k * scan_time + (i + 1) * cfg.dwell, kind,
+                               center) for i, kind in switches]
+        meta = {"temperature_k": cfg.temperature, "emitter": cfg.emitter.name,
+                "scan_index": k, "seed": cfg.seed, "center_mhz": center}
+        spectra.append(g.Spectrum(grid, counts, meta))
+    return spectra, events
+
+
+def _outcome(simulate, cfg):
+    """simulate(cfg), or the text of the ValueError it raises."""
+    try:
+        return simulate(cfg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_series(got, expected):
+    """Two (spectra, events) results, or two error texts, are equal: the
+    same counts to the bit, meta and events."""
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    (spectra, events), (ref_spectra, ref_events) = got, expected
+    for spec, ref in zip(spectra, ref_spectra, strict=True):
+        assert spec.counts.tobytes() == ref.counts.tobytes()
+        assert spec.detunings.tobytes() == ref.detunings.tobytes()
+        assert spec.meta == ref.meta
+    assert events == ref_events
+    assert [repr(ev.time_s) for ev in events] == [repr(ev.time_s) for ev in ref_events]
 
 
 def _stream_reached(*args):
@@ -455,6 +539,84 @@ class TestScanSeries:
             switches |= {ev.kind for ev in events} - {"scan_start"}
         assert switches == ({"ionization", "repump"} if kw["repump"] == "resonant"
                             else {"ionization"})
+
+    @settings(max_examples=150, deadline=None)
+    @given(chunk=st.integers(1, 400), points=st.integers(8, 60),
+           n_scans=st.integers(1, 25),
+           repump=st.sampled_from(["none", "between_scans", "resonant"]),
+           noiseless=st.booleans(),
+           ionization_coeff=st.sampled_from([0.0, 1e-4, 2e-3, 2e-2]),
+           repump_rate=st.sampled_from([0.0, 2e-3, 5e-2]),
+           diffusion_sigma=st.floats(0.0, 10.0), jump_prob=st.floats(0.0, 1.0),
+           jump_sigma=st.floats(0.0, 50.0), seed=st.integers(0, 2 ** 64 - 1),
+           edge=st.sampled_from([
+               {}, {}, {}, dict(jump_prob=1.0, jump_sigma=1e308),
+               dict(diffusion_sigma=1e308), dict(center0=1e200),
+               dict(peak_rate=1e306), dict(peak_rate=1e306, jump_prob=1.0,
+                                           jump_sigma=1e308)]))
+    def test_matches_per_scan_loop(self, chunk, points, n_scans, edge, **kw):
+        # a chunk of 1 to 400 points, so from 1 to 50 scans per profile,
+        # and series that end on and across chunk boundaries: the same
+        # counts, meta, events and errors as the loop of one scan at a time
+        grid = g.FrequencyGrid(-3.0 * points, 3.0 * points, 6.0)
+        kw = dict(kw, **edge)
+        cfg = _cfg(grid=grid, n_scans=n_scans, **kw)
+        with mock.patch.object(g.simulate, "_SERIES_CHUNK", chunk):
+            got = _outcome(g.simulate_scan_series, cfg)
+        _assert_same_series(got, _outcome(series_per_scan, cfg))
+        single = _cfg(grid=grid, **kw)  # a PLE scan is still scan 0
+        with mock.patch.object(g.simulate, "_SERIES_CHUNK", chunk):
+            scan = _outcome(g.simulate_ple_scan, single)
+        expected = _outcome(series_per_scan, single)
+        if isinstance(expected, str):
+            assert scan == expected
+        else:
+            ref = expected[0][0]
+            del ref.meta["center_mhz"]
+            assert scan.counts.tobytes() == ref.counts.tobytes()
+            assert scan.meta == ref.meta
+
+    def test_chunks_of_the_module(self):
+        # the series_fit configuration, 27 scans of 151 points per chunk,
+        # over four chunk boundaries
+        cfg = g.ScanSeriesConfig(
+            emitter=PBV, temperature=6.2, grid=g.FrequencyGrid(-300.0, 300.0, 4.0),
+            dwell=0.2, peak_rate=25000.0, background_rate=50.0, n_scans=120,
+            diffusion_sigma=1.0, jump_prob=0.005, jump_sigma=15.0,
+            ionization_coeff=2.2e-6, repump="resonant", repump_rate=3e-5, seed=7)
+        assert g.simulate._SERIES_CHUNK // cfg.grid.size() == 27
+        _assert_same_series(g.simulate_scan_series(cfg), series_per_scan(cfg))
+
+    def test_peak_error_before_a_later_center(self):
+        # scan 0's peak fails before scan 1's center, drawn in the same
+        # chunk, overflows: the error of the scan-by-scan loop
+        kw = dict(n_scans=3, jump_prob=1.0, jump_sigma=1e308, seed=2)
+        assert _outcome(g.simulate_scan_series, _cfg(**kw)) == \
+            "center_mhz at scan 1 must be finite, got -inf"
+        cfg = _cfg(peak_rate=1e306, **kw)
+        got = _outcome(g.simulate_scan_series, cfg)
+        assert got == _outcome(series_per_scan, cfg)
+        assert re.search(r"^expected_counts .* got 1e\+305$", got), got
+
+    def test_peak_memory_flat_in_n_scans(self):
+        # a chunk of scans at a time: above the returned spectra and
+        # events, the traced peak is about the same at 100 and 5000 scans
+        # (a profile of the whole series would add 6 MB at 5000)
+        g.simulate_scan_series(_cfg(n_scans=2))  # warm-up
+        above = []
+        for n_scans in (100, 5000):
+            cfg = _cfg(n_scans=n_scans, ionization_coeff=1e-4, repump="resonant",
+                       repump_rate=1e-3, diffusion_sigma=1.0)
+            tracemalloc.start()
+            try:
+                result = g.simulate_scan_series(cfg)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del result
+            above.append(peak - current)
+        assert above[1] < above[0] + 200e3, f"{above[0] / 1e3:.0f} kB above " \
+            f"the result at 100 scans, {above[1] / 1e3:.0f} kB at 5000"
 
     def test_no_ionization_probability_oracle(self):
         # independent of draw order: with every scan starting bright, a scan
@@ -1388,7 +1550,9 @@ class TestFuzzSimulate:
                            duration=0.01, bin_width=1.0, tau_max=20.0))
         @example(args=dict(rate=1e4, lifetime=4.4, purity_rho=0.5, duration=0.01,
                            bin_width=np.array(1.0), tau_max=[20.0]))
-        @settings(max_examples=200, deadline=None)
+        # about a third of the draws reach a histogram: at 200 examples 42-102
+        # did over 20 runs, and one run in twenty fell below 50; at 400, 105-178
+        @settings(max_examples=400, deadline=None)
         def check(args):
             _finite_or_value_error(
                 lambda: g.simulate_hbt(**args, seed=5), histograms)
